@@ -79,30 +79,35 @@ class NGramCounts:
 
 
 def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
-    """Count every sliding-window occurrence, attributed to one chunk each."""
-    payload_counts: Counter = Counter()
-    chunk_counts: dict[bytes, Counter] = {}
+    """Count every sliding-window occurrence, attributed to one chunk each.
+
+    The windows starting inside one chunk are counted together by a single
+    Counter over C-level slices; n-grams keep their first-occurrence order.
+    """
+    n, chunk_len = cfg.n, cfg.chunk_len
+    payload_counts: dict[bytes, int] = {}
+    chunk_counts: dict[bytes, dict[int, int]] = {}
     tot = 0
-    n = cfg.n
     for comp, base in zip(relevant.components, layout.component_base):
         windows = len(comp) - n + 1
         if windows <= 0:
             continue
         tot += windows
-        for start in range(windows):
-            gram = comp[start:start + n]
-            payload_counts[gram] += 1
-            if cfg.chunks_enabled:
-                j = base + start // cfg.chunk_len
-                per_chunk = chunk_counts.get(gram)
-                if per_chunk is None:
-                    per_chunk = chunk_counts[gram] = Counter()
-                per_chunk[j] += 1
-    return NGramCounts(
-        payload_counts=dict(payload_counts),
-        chunk_counts={g: dict(c) for g, c in chunk_counts.items()},
-        tot_seqs=tot,
-    )
+        # without chunks, the whole component is one span of window starts
+        step = chunk_len if cfg.chunks_enabled else windows
+        for j, start in enumerate(range(0, windows, step), base):
+            stop = min(start + step, windows)
+            slices = map(slice, range(start, stop), range(start + n, stop + n))
+            grams = Counter(map(comp.__getitem__, slices))
+            for gram, x in grams.items():
+                payload_counts[gram] = payload_counts.get(gram, 0) + x
+                if cfg.chunks_enabled:
+                    per_chunk = chunk_counts.get(gram)
+                    if per_chunk is None:
+                        chunk_counts[gram] = {j: x}
+                    else:
+                        per_chunk[j] = x
+    return NGramCounts(payload_counts=payload_counts, chunk_counts=chunk_counts, tot_seqs=tot)
 
 
 def sliding_window_oracle(component: bytes, n: int) -> Counter:

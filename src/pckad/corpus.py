@@ -24,6 +24,8 @@ from typing import Iterable, Iterator
 from .errors import CorpusError
 
 _HEX_RE = re.compile(r"\A[0-9a-fA-F]*\Z")
+# what the surrogateescape error handler makes of bytes that are not UTF-8
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
 _LINKTYPE_ETHERNET = 1
@@ -168,7 +170,7 @@ def read_pcap(
         endian = _PCAP_ENDIAN.get(header[:4])
         if endian is None:
             raise CorpusError(f"{path}: unrecognized pcap magic {header[:4].hex()}")
-        link_type = struct.unpack(endian + "I", header[20:24])[0]
+        snaplen, link_type = struct.unpack(endian + "II", header[16:24])
         if link_type != _LINKTYPE_ETHERNET:
             raise CorpusError(f"{path}: unsupported link type {link_type} (Ethernet required)")
 
@@ -181,6 +183,12 @@ def read_pcap(
                 summary.truncated += 1
                 break
             ts_sec, ts_usec, incl_len, _ = struct.unpack(endian + "IIII", rec_hdr)
+            if incl_len > snaplen:
+                # a corrupt length; checked before it sizes a read
+                raise CorpusError(
+                    f"{path}: record at byte {f.tell() - 16}: captured length {incl_len} "
+                    f"exceeds the snapshot length {snaplen}"
+                )
             data = f.read(incl_len)
             summary.frames += 1
             if len(data) < incl_len:
@@ -211,12 +219,15 @@ def read_pcap(
 def read_jsonl(path) -> Iterator[PacketRecord]:
     """Yield records from a JSONL corpus; any malformed line is fatal."""
     try:
-        f = open(path, "r", encoding="utf-8")
+        # invalid bytes decode to lone surrogates, so each is caught on its own line
+        f = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot open corpus {path}: {exc}") from exc
     with f:
         for lineno, line in enumerate(f):
             line = line.rstrip("\r\n")
+            if _UNDECODABLE_RE.search(line):
+                raise CorpusError(f"{path}: line {lineno}: invalid UTF-8")
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

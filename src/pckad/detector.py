@@ -17,13 +17,12 @@ has no model alert too: traffic unlike anything seen in training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import ChunkingConfig, extract_ngrams, split_chunks
+from .chunking import NGramCounts
 from .corpus import PacketRecord
-from .model import ClassKey, NGramStats, TrafficModel
-from .protocols import Malformed, extract_relevant
+from .model import ClassKey, ClassModel, NGramStats, Skipped, TrafficModel, featurize
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -109,45 +108,46 @@ def anomalous_occurrences(
     return anomalous
 
 
+def _anomalous_grams(
+    cls: ClassModel, counts: NGramCounts, cfg: DetectorConfig, alpha: float
+) -> list[tuple[bytes, int]]:
+    """(n-gram, anomalous occurrences) for every n-gram that has any, in payload order."""
+    stats, chunk_counts = cls.stats, counts.chunk_counts
+    found = []
+    for gram, x_total in counts.payload_counts.items():
+        a = anomalous_occurrences(stats.get(gram), x_total, chunk_counts.get(gram, {}), cfg, alpha)
+        if a:
+            found.append((gram, a))
+    return found
+
+
+def _classified(
+    model: TrafficModel, record: PacketRecord, chunks_enabled: bool
+) -> Verdict | tuple[ClassKey, ClassModel, NGramCounts]:
+    """Featurize an on-port record: its class and counts, or the verdict that ends it early."""
+    chunking = model.chunking
+    if chunking.chunks_enabled != chunks_enabled:
+        chunking = replace(chunking, chunks_enabled=chunks_enabled)
+    features = featurize(record, model.protocol, model.port, chunking)
+    if isinstance(features, Skipped):
+        if features.cause == "other_port":
+            raise ValueError(features.reason)
+        kind = MALFORMED if features.cause == "malformed" else UNCLASSIFIABLE
+        return Verdict(kind, reason=features.reason)
+    cls = model.classes.get(features.key)
+    if cls is None:
+        return Verdict(NO_MODEL, class_key=features.key)
+    return features.key, cls, features.counts
+
+
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
     """Classify one packet whose destination port matches the model's."""
-    if record.dst_port != model.port:
-        raise ValueError(
-            f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
-        )
-    if not record.payload:
-        return Verdict(UNCLASSIFIABLE, reason="empty payload")
-    relevant = extract_relevant(model.protocol, record.payload)
-    if isinstance(relevant, Malformed):
-        return Verdict(MALFORMED, reason=relevant.reason)
-    n = model.chunking.n
-    if relevant.total_len < n:
-        return Verdict(UNCLASSIFIABLE, reason=f"relevant payload shorter than n={n}")
-    extraction_cfg = ChunkingConfig(
-        n=n, chunk_len=model.chunking.chunk_len, chunks_enabled=cfg.chunks_enabled
-    )
-    layout = split_chunks(relevant, extraction_cfg)
-    counts = extract_ngrams(relevant, layout, extraction_cfg)
-    if counts.tot_seqs == 0:
-        return Verdict(UNCLASSIFIABLE, reason=f"no component fits an n={n} window")
-    key = ClassKey(model.port, layout.nck_total)
-    cls = model.classes.get(key)
-    if cls is None:
-        return Verdict(NO_MODEL, class_key=key)
-
-    a_seqs = 0
-    contributors = []
-    for gram, x_total in counts.payload_counts.items():
-        a = anomalous_occurrences(
-            cls.stats.get(gram),
-            x_total,
-            counts.chunk_counts.get(gram, {}),
-            cfg,
-            model.alpha,
-        )
-        if a:
-            a_seqs += a
-            contributors.append((gram, a))
+    found = _classified(model, record, cfg.chunks_enabled)
+    if isinstance(found, Verdict):
+        return found
+    key, cls, counts = found
+    contributors = _anomalous_grams(cls, counts, cfg, model.alpha)
+    a_seqs = sum(a for _, a in contributors)
     score = a_seqs / counts.tot_seqs * 100.0
     if score > cfg.score_threshold:
         contributors.sort(key=lambda item: (-item[1], item[0]))
@@ -160,6 +160,46 @@ def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig)
             top_contributors=tuple(contributors[:10]),
         )
     return Verdict(LEGIT, score=score, a_seqs=a_seqs, tot_seqs=counts.tot_seqs, class_key=key)
+
+
+class Outcome(NamedTuple):
+    """One packet's scoring, before any score threshold or chunk mode is applied.
+
+    kind is MALFORMED, NO_MODEL or UNCLASSIFIABLE when that is the verdict
+    whatever the threshold, else None and the counts below decide it.
+    """
+
+    kind: str | None
+    tot_seqs: int = 0
+    a_on: int = 0  # anomalous occurrences under rules 1-3
+    a_off: int = 0  # under rules 1-2 only
+
+    def is_alert(self, cfg: DetectorConfig) -> bool:
+        """The verdict score_packet gives under cfg, as an alert flag."""
+        if self.kind is not None:
+            return self.kind in ALERT_KINDS
+        a_seqs = self.a_on if cfg.chunks_enabled else self.a_off
+        return a_seqs / self.tot_seqs * 100.0 > cfg.score_threshold
+
+
+def score_outcome(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Outcome:
+    """Featurize and judge one packet once for every score threshold.
+
+    cfg.score_threshold is not used. With cfg.chunks_enabled the outcome
+    serves both chunk modes; without it, a_on equals a_off.
+    """
+    found = _classified(model, record, cfg.chunks_enabled)
+    if isinstance(found, Verdict):
+        return Outcome(found.kind)
+    _, cls, counts = found
+    a_on = a_off = 0
+    for gram, a in _anomalous_grams(cls, counts, cfg, model.alpha):
+        a_on += a
+        # with no chunk counts, only rules 1 and 2 can fire
+        a_off += anomalous_occurrences(
+            cls.stats.get(gram), counts.payload_counts[gram], {}, cfg, model.alpha
+        )
+    return Outcome(None, counts.tot_seqs, a_on, a_off)
 
 
 @dataclass

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
 from .corpus import PacketRecord
-from .detector import DetectorConfig, score_packet
+from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, score_outcome
 from .errors import EvaluationError
 from .model import TrafficModel, train
 from .protocols import Protocol
@@ -76,37 +76,46 @@ class EvalReport:
     config: dict  # echo: n, chunk_len, th_s, score_threshold, chunks_enabled
 
 
-def evaluate(
+def _outcomes(
     model: TrafficModel,
     records: Iterable[PacketRecord],
     labels: LabelSet,
     cfg: DetectorConfig,
-) -> EvalReport:
-    """Score every on-port record and fold verdicts into DR/FPR."""
-    detected: dict[str, bool] = {}
-    legit_packets = 0
-    false_alerts = 0
-    unclassifiable = 0
+) -> list[tuple[str | None, Outcome]]:
+    """(attack instance or None for legit, outcome) of every on-port record, in order."""
+    out = []
     for rec in records:
         if rec.dst_port != model.port:
             continue
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        verdict = score_packet(model, rec, cfg)
-        if verdict.kind == "unclassifiable":
-            if label.startswith("attack:"):
-                detected.setdefault(label[7:], False)
+        instance = label[7:] if label.startswith("attack:") else None
+        out.append((instance, score_outcome(model, rec, cfg)))
+    return out
+
+
+def _fold(
+    model: TrafficModel, outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig
+) -> EvalReport:
+    """DR/FPR of the outcomes under one score threshold and chunk mode."""
+    detected: dict[str, bool] = {}
+    legit_packets = 0
+    false_alerts = 0
+    unclassifiable = 0
+    for instance, outcome in outcomes:
+        if outcome.kind == UNCLASSIFIABLE:
+            if instance is not None:
+                detected.setdefault(instance, False)
             else:
                 unclassifiable += 1
             continue
-        if label.startswith("attack:"):
-            instance = label[7:]
-            detected[instance] = detected.get(instance, False) or verdict.is_alert
+        alert = outcome.is_alert(cfg)
+        if instance is not None:
+            detected[instance] = detected.get(instance, False) or alert
         else:
             legit_packets += 1
-            if verdict.is_alert:
-                false_alerts += 1
+            false_alerts += alert
     instances_total = len(detected)
     instances_detected = sum(detected.values())
     dr = instances_detected / instances_total * 100.0 if instances_total else None
@@ -127,6 +136,19 @@ def evaluate(
             "chunks_enabled": cfg.chunks_enabled,
         },
     )
+
+
+def evaluate(
+    model: TrafficModel,
+    records: Iterable[PacketRecord],
+    labels: LabelSet,
+    cfg: DetectorConfig,
+) -> EvalReport:
+    """Score every on-port record and fold verdicts into DR/FPR.
+
+    This is the one-cell case of `sweep`: the same outcomes, the same fold.
+    """
+    return _fold(model, _outcomes(model, records, labels, cfg), cfg)
 
 
 @dataclass(frozen=True)
@@ -168,8 +190,10 @@ def sweep(
 ) -> list[SweepRow]:
     """Train one model per (n, chunk_len) and evaluate every grid cell.
 
-    Invalid cells (n > chunk_len) produce a row without a report and a
-    warning on stderr. Rows come out in deterministic grid order.
+    Each test packet is featurized and judged once per (n, chunk_len); the
+    score thresholds and chunk modes are folds over those outcomes. Invalid
+    cells (n > chunk_len) produce a row without a report and a warning on
+    stderr. Rows come out in deterministic grid order.
     """
     rows: list[SweepRow] = []
     for n in grid.ns:
@@ -188,13 +212,21 @@ def sweep(
                 alpha=alpha,
                 th_s=th_s,
             )
-            for threshold in grid.score_thresholds:
-                for chunks_enabled in grid.chunk_modes:
-                    cfg = DetectorConfig(
-                        score_threshold=threshold, th_s=th_s, chunks_enabled=chunks_enabled
-                    )
-                    report = evaluate(model, test_records, labels, cfg)
-                    rows.append(SweepRow(n, chunk_len, th_s, threshold, chunks_enabled, report))
+            cells = [
+                DetectorConfig(score_threshold=threshold, th_s=th_s, chunks_enabled=chunks_enabled)
+                for threshold in grid.score_thresholds
+                for chunks_enabled in grid.chunk_modes
+            ]
+            if not cells:
+                continue
+            # one featurization per test packet serves every cell of this model
+            rules = replace(cells[0], chunks_enabled=True in grid.chunk_modes)
+            outcomes = _outcomes(model, test_records, labels, rules)
+            for cfg in cells:
+                rows.append(SweepRow(
+                    n, chunk_len, th_s, cfg.score_threshold, cfg.chunks_enabled,
+                    _fold(model, outcomes, cfg),
+                ))
     return rows
 
 

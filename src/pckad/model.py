@@ -52,6 +52,51 @@ class ClassModel:
     stats: dict[bytes, NGramStats]
 
 
+class Features(NamedTuple):
+    """Class key and n-gram counts of one classifiable record."""
+
+    key: ClassKey
+    counts: NGramCounts
+
+
+class Skipped(NamedTuple):
+    """Why a record has no n-gram counts.
+
+    cause is "other_port", "empty", "malformed" or "short", and names the
+    TrainingSummary counter `skipped_<cause>`.
+    """
+
+    cause: str
+    reason: str
+
+
+def featurize(
+    record: PacketRecord, protocol: Protocol, port: int, chunking: ChunkingConfig
+) -> Features | Skipped:
+    """The one path from a record to its class key and n-gram counts.
+
+    Training, scoring and the sweep all featurize through here; chunk counts
+    are extracted only when chunking.chunks_enabled is set.
+    """
+    if record.dst_port != port:
+        return Skipped(
+            "other_port", f"record {record.id} is for port {record.dst_port}, model is for {port}"
+        )
+    if not record.payload:
+        return Skipped("empty", "empty payload")
+    relevant = extract_relevant(protocol, record.payload)
+    if isinstance(relevant, Malformed):
+        return Skipped("malformed", relevant.reason)
+    n = chunking.n
+    if relevant.total_len < n:
+        return Skipped("short", f"relevant payload shorter than n={n}")
+    layout = split_chunks(relevant, chunking)
+    counts = extract_ngrams(relevant, layout, chunking)
+    if counts.tot_seqs == 0:
+        return Skipped("short", f"no component fits an n={n} window")
+    return Features(ClassKey(port, layout.nck_total), counts)
+
+
 @dataclass
 class TrainingSummary:
     """What happened to each record offered for training."""
@@ -163,29 +208,15 @@ def train(
                 f"record {rec.id} is labeled {rec.label!r}; the training corpus "
                 "must be attack-free (use ignore_labels to override)"
             )
-        if rec.dst_port != port:
-            summary.skipped_other_port += 1
+        features = featurize(rec, protocol, port, extraction_cfg)
+        if isinstance(features, Skipped):
+            counter = "skipped_" + features.cause
+            setattr(summary, counter, getattr(summary, counter) + 1)
             continue
-        if not rec.payload:
-            summary.skipped_empty += 1
-            continue
-        relevant = extract_relevant(protocol, rec.payload)
-        if isinstance(relevant, Malformed):
-            summary.skipped_malformed += 1
-            continue
-        if relevant.total_len < extraction_cfg.n:
-            summary.skipped_short += 1
-            continue
-        layout = split_chunks(relevant, extraction_cfg)
-        counts = extract_ngrams(relevant, layout, extraction_cfg)
-        if counts.tot_seqs == 0:
-            summary.skipped_short += 1
-            continue
-        key = ClassKey(port, layout.nck_total)
-        acc = accumulators.get(key)
+        acc = accumulators.get(features.key)
         if acc is None:
-            acc = accumulators[key] = _ClassAccumulator()
-        acc.add(counts)
+            acc = accumulators[features.key] = _ClassAccumulator()
+        acc.add(features.counts)
         summary.trained += 1
 
     if summary.trained == 0:

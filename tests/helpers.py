@@ -51,3 +51,38 @@ def pcap_bytes(
         out += struct.pack(endian + "IIII", ts[0] + i, ts[1], len(frame), len(frame))
         out += frame
     return out
+
+
+def window_loop_ngrams(relevant, layout, cfg):
+    """Reference extract_ngrams: one window at a time, each into its first byte's chunk.
+
+    The plain loop that extract_ngrams replaced; the differential test
+    checks the fast path against it, key order included.
+    """
+    from collections import Counter
+
+    from pckad import NGramCounts
+
+    payload_counts = Counter()
+    chunk_counts = {}
+    tot = 0
+    n = cfg.n
+    for comp, base in zip(relevant.components, layout.component_base):
+        windows = len(comp) - n + 1
+        if windows <= 0:
+            continue
+        tot += windows
+        for start in range(windows):
+            gram = comp[start:start + n]
+            payload_counts[gram] += 1
+            if cfg.chunks_enabled:
+                j = base + start // cfg.chunk_len
+                per_chunk = chunk_counts.get(gram)
+                if per_chunk is None:
+                    per_chunk = chunk_counts[gram] = Counter()
+                per_chunk[j] += 1
+    return NGramCounts(
+        payload_counts=dict(payload_counts),
+        chunk_counts={g: dict(c) for g, c in chunk_counts.items()},
+        tot_seqs=tot,
+    )

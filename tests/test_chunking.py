@@ -12,6 +12,8 @@ from pckad import (
     split_chunks,
 )
 
+from helpers import window_loop_ngrams
+
 GET_LINE = b"GET /people/svalente/gif/poker.dogs.jpg HTTP/1.0\r\n"
 
 
@@ -145,6 +147,27 @@ class TestProperties:
             for gram, per_chunk in counts.chunk_counts.items():
                 assert sum(per_chunk.values()) == counts.payload_counts[gram]
             assert counts.tot_seqs == sum(counts.payload_counts.values())
+
+    def test_matches_window_loop_reference(self):
+        rng = random.Random(14)
+        alphabet = b"ab\x00\xff"  # few symbols, so n-grams repeat within and across chunks
+        for chunk_len in range(1, 10):
+            for n in range(1, chunk_len + 1):
+                for _ in range(12):
+                    # component lengths from below n to several chunks
+                    lengths = [rng.randrange(1, 4 * chunk_len + 2) for _ in range(rng.randrange(1, 5))]
+                    rel = RelevantPayload(tuple(bytes(rng.choices(alphabet, k=k)) for k in lengths))
+                    for chunks_enabled in (True, False):
+                        cfg = ChunkingConfig(n, chunk_len, chunks_enabled)
+                        layout = split_chunks(rel, cfg)
+                        got = extract_ngrams(rel, layout, cfg)
+                        want = window_loop_ngrams(rel, layout, cfg)
+                        assert got == want, (rel, cfg)
+                        # first-occurrence order too, which model building iterates in
+                        assert list(got.payload_counts) == list(want.payload_counts)
+                        assert list(got.chunk_counts) == list(want.chunk_counts)
+                        for gram, per_chunk in got.chunk_counts.items():
+                            assert list(per_chunk) == list(want.chunk_counts[gram])
 
     def test_layout_depends_only_on_lengths(self):
         rng = random.Random(13)

@@ -65,6 +65,15 @@ class TestExitCodes:
         assert err.startswith("pckad: ")
         assert "Traceback" not in err
 
+    def test_invalid_utf8_corpus_is_runtime_error(self, tmp_path, paths, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes(b'{"port":21,"payload_hex":"55534552"}\n\xff\xfe\n')
+        assert run(["train", "--in", str(corpus), "--protocol", "ftp",
+                    "--out", paths.model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pckad: ") and "line 1: invalid UTF-8" in err
+        assert "Traceback" not in err
+
     def test_unsupported_extension_is_usage_error(self, tmp_path, paths):
         bad = tmp_path / "corpus.txt"
         bad.write_text("")

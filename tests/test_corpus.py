@@ -75,6 +75,18 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 1"):
             list(read_jsonl(path))
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"port":21,"payload_hex":"00"}\n\xff\xfe\n')
+        with pytest.raises(CorpusError, match="line 1: invalid UTF-8"):
+            list(read_jsonl(path))
+
+    def test_escaped_surrogate_is_not_invalid_utf8(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":21,"payload_hex":"00","label":"attack:\\udcff"}\n')
+        (rec,) = read_jsonl(path)
+        assert rec.label == "attack:\udcff"
+
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00","label":"nope"}\n')
@@ -178,6 +190,29 @@ class TestReadPcap:
         records = list(read_pcap(path, filt(21), summary))
         assert len(records) == 1
         assert summary.truncated == 1
+
+    def test_captured_length_above_snaplen_fatal(self, tmp_path):
+        import struct
+
+        data = pcap_bytes([tcp_frame(b"TYPE I\r\n", 21)])
+        # snaplen is 65535; a corrupt header claims 4 GB
+        data += struct.pack("<IIII", 9, 0, 0xFFFFFFF0, 60) + b"\x00" * 60
+        path = tmp_path / "c.pcap"
+        path.write_bytes(data)
+        records = read_pcap(path, filt(21))
+        assert next(records).payload == b"TYPE I\r\n"
+        with pytest.raises(CorpusError, match="exceeds the snapshot length 65535"):
+            next(records)
+
+    def test_captured_length_equal_to_snaplen_read(self, tmp_path):
+        import struct
+
+        frame = tcp_frame(b"NOOP\r\n", 21)
+        data = bytearray(pcap_bytes([frame]))
+        data[16:20] = struct.pack("<I", len(frame))  # snaplen = this frame's length
+        path = tmp_path / "c.pcap"
+        path.write_bytes(bytes(data))
+        assert [r.payload for r in read_pcap(path, filt(21))] == [b"NOOP\r\n"]
 
     def test_frame_with_cut_headers_skipped(self, tmp_path):
         # honest incl_len but too short to hold ethernet+ip+tcp headers

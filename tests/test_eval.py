@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from pckad import (
     evaluate,
     gen_legit,
     inject_corpus,
+    score_packet,
     sweep,
     train,
     write_sweep_csv,
@@ -232,3 +234,85 @@ class TestSweep:
         assert float(record["dr"]) == rows[0].report.dr
         assert float(record["fpr"]) == rows[0].report.fpr
         assert int(record["instances"]) == 60
+
+
+# sha256 of the CSV written for GOLDEN_GRID over golden_setup, pinned from the
+# implementation that re-scored the test corpus with `evaluate` for every cell
+GOLDEN_CSV_SHA256 = "411c4d5b3d7a067cb972596eabe1d6d3b8add2d0cef4e782dc3fc9d41eed9899"
+# n=8 > chunk_len=7 is an invalid cell; thresholds 0 and 100 are the extremes
+GOLDEN_GRID = GridSpec(ns=(1, 3, 8), chunk_lens=(7, 15), score_thresholds=(0.0, 40.0, 100.0))
+# below the default 5.0, so that legit packets of a small training set raise false alerts
+GOLDEN_TH_S = 2.0
+
+
+@pytest.fixture(scope="module")
+def golden_setup():
+    train_records = gen_legit(GenSpec(Protocol.FTP, 120, seed=200))
+    test_records = gen_legit(GenSpec(Protocol.FTP, 150, seed=201))
+    for i, kind in enumerate(AnomalyKind):
+        test_records = inject_corpus(test_records, kind, 8, seed=210 + i)
+    extras = [
+        (21, b"", "legit"),                  # empty: unclassifiable
+        (21, b"Q", "legit"),                 # shorter than n=3, not than n=1
+        (21, b"", "attack:blank"),           # attack instance with no classifiable packet
+        (21, b"\xfe\xed" * 60, "attack:long"),  # chunk count never seen in training
+        (21, b"USER anonymous\r\n", "attack:long"),
+        (80, b"GET / HTTP/1.0\r\n", None),   # other port, unlabeled: ignored
+    ]
+    test_records += [
+        PacketRecord(id=len(test_records) + i, dst_port=port, payload=payload, label=label)
+        for i, (port, payload, label) in enumerate(extras)
+    ]
+    return train_records, test_records, LabelSet.from_records(test_records)
+
+
+def fold_verdicts(verdicts_and_labels):
+    """Test-local DR/FPR fold of score_packet verdicts, per the README's semantics."""
+    detected, legit, false_alerts, unclassifiable = {}, 0, 0, 0
+    for verdict, label in verdicts_and_labels:
+        if label.startswith("attack:"):
+            detected[label] = detected.get(label, False) or verdict.is_alert
+        elif verdict.kind == "unclassifiable":
+            unclassifiable += 1
+        else:
+            legit += 1
+            false_alerts += verdict.is_alert
+    return {
+        "dr": sum(detected.values()) / len(detected) * 100.0 if detected else None,
+        "fpr": false_alerts / legit * 100.0 if legit else None,
+        "instances_total": len(detected),
+        "instances_detected": sum(detected.values()),
+        "legit_packets": legit,
+        "false_alerts": false_alerts,
+        "unclassifiable": unclassifiable,
+    }
+
+
+class TestSweepGolden:
+    def test_csv_bytes_are_pinned(self, golden_setup, tmp_path):
+        rows = sweep(*golden_setup, GOLDEN_GRID, protocol=Protocol.FTP, th_s=GOLDEN_TH_S)
+        path = tmp_path / "report.csv"
+        write_sweep_csv(rows, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
+
+    def test_every_row_is_a_fold_of_score_packet_verdicts(self, golden_setup):
+        train_records, test_records, labels = golden_setup
+        rows = sweep(train_records, test_records, labels, GOLDEN_GRID, protocol=Protocol.FTP,
+                     th_s=GOLDEN_TH_S)
+        assert len(rows) == 3 * 2 * 3 * 2
+        models = {}
+        for row in rows:
+            if row.n > row.chunk_len:
+                assert row.report is None
+                continue
+            key = (row.n, row.chunk_len)
+            if key not in models:
+                models[key] = train(iter(train_records), protocol=Protocol.FTP,
+                                    chunking=ChunkingConfig(*key), th_s=GOLDEN_TH_S)
+            cfg = DetectorConfig(row.score_threshold, row.th_s, row.chunks_enabled)
+            want = fold_verdicts(
+                (score_packet(models[key], rec, cfg), labels.by_id[rec.id])
+                for rec in test_records if rec.dst_port == 21
+            )
+            got = {name: getattr(row.report, name) for name in want}
+            assert got == want, row
