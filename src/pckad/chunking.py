@@ -18,7 +18,6 @@ from dataclasses import dataclass
 class ChunkingConfig:
     n: int
     chunk_len: int
-    chunks_enabled: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -69,8 +68,8 @@ class NGramCounts:
     """Occurrence counts for one payload.
 
     payload_counts maps n-gram -> occurrences over the whole relevant
-    payload; chunk_counts maps n-gram -> {global chunk index -> occurrences}
-    and is empty when chunking is disabled. Absent keys mean zero.
+    payload; chunk_counts maps n-gram -> {global chunk index -> occurrences}.
+    Absent keys mean zero.
     """
 
     payload_counts: dict[bytes, int]
@@ -93,20 +92,17 @@ def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramC
         if windows <= 0:
             continue
         tot += windows
-        # without chunks, the whole component is one span of window starts
-        step = chunk_len if cfg.chunks_enabled else windows
-        for j, start in enumerate(range(0, windows, step), base):
-            stop = min(start + step, windows)
+        for j, start in enumerate(range(0, windows, chunk_len), base):
+            stop = min(start + chunk_len, windows)
             slices = map(slice, range(start, stop), range(start + n, stop + n))
             grams = Counter(map(comp.__getitem__, slices))
             for gram, x in grams.items():
                 payload_counts[gram] = payload_counts.get(gram, 0) + x
-                if cfg.chunks_enabled:
-                    per_chunk = chunk_counts.get(gram)
-                    if per_chunk is None:
-                        chunk_counts[gram] = {j: x}
-                    else:
-                        per_chunk[j] = x
+                per_chunk = chunk_counts.get(gram)
+                if per_chunk is None:
+                    chunk_counts[gram] = {j: x}
+                else:
+                    per_chunk[j] = x
     return NGramCounts(payload_counts=payload_counts, chunk_counts=chunk_counts, tot_seqs=tot)
 
 

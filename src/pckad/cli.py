@@ -167,10 +167,13 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser) -> GridSpec:
     for key in ("n", "chunk", "score"):
         if axes[key] is None:
             parser.error(f"--grid: missing axis '{key}='")
-    return GridSpec(
-        ns=axes["n"], chunk_lens=axes["chunk"],
-        score_thresholds=axes["score"], chunk_modes=axes["chunks"],
-    )
+    try:
+        return GridSpec(
+            ns=axes["n"], chunk_lens=axes["chunk"],
+            score_thresholds=axes["score"], chunk_modes=axes["chunks"],
+        )
+    except ValueError as exc:
+        parser.error(f"--grid: {exc}")
 
 
 def _cmd_gen(args, parser) -> int:

@@ -31,12 +31,19 @@ _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
 _LINKTYPE_ETHERNET = 1
 
 
-def _validate_label(label: str) -> None:
+def validate_label(label: str) -> None:
     if label == "legit":
         return
     if label.startswith("attack:") and len(label) > len("attack:"):
         return
     raise ValueError(f"label must be 'legit' or 'attack:<id>', got {label!r}")
+
+
+def attack_instance_of(label: str | None) -> str | None:
+    """Attack instance id of a label, or None for legit/unlabeled."""
+    if label is None or not label.startswith("attack:"):
+        return None
+    return label[len("attack:"):]
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class PacketRecord:
         if not 0 <= self.dst_port <= 65535:
             raise ValueError(f"dst_port out of range: {self.dst_port}")
         if self.label is not None:
-            _validate_label(self.label)
+            validate_label(self.label)
 
     @property
     def is_attack(self) -> bool:
@@ -62,9 +69,7 @@ class PacketRecord:
     @property
     def attack_instance(self) -> str | None:
         """Attack instance id, or None for legit/unlabeled records."""
-        if not self.is_attack:
-            return None
-        return self.label[len("attack:"):]
+        return attack_instance_of(self.label)
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,6 @@ class TrafficFilter:
 
     ports: frozenset[int]
     dst_prefix: ipaddress.IPv4Network | None = None
-    tcp_only: bool = True
 
     def __post_init__(self):
         if not self.ports:
@@ -253,7 +257,7 @@ def _record_from_obj(obj: dict, lineno: int, path) -> PacketRecord:
         if not isinstance(label, str):
             raise CorpusError(f"{path}: line {lineno}: label must be a string")
         try:
-            _validate_label(label)
+            validate_label(label)
         except ValueError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     ts = obj.get("ts")

@@ -17,12 +17,11 @@ has no model alert too: traffic unlike anything seen in training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import NGramCounts
 from .corpus import PacketRecord
-from .model import ClassKey, ClassModel, NGramStats, Skipped, TrafficModel, featurize
+from .model import ClassKey, NGramStats, Skipped, TrafficModel, featurize
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -92,78 +91,25 @@ def anomalous_occurrences(
     x_chunks: dict[int, int],
     cfg: DetectorConfig,
     alpha: float,
-) -> int:
-    """How many of this n-gram's occurrences are anomalous (rules 1-3)."""
-    if stats is None:
-        return x_total
-    if mahalanobis_term(stats.mean, stats.std, x_total, alpha) > cfg.th_s:
-        return x_total
-    if not cfg.chunks_enabled:
-        return 0
+) -> tuple[int, int]:
+    """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
+
+    Rules 1-2 mark all occurrences in both modes; rule 3 marks occurrences in
+    chunk mode only, and runs only when cfg.chunks_enabled is set.
+    """
+    if stats is None or mahalanobis_term(stats.mean, stats.std, x_total, alpha) > cfg.th_s:
+        return x_total, x_total
     anomalous = 0
-    for j, x in x_chunks.items():
-        mean, std = stats.chunk_stats(j)
-        if mahalanobis_term(mean, std, x, alpha) > cfg.th_s:
-            anomalous += x
-    return anomalous
-
-
-def _anomalous_grams(
-    cls: ClassModel, counts: NGramCounts, cfg: DetectorConfig, alpha: float
-) -> list[tuple[bytes, int]]:
-    """(n-gram, anomalous occurrences) for every n-gram that has any, in payload order."""
-    stats, chunk_counts = cls.stats, counts.chunk_counts
-    found = []
-    for gram, x_total in counts.payload_counts.items():
-        a = anomalous_occurrences(stats.get(gram), x_total, chunk_counts.get(gram, {}), cfg, alpha)
-        if a:
-            found.append((gram, a))
-    return found
-
-
-def _classified(
-    model: TrafficModel, record: PacketRecord, chunks_enabled: bool
-) -> Verdict | tuple[ClassKey, ClassModel, NGramCounts]:
-    """Featurize an on-port record: its class and counts, or the verdict that ends it early."""
-    chunking = model.chunking
-    if chunking.chunks_enabled != chunks_enabled:
-        chunking = replace(chunking, chunks_enabled=chunks_enabled)
-    features = featurize(record, model.protocol, model.port, chunking)
-    if isinstance(features, Skipped):
-        if features.cause == "other_port":
-            raise ValueError(features.reason)
-        kind = MALFORMED if features.cause == "malformed" else UNCLASSIFIABLE
-        return Verdict(kind, reason=features.reason)
-    cls = model.classes.get(features.key)
-    if cls is None:
-        return Verdict(NO_MODEL, class_key=features.key)
-    return features.key, cls, features.counts
-
-
-def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
-    """Classify one packet whose destination port matches the model's."""
-    found = _classified(model, record, cfg.chunks_enabled)
-    if isinstance(found, Verdict):
-        return found
-    key, cls, counts = found
-    contributors = _anomalous_grams(cls, counts, cfg, model.alpha)
-    a_seqs = sum(a for _, a in contributors)
-    score = a_seqs / counts.tot_seqs * 100.0
-    if score > cfg.score_threshold:
-        contributors.sort(key=lambda item: (-item[1], item[0]))
-        return Verdict(
-            ANOMALOUS,
-            score=score,
-            a_seqs=a_seqs,
-            tot_seqs=counts.tot_seqs,
-            class_key=key,
-            top_contributors=tuple(contributors[:10]),
-        )
-    return Verdict(LEGIT, score=score, a_seqs=a_seqs, tot_seqs=counts.tot_seqs, class_key=key)
+    if cfg.chunks_enabled:
+        for j, x in x_chunks.items():
+            mean, std = stats.chunk_stats(j)
+            if mahalanobis_term(mean, std, x, alpha) > cfg.th_s:
+                anomalous += x
+    return anomalous, 0
 
 
 class Outcome(NamedTuple):
-    """One packet's scoring, before any score threshold or chunk mode is applied.
+    """One packet's judgement, before any score threshold or chunk mode is applied.
 
     kind is MALFORMED, NO_MODEL or UNCLASSIFIABLE when that is the verdict
     whatever the threshold, else None and the counts below decide it.
@@ -173,33 +119,71 @@ class Outcome(NamedTuple):
     tot_seqs: int = 0
     a_on: int = 0  # anomalous occurrences under rules 1-3
     a_off: int = 0  # under rules 1-2 only
+    reason: str | None = None
+    class_key: ClassKey | None = None
+
+    def a_seqs(self, cfg: DetectorConfig) -> int:
+        return self.a_on if cfg.chunks_enabled else self.a_off
 
     def is_alert(self, cfg: DetectorConfig) -> bool:
-        """The verdict score_packet gives under cfg, as an alert flag."""
+        """Whether the packet alerts under cfg."""
         if self.kind is not None:
             return self.kind in ALERT_KINDS
-        a_seqs = self.a_on if cfg.chunks_enabled else self.a_off
-        return a_seqs / self.tot_seqs * 100.0 > cfg.score_threshold
+        return self.a_seqs(cfg) / self.tot_seqs * 100.0 > cfg.score_threshold
 
-
-def score_outcome(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Outcome:
-    """Featurize and judge one packet once for every score threshold.
-
-    cfg.score_threshold is not used. With cfg.chunks_enabled the outcome
-    serves both chunk modes; without it, a_on equals a_off.
-    """
-    found = _classified(model, record, cfg.chunks_enabled)
-    if isinstance(found, Verdict):
-        return Outcome(found.kind)
-    _, cls, counts = found
-    a_on = a_off = 0
-    for gram, a in _anomalous_grams(cls, counts, cfg, model.alpha):
-        a_on += a
-        # with no chunk counts, only rules 1 and 2 can fire
-        a_off += anomalous_occurrences(
-            cls.stats.get(gram), counts.payload_counts[gram], {}, cfg, model.alpha
+    def verdict(self, cfg: DetectorConfig, grams: list[tuple[bytes, int, int]]) -> Verdict:
+        """The verdict under cfg; grams is the (n-gram, a_on, a_off) list `judge` returned."""
+        if self.kind is not None:
+            return Verdict(self.kind, reason=self.reason, class_key=self.class_key)
+        a_seqs = self.a_seqs(cfg)
+        score = a_seqs / self.tot_seqs * 100.0
+        if not self.is_alert(cfg):
+            return Verdict(LEGIT, score, a_seqs, self.tot_seqs, class_key=self.class_key)
+        col = 1 if cfg.chunks_enabled else 2  # a_on or a_off in grams
+        contributors = sorted(
+            ((g[0], g[col]) for g in grams if g[col]), key=lambda item: (-item[1], item[0])
         )
-    return Outcome(None, counts.tot_seqs, a_on, a_off)
+        return Verdict(
+            ANOMALOUS, score, a_seqs, self.tot_seqs,
+            class_key=self.class_key, top_contributors=tuple(contributors[:10]),
+        )
+
+
+def judge(
+    model: TrafficModel, record: PacketRecord, cfg: DetectorConfig
+) -> tuple[Outcome, list[tuple[bytes, int, int]]]:
+    """Featurize one on-port packet and apply the per-gram rules once.
+
+    Returns the outcome and, in payload order, (n-gram, a_on, a_off) for every
+    n-gram with anomalous occurrences. cfg.score_threshold is not used; with
+    cfg.chunks_enabled the outcome serves both chunk modes, else a_on is a_off.
+    """
+    features = featurize(record, model.protocol, model.port, model.chunking)
+    if isinstance(features, Skipped):
+        if features.cause == "other_port":
+            raise ValueError(features.reason)
+        kind = MALFORMED if features.cause == "malformed" else UNCLASSIFIABLE
+        return Outcome(kind, reason=features.reason), []
+    key, counts = features
+    cls = model.classes.get(key)
+    if cls is None:
+        return Outcome(NO_MODEL, class_key=key), []
+    stats, chunk_counts, alpha = cls.stats, counts.chunk_counts, model.alpha
+    grams = []
+    a_on = a_off = 0
+    for gram, x_total in counts.payload_counts.items():
+        on, off = anomalous_occurrences(stats.get(gram), x_total, chunk_counts[gram], cfg, alpha)
+        if on:
+            grams.append((gram, on, off))
+            a_on += on
+            a_off += off
+    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key), grams
+
+
+def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
+    """Classify one packet whose destination port matches the model's."""
+    outcome, grams = judge(model, record, cfg)
+    return outcome.verdict(cfg, grams)
 
 
 @dataclass

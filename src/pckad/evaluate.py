@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
-from .corpus import PacketRecord
-from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, score_outcome
+from .corpus import PacketRecord, attack_instance_of, validate_label
+from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
 from .errors import EvaluationError
 from .model import TrafficModel, train
 from .protocols import Protocol
@@ -56,8 +56,10 @@ class LabelSet:
                 except ValueError:
                     raise EvaluationError(f"{path}: row {row_no}: bad id {row[0]!r}") from None
                 label = row[1]
-                if label != "legit" and not (label.startswith("attack:") and len(label) > 7):
-                    raise EvaluationError(f"{path}: row {row_no}: bad label {label!r}")
+                try:
+                    validate_label(label)
+                except ValueError:
+                    raise EvaluationError(f"{path}: row {row_no}: bad label {label!r}") from None
                 if rec_id in by_id:
                     raise EvaluationError(f"{path}: row {row_no}: duplicate id {rec_id}")
                 by_id[rec_id] = label
@@ -73,7 +75,6 @@ class EvalReport:
     legit_packets: int
     false_alerts: int
     unclassifiable: int
-    config: dict  # echo: n, chunk_len, th_s, score_threshold, chunks_enabled
 
 
 def _outcomes(
@@ -90,14 +91,11 @@ def _outcomes(
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        instance = label[7:] if label.startswith("attack:") else None
-        out.append((instance, score_outcome(model, rec, cfg)))
+        out.append((attack_instance_of(label), judge(model, rec, cfg)[0]))
     return out
 
 
-def _fold(
-    model: TrafficModel, outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig
-) -> EvalReport:
+def _fold(outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig) -> EvalReport:
     """DR/FPR of the outcomes under one score threshold and chunk mode."""
     detected: dict[str, bool] = {}
     legit_packets = 0
@@ -128,13 +126,6 @@ def _fold(
         legit_packets=legit_packets,
         false_alerts=false_alerts,
         unclassifiable=unclassifiable,
-        config={
-            "n": model.chunking.n,
-            "chunk_len": model.chunking.chunk_len,
-            "th_s": cfg.th_s,
-            "score_threshold": cfg.score_threshold,
-            "chunks_enabled": cfg.chunks_enabled,
-        },
     )
 
 
@@ -148,7 +139,7 @@ def evaluate(
 
     This is the one-cell case of `sweep`: the same outcomes, the same fold.
     """
-    return _fold(model, _outcomes(model, records, labels, cfg), cfg)
+    return _fold(_outcomes(model, records, labels, cfg), cfg)
 
 
 @dataclass(frozen=True)
@@ -159,6 +150,15 @@ class GridSpec:
     chunk_lens: tuple[int, ...]
     score_thresholds: tuple[float, ...]
     chunk_modes: tuple[bool, ...] = (True, False)
+
+    def __post_init__(self):
+        # every value must be valid on its own; n > chunk_len pairs are skipped cells
+        for n in self.ns:
+            ChunkingConfig(n, n)
+        for chunk_len in self.chunk_lens:
+            ChunkingConfig(1, chunk_len)
+        for threshold in self.score_thresholds:
+            DetectorConfig(threshold)
 
 
 @dataclass(frozen=True)
@@ -212,21 +212,14 @@ def sweep(
                 alpha=alpha,
                 th_s=th_s,
             )
-            cells = [
-                DetectorConfig(score_threshold=threshold, th_s=th_s, chunks_enabled=chunks_enabled)
-                for threshold in grid.score_thresholds
-                for chunks_enabled in grid.chunk_modes
-            ]
-            if not cells:
-                continue
-            # one featurization per test packet serves every cell of this model
-            rules = replace(cells[0], chunks_enabled=True in grid.chunk_modes)
-            outcomes = _outcomes(model, test_records, labels, rules)
-            for cfg in cells:
-                rows.append(SweepRow(
-                    n, chunk_len, th_s, cfg.score_threshold, cfg.chunks_enabled,
-                    _fold(model, outcomes, cfg),
-                ))
+            # one judgement per test packet, with every rule on, serves every cell
+            outcomes = _outcomes(model, test_records, labels, DetectorConfig(0.0, th_s))
+            for threshold in grid.score_thresholds:
+                for chunks_enabled in grid.chunk_modes:
+                    cfg = DetectorConfig(threshold, th_s, chunks_enabled)
+                    rows.append(SweepRow(
+                        n, chunk_len, th_s, threshold, chunks_enabled, _fold(outcomes, cfg)
+                    ))
     return rows
 
 

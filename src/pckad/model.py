@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .chunking import ChunkingConfig, NGramCounts, extract_ngrams, split_chunks
@@ -75,8 +75,7 @@ def featurize(
 ) -> Features | Skipped:
     """The one path from a record to its class key and n-gram counts.
 
-    Training, scoring and the sweep all featurize through here; chunk counts
-    are extracted only when chunking.chunks_enabled is set.
+    Training, scoring and the sweep all featurize through here.
     """
     if record.dst_port != port:
         return Skipped(
@@ -197,7 +196,6 @@ def train(
     """
     if port is None:
         port = protocol.default_port
-    extraction_cfg = replace(chunking, chunks_enabled=True)
     summary = TrainingSummary()
     accumulators: dict[ClassKey, _ClassAccumulator] = {}
 
@@ -208,7 +206,7 @@ def train(
                 f"record {rec.id} is labeled {rec.label!r}; the training corpus "
                 "must be attack-free (use ignore_labels to override)"
             )
-        features = featurize(rec, protocol, port, extraction_cfg)
+        features = featurize(rec, protocol, port, chunking)
         if isinstance(features, Skipped):
             counter = "skipped_" + features.cause
             setattr(summary, counter, getattr(summary, counter) + 1)
@@ -224,7 +222,7 @@ def train(
     return TrafficModel(
         protocol=protocol,
         port=port,
-        chunking=extraction_cfg,
+        chunking=chunking,
         alpha=alpha,
         th_s=th_s,
         classes={key: acc.finalize() for key, acc in accumulators.items()},
@@ -373,7 +371,7 @@ def load_model(path) -> TrafficModel:
     return TrafficModel(
         protocol=protocol,
         port=port,
-        chunking=ChunkingConfig(n=n, chunk_len=chunk_len, chunks_enabled=True),
+        chunking=ChunkingConfig(n=n, chunk_len=chunk_len),
         alpha=float(alpha),
         th_s=float(th_s),
         classes=classes,

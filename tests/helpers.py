@@ -75,14 +75,61 @@ def window_loop_ngrams(relevant, layout, cfg):
         for start in range(windows):
             gram = comp[start:start + n]
             payload_counts[gram] += 1
-            if cfg.chunks_enabled:
-                j = base + start // cfg.chunk_len
-                per_chunk = chunk_counts.get(gram)
-                if per_chunk is None:
-                    per_chunk = chunk_counts[gram] = Counter()
-                per_chunk[j] += 1
+            j = base + start // cfg.chunk_len
+            per_chunk = chunk_counts.get(gram)
+            if per_chunk is None:
+                per_chunk = chunk_counts[gram] = Counter()
+            per_chunk[j] += 1
     return NGramCounts(
         payload_counts=dict(payload_counts),
         chunk_counts={g: dict(c) for g, c in chunk_counts.items()},
         tot_seqs=tot,
     )
+
+
+def reference_verdict(model, payload, cfg):
+    """(kind, score, a_seqs, tot_seqs) of one on-port packet, from first principles.
+
+    Built from sliding_window_oracle and mahalanobis_term alone: no chunk
+    layout, no extract_ngrams, no anomalous_occurrences. Chunk counts are
+    ceil(len / chunk_len) per component, and each window belongs to the chunk
+    of its first byte.
+    """
+    from collections import Counter
+
+    from pckad import Malformed, extract_relevant, mahalanobis_term, sliding_window_oracle
+
+    if not payload:
+        return ("unclassifiable", None, None, None)
+    relevant = extract_relevant(model.protocol, payload)
+    if isinstance(relevant, Malformed):
+        return ("malformed", None, None, None)
+    n, chunk_len = model.chunking.n, model.chunking.chunk_len
+    totals = Counter()
+    per_chunk = {}
+    nck = 0
+    for comp in relevant.components:
+        totals += sliding_window_oracle(comp, n)
+        for k, start in enumerate(range(0, len(comp), chunk_len)):
+            # the windows starting in chunk k may run n - 1 bytes past its end
+            for gram, x in sliding_window_oracle(comp[start:start + chunk_len + n - 1], n).items():
+                per_chunk.setdefault(gram, Counter())[nck + k] += x
+        nck += -(-len(comp) // chunk_len)
+    tot = sum(totals.values())
+    if tot == 0:
+        return ("unclassifiable", None, None, None)
+    cls = model.classes.get((model.port, nck))
+    if cls is None:
+        return ("no_model", None, None, None)
+    a_seqs = 0
+    for gram, x in totals.items():
+        st = cls.stats.get(gram)
+        if st is None or mahalanobis_term(st.mean, st.std, x, model.alpha) > cfg.th_s:
+            a_seqs += x
+        elif cfg.chunks_enabled:
+            for j, xj in per_chunk[gram].items():
+                mean, std = st.chunks.get(j, (0.0, 0.0))
+                if mahalanobis_term(mean, std, xj, model.alpha) > cfg.th_s:
+                    a_seqs += xj
+    score = a_seqs / tot * 100.0
+    return ("anomalous" if score > cfg.score_threshold else "legit", score, a_seqs, tot)

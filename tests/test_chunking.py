@@ -100,16 +100,6 @@ class TestExtractNgrams:
         assert counts.payload_counts == {b"ab": 1, b"cd": 1}
         assert b"bc" not in counts.payload_counts
 
-    def test_chunks_disabled_leaves_chunk_counts_empty(self):
-        rel = RelevantPayload((GET_LINE,))
-        on = ChunkingConfig(3, 15, chunks_enabled=True)
-        off = ChunkingConfig(3, 15, chunks_enabled=False)
-        counts_on = extract_ngrams(rel, split_chunks(rel, on), on)
-        counts_off = extract_ngrams(rel, split_chunks(rel, off), off)
-        assert counts_off.chunk_counts == {}
-        assert counts_off.payload_counts == counts_on.payload_counts
-        assert counts_off.tot_seqs == counts_on.tot_seqs
-
 
 class TestOracle:
     def test_ooddod(self):
@@ -157,17 +147,16 @@ class TestProperties:
                     # component lengths from below n to several chunks
                     lengths = [rng.randrange(1, 4 * chunk_len + 2) for _ in range(rng.randrange(1, 5))]
                     rel = RelevantPayload(tuple(bytes(rng.choices(alphabet, k=k)) for k in lengths))
-                    for chunks_enabled in (True, False):
-                        cfg = ChunkingConfig(n, chunk_len, chunks_enabled)
-                        layout = split_chunks(rel, cfg)
-                        got = extract_ngrams(rel, layout, cfg)
-                        want = window_loop_ngrams(rel, layout, cfg)
-                        assert got == want, (rel, cfg)
-                        # first-occurrence order too, which model building iterates in
-                        assert list(got.payload_counts) == list(want.payload_counts)
-                        assert list(got.chunk_counts) == list(want.chunk_counts)
-                        for gram, per_chunk in got.chunk_counts.items():
-                            assert list(per_chunk) == list(want.chunk_counts[gram])
+                    cfg = ChunkingConfig(n, chunk_len)
+                    layout = split_chunks(rel, cfg)
+                    got = extract_ngrams(rel, layout, cfg)
+                    want = window_loop_ngrams(rel, layout, cfg)
+                    assert got == want, (rel, cfg)
+                    # first-occurrence order too, which model building iterates in
+                    assert list(got.payload_counts) == list(want.payload_counts)
+                    assert list(got.chunk_counts) == list(want.chunk_counts)
+                    for gram, per_chunk in got.chunk_counts.items():
+                        assert list(per_chunk) == list(want.chunk_counts[gram])
 
     def test_layout_depends_only_on_lengths(self):
         rng = random.Random(13)

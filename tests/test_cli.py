@@ -196,13 +196,21 @@ class TestSweepCommand:
         assert lines[0].startswith("n,len_ck,th_s,score_threshold,chunks,dr,fpr")
         assert len(lines) == 1 + 2 * 1 * 2 * 2
 
-    def test_bad_grid_is_usage_error(self, paths):
-        assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
-                    "--protocol", "ftp", "--grid", "n=2;bogus=1;score=30",
-                    "--out", paths.report]) == 2
-        assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
-                    "--protocol", "ftp", "--grid", "n=2;score=30",
-                    "--out", paths.report]) == 2
+    def test_bad_grid_is_usage_error(self, paths, capsys):
+        cases = [
+            ("n=2;bogus=1;score=30", "unknown axis"),
+            ("n=2;score=30", "missing axis"),
+            ("n=3;chunk=15;score=150", "score_threshold must be within [0, 100]"),
+            ("n=3;chunk=15;score=-1", "score_threshold must be within [0, 100]"),
+            ("n=0;chunk=15;score=30", "n must be >= 1"),
+            ("n=3;chunk=0;score=30", "chunk_len must be >= 1"),
+        ]
+        for grid, message in cases:
+            assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
+                        "--protocol", "ftp", "--grid", grid, "--out", paths.report]) == 2, grid
+            err = capsys.readouterr().err
+            assert message in err, grid
+            assert "Traceback" not in err
 
 
 class TestPcapPath:

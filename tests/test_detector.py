@@ -20,7 +20,10 @@ from pckad import (
     train,
     verdict_line,
 )
+from pckad.detector import judge
 from pckad.synth import AnomalyKind, inject_corpus
+
+from helpers import reference_verdict
 
 
 def ftp_model(payloads, n=2, chunk_len=15, alpha=0.1, th_s=5.0):
@@ -67,34 +70,34 @@ class TestAnomalousOccurrences:
     CFG = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=True)
 
     def test_never_seen_counts_everything(self):
-        assert anomalous_occurrences(None, 7, {}, self.CFG, alpha=0.1) == 7
+        assert anomalous_occurrences(None, 7, {}, self.CFG, alpha=0.1) == (7, 7)
 
     def test_usual_everywhere_counts_nothing(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0)})
-        assert anomalous_occurrences(stats, 2, {0: 2}, self.CFG, alpha=0.1) == 0
+        assert anomalous_occurrences(stats, 2, {0: 2}, self.CFG, alpha=0.1) == (0, 0)
 
     def test_payload_term_fires_for_all_occurrences(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0)})
         # |2 - 6| / 0.1 = 40 > 5
-        assert anomalous_occurrences(stats, 6, {0: 6}, self.CFG, alpha=0.1) == 6
+        assert anomalous_occurrences(stats, 6, {0: 6}, self.CFG, alpha=0.1) == (6, 6)
 
     def test_location_shift_signature_case(self):
         # usual in the payload, but the occurrences moved to a chunk where
         # the n-gram was never seen: |0 - 2| / (0 + 0.1) = 20 > 5
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
         got = anomalous_occurrences(stats, 2, {0: 0, 1: 2}, self.CFG, alpha=0.1)
-        assert got == 2
+        assert got == (2, 0)
 
     def test_chunks_disabled_skips_rule_three(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
         cfg = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=False)
-        assert anomalous_occurrences(stats, 2, {0: 0, 1: 2}, cfg, alpha=0.1) == 0
+        assert anomalous_occurrences(stats, 2, {0: 0, 1: 2}, cfg, alpha=0.1) == (0, 0)
 
     def test_partial_chunk_anomaly_counts_only_those_occurrences(self):
         stats = NGramStats(mean=3.0, std=0.0, chunks={0: (2.0, 0.0), 1: (1.0, 0.0)})
         # chunk 0 usual (x=2), chunk 2 never seen (x=1): only that occurrence counts
         got = anomalous_occurrences(stats, 3, {0: 2, 2: 1}, self.CFG, alpha=0.1)
-        assert got == 1
+        assert got == (1, 0)
 
     def test_th_s_monotonicity(self):
         rng = random.Random(8)
@@ -113,10 +116,11 @@ class TestAnomalousOccurrences:
             previous = None
             for th_s in (0.5, 1, 2, 5, 10, 50):
                 cfg = DetectorConfig(score_threshold=40.0, th_s=th_s)
-                count = anomalous_occurrences(stats, x_total, x_chunks, cfg, alpha=0.1)
+                a_on, a_off = anomalous_occurrences(stats, x_total, x_chunks, cfg, alpha=0.1)
+                assert a_off <= a_on
                 if previous is not None:
-                    assert count <= previous
-                previous = count
+                    assert a_on <= previous[0] and a_off <= previous[1]
+                previous = a_on, a_off
 
 
 class TestScorePacket:
@@ -243,6 +247,43 @@ class TestHttpLocationShift:
             hits_off += score_packet(model, rec, off).is_alert
         assert hits_on == 20
         assert hits_off == 0
+
+
+class TestReferenceScorer:
+    @pytest.mark.parametrize("protocol", [Protocol.FTP, Protocol.HTTP])
+    def test_score_packet_matches_reference(self, protocol):
+        port = protocol.default_port
+        test = gen_legit(GenSpec(protocol, 300, seed=33))
+        for i, kind in enumerate(AnomalyKind):
+            test = inject_corpus(test, kind, 20, seed=34 + i)
+        test += [
+            PacketRecord(id=len(test), dst_port=port, payload=b""),
+            PacketRecord(id=len(test) + 1, dst_port=port,
+                         payload=b"GET /" + b"a" * 200 + b" HTTP/1.0\r\n"),
+            PacketRecord(id=len(test) + 2, dst_port=port, payload=b"GET ../.."),
+        ]
+        for n, chunk_len in ((3, 15), (2, 7)):
+            model = train(
+                iter(gen_legit(GenSpec(protocol, 600, seed=32))),
+                protocol=protocol,
+                chunking=ChunkingConfig(n, chunk_len),
+                th_s=3.0,
+            )
+            # the sweep's path: one judgement with every rule on serves every cell
+            judged = [judge(model, rec, DetectorConfig(0.0, 3.0)) for rec in test]
+            for threshold in (0, 40, 100):
+                for chunks_enabled in (True, False):
+                    cfg = DetectorConfig(threshold, 3.0, chunks_enabled)
+                    kinds = set()
+                    for rec, (outcome, grams) in zip(test, judged):
+                        want = reference_verdict(model, rec.payload, cfg)
+                        for got in (score_packet(model, rec, cfg), outcome.verdict(cfg, grams)):
+                            assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == want, (rec, cfg)
+                        assert outcome.is_alert(cfg) == got.is_alert
+                        kinds.add(got.kind)
+                    assert "no_model" in kinds and "unclassifiable" in kinds
+                    if threshold < 100:
+                        assert {"legit", "anomalous"} <= kinds
 
 
 class TestDetectStream:

@@ -74,15 +74,6 @@ class TestEvaluate:
         assert report.fpr == 0.0
         assert report.instances_total == 0
 
-    def test_config_echo(self):
-        model = ftp_model([b"USER alice\r\n"] * 4)
-        corpus = labeled([(b"USER alice\r\n", "legit")])
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
-        assert report.config == {
-            "n": 2, "chunk_len": 15, "th_s": 5.0,
-            "score_threshold": 40.0, "chunks_enabled": True,
-        }
-
     def test_unclassifiable_excluded_from_fpr(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = labeled([(b"USER alice\r\n", "legit"), (b"x", "legit"), (b"", "legit")])

@@ -319,4 +319,4 @@ class TestLoadValidation:
         path = tmp_path / "m.model"
         save_model(model, path)
         assert "chunks_enabled" not in json.loads(path.read_text())
-        assert load_model(path).chunking.chunks_enabled is True
+        assert load_model(path).chunking == model.chunking
