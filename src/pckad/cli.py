@@ -13,10 +13,16 @@ from pathlib import Path
 
 from .chunking import ChunkingConfig
 from .corpus import IngestSummary, TrafficFilter, read_jsonl, read_pcap, write_jsonl
-from .detector import DetectionSummary, DetectorConfig, detect_stream, verdict_line
+from .detector import (
+    DetectionSummary,
+    DetectorConfig,
+    check_detector_settings,
+    detect_stream,
+    verdict_line,
+)
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
-from .model import load_model, save_model, train
+from .model import check_model_settings, load_model, save_model, train
 from .protocols import Protocol
 from .synth import AnomalyKind, GenSpec, gen_legit, inject_corpus
 
@@ -24,6 +30,23 @@ from .synth import AnomalyKind, GenSpec, gen_legit, inject_corpus
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pckad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # flags shared by several commands, each declared once
+    pcap = argparse.ArgumentParser(add_help=False)
+    pcap.add_argument("--pcap-filter", default=None, metavar="SPEC",
+                      help="pcap ingest filter, e.g. 'ports=21,80;prefix=172.16.0.0/16'")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--protocol", choices=["http", "ftp"], required=True)
+    training.add_argument("--port", type=int, default=None,
+                          help="override the protocol default port")
+    training.add_argument("--alpha", type=float, default=0.1)
+    training.add_argument("--th-s", type=float, default=5.0)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--model", required=True)
+    scoring.add_argument("--in", dest="infile", required=True)
+    scoring.add_argument("--score-threshold", type=float, default=None)
+    scoring.add_argument("--th-s", type=float, default=None)
+    scoring.add_argument("--no-chunks", action="store_true")
 
     gen = sub.add_parser("gen", help="generate a seeded synthetic corpus")
     gen.add_argument("--protocol", choices=["http", "ftp"], required=True)
@@ -37,51 +60,39 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--chunk-len", type=int, default=15,
                      help="chunk length assumed by location injections")
 
-    tr = sub.add_parser("train", help="train a model on an attack-free corpus")
+    tr = sub.add_parser("train", parents=[training, pcap],
+                        help="train a model on an attack-free corpus")
     tr.add_argument("--in", dest="infile", required=True)
-    tr.add_argument("--protocol", choices=["http", "ftp"], required=True)
-    tr.add_argument("--port", type=int, default=None, help="override the protocol default port")
     tr.add_argument("--n", type=int, default=3)
     tr.add_argument("--chunk-len", type=int, default=15)
-    tr.add_argument("--alpha", type=float, default=0.1)
-    tr.add_argument("--th-s", type=float, default=5.0)
     tr.add_argument("--ignore-labels", action="store_true",
                     help="train even if the corpus carries attack labels")
-    tr.add_argument("--pcap-filter", default=None, metavar="SPEC",
-                    help="pcap ingest filter, e.g. 'ports=21,80;prefix=172.16.0.0/16'")
     tr.add_argument("--out", required=True)
 
-    det = sub.add_parser("detect", help="classify a corpus against a model")
-    det.add_argument("--model", required=True)
-    det.add_argument("--in", dest="infile", required=True)
-    det.add_argument("--score-threshold", type=float, default=None)
-    det.add_argument("--th-s", type=float, default=None)
-    det.add_argument("--no-chunks", action="store_true")
+    det = sub.add_parser("detect", parents=[scoring, pcap],
+                         help="classify a corpus against a model")
     det.add_argument("--alerts", default=None, help="write verdict lines here instead of stdout")
-    det.add_argument("--pcap-filter", default=None, metavar="SPEC")
 
-    ev = sub.add_parser("eval", help="compute DR/FPR against labels")
-    ev.add_argument("--model", required=True)
-    ev.add_argument("--in", dest="infile", required=True)
+    ev = sub.add_parser("eval", parents=[scoring, pcap], help="compute DR/FPR against labels")
     ev.add_argument("--labels", default=None, help="sidecar CSV (id,label); JSONL may carry labels inline")
-    ev.add_argument("--score-threshold", type=float, default=None)
-    ev.add_argument("--th-s", type=float, default=None)
-    ev.add_argument("--no-chunks", action="store_true")
-    ev.add_argument("--pcap-filter", default=None, metavar="SPEC")
 
-    sw = sub.add_parser("sweep", help="train/evaluate over a parameter grid, emit CSV")
+    sw = sub.add_parser("sweep", parents=[training, pcap],
+                        help="train/evaluate over a parameter grid, emit CSV")
     sw.add_argument("--train-in", required=True)
     sw.add_argument("--test-in", required=True)
     sw.add_argument("--labels", default=None)
-    sw.add_argument("--protocol", choices=["http", "ftp"], required=True)
-    sw.add_argument("--port", type=int, default=None)
-    sw.add_argument("--alpha", type=float, default=0.1)
-    sw.add_argument("--th-s", type=float, default=5.0)
     sw.add_argument("--grid", required=True,
                     help="e.g. 'n=2,3;chunk=7,15;score=30,40' (optional ';chunks=on,off')")
     sw.add_argument("--out", required=True)
-    sw.add_argument("--pcap-filter", default=None, metavar="SPEC")
     return parser
+
+
+def _checked(parser: argparse.ArgumentParser, make, *args):
+    """make(*args), with a ValueError from the library's range checks made a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _parse_pcap_filter(spec: str | None, default_ports: set[int],
@@ -106,9 +117,7 @@ def _parse_pcap_filter(spec: str | None, default_ports: set[int],
                     parser.error(f"--pcap-filter: bad prefix {value!r}")
             else:
                 parser.error(f"--pcap-filter: unknown key {key!r}")
-    if not ports:
-        parser.error("--pcap-filter: ports must be non-empty")
-    return TrafficFilter(ports=ports, dst_prefix=prefix)
+    return _checked(parser, TrafficFilter, ports, prefix)
 
 
 def _load_corpus(path_str: str, pcap_filter: str | None, default_ports: set[int],
@@ -167,22 +176,14 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser) -> GridSpec:
     for key in ("n", "chunk", "score"):
         if axes[key] is None:
             parser.error(f"--grid: missing axis '{key}='")
-    try:
-        return GridSpec(
-            ns=axes["n"], chunk_lens=axes["chunk"],
-            score_thresholds=axes["score"], chunk_modes=axes["chunks"],
-        )
-    except ValueError as exc:
-        parser.error(f"--grid: {exc}")
+    return _checked(parser, GridSpec, axes["n"], axes["chunk"], axes["score"], axes["chunks"])
 
 
 def _cmd_gen(args, parser) -> int:
-    if args.count < 0:
-        parser.error("--count must be >= 0")
+    spec = _checked(parser, GenSpec, Protocol(args.protocol), args.count, args.seed)
     injections = _parse_inject_specs(args.inject, args.count, parser)
-    cfg = _chunking_or_usage_error(args.n, args.chunk_len, parser)
-    protocol = Protocol(args.protocol)
-    records = gen_legit(GenSpec(protocol=protocol, count=args.count, seed=args.seed))
+    cfg = _checked(parser, ChunkingConfig, args.n, args.chunk_len)
+    records = gen_legit(spec)
     for offset, (kind, count) in enumerate(injections):
         records = inject_corpus(records, kind, count, seed=args.seed + 1 + offset, cfg=cfg)
     written = write_jsonl(records, args.out)
@@ -190,23 +191,17 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _chunking_or_usage_error(n: int, chunk_len: int, parser) -> ChunkingConfig:
-    try:
-        return ChunkingConfig(n=n, chunk_len=chunk_len)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _training_settings(args, parser) -> tuple[Protocol, int]:
+    """Protocol and port of train and sweep, with port, alpha and th_s range-checked."""
+    protocol = Protocol(args.protocol)
+    port = protocol.default_port if args.port is None else args.port
+    _checked(parser, check_model_settings, port, args.alpha, args.th_s)
+    return protocol, port
 
 
 def _cmd_train(args, parser) -> int:
-    cfg = _chunking_or_usage_error(args.n, args.chunk_len, parser)
-    if args.alpha <= 0:
-        parser.error("--alpha must be > 0")
-    if args.th_s <= 0:
-        parser.error("--th-s must be > 0")
-    if args.port is not None and not 0 <= args.port <= 65535:
-        parser.error("--port out of range")
-    protocol = Protocol(args.protocol)
-    port = args.port if args.port is not None else protocol.default_port
+    cfg = _checked(parser, ChunkingConfig, args.n, args.chunk_len)
+    protocol, port = _training_settings(args, parser)
     records = _load_corpus(args.infile, args.pcap_filter, {port}, parser)
     model = train(
         records,
@@ -228,15 +223,9 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _validate_detector_flags(args, parser) -> None:
-    if args.score_threshold is not None and not 0 <= args.score_threshold <= 100:
-        parser.error("--score-threshold must be within [0, 100]")
-    if args.th_s is not None and args.th_s <= 0:
-        parser.error("--th-s must be > 0")
-
-
-def _cmd_detect(args, parser) -> int:
-    _validate_detector_flags(args, parser)
+def _scoring_inputs(args, parser):
+    """Range-check the scoring flags, then load the model and the corpus of detect and eval."""
+    _checked(parser, check_detector_settings, args.score_threshold, args.th_s)
     model = load_model(args.model)
     cfg = DetectorConfig.for_model(
         model,
@@ -245,6 +234,16 @@ def _cmd_detect(args, parser) -> int:
         chunks_enabled=not args.no_chunks,
     )
     records = _load_corpus(args.infile, args.pcap_filter, {model.port}, parser)
+    return model, cfg, records
+
+
+def _labels(path: str | None, records: list) -> LabelSet:
+    """The sidecar CSV's labels when one is given, else the records' own."""
+    return LabelSet.from_csv(path) if path else LabelSet.from_records(records)
+
+
+def _cmd_detect(args, parser) -> int:
+    model, cfg, records = _scoring_inputs(args, parser)
     summary = DetectionSummary()
     out = open(args.alerts, "w", encoding="utf-8") if args.alerts else sys.stdout
     try:
@@ -263,25 +262,10 @@ def _cmd_detect(args, parser) -> int:
     return 3 if summary.alerts > 0 else 0
 
 
-def _resolve_labels(args, records) -> tuple[list, LabelSet]:
-    records = list(records)
-    if args.labels:
-        return records, LabelSet.from_csv(args.labels)
-    return records, LabelSet.from_records(records)
-
-
 def _cmd_eval(args, parser) -> int:
-    _validate_detector_flags(args, parser)
-    model = load_model(args.model)
-    cfg = DetectorConfig.for_model(
-        model,
-        score_threshold=args.score_threshold,
-        th_s=args.th_s,
-        chunks_enabled=not args.no_chunks,
-    )
-    records = _load_corpus(args.infile, args.pcap_filter, {model.port}, parser)
-    records, labels = _resolve_labels(args, records)
-    report = evaluate(model, records, labels, cfg)
+    model, cfg, records = _scoring_inputs(args, parser)
+    records = list(records)
+    report = evaluate(model, records, _labels(args.labels, records), cfg)
     dr = "undefined" if report.dr is None else f"{report.dr:.3f}%"
     fpr = "undefined" if report.fpr is None else f"{report.fpr:.3f}%"
     print(f"detection rate: {dr} ({report.instances_detected}/{report.instances_total} instances)")
@@ -296,20 +280,12 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    if args.alpha <= 0:
-        parser.error("--alpha must be > 0")
-    if args.th_s <= 0:
-        parser.error("--th-s must be > 0")
-    if args.port is not None and not 0 <= args.port <= 65535:
-        parser.error("--port out of range")
+    protocol, port = _training_settings(args, parser)
     grid = _parse_grid(args.grid, parser)
-    protocol = Protocol(args.protocol)
-    port = args.port if args.port is not None else protocol.default_port
     train_records = list(_load_corpus(args.train_in, args.pcap_filter, {port}, parser))
     test_records = list(_load_corpus(args.test_in, args.pcap_filter, {port}, parser))
-    labels = LabelSet.from_csv(args.labels) if args.labels else LabelSet.from_records(test_records)
     rows = sweep(
-        train_records, test_records, labels, grid,
+        train_records, test_records, _labels(args.labels, test_records), grid,
         protocol=protocol, port=port, alpha=args.alpha, th_s=args.th_s,
     )
     write_sweep_csv(rows, args.out)
@@ -334,10 +310,7 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except PckadError as exc:
-        print(f"pckad: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PckadError, OSError) as exc:
         print(f"pckad: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import PacketRecord
-from .model import ClassKey, NGramStats, Skipped, TrafficModel, featurize
+from .model import ClassKey, NGramStats, Skipped, TrafficModel, check_model_settings, featurize
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -32,6 +32,13 @@ UNCLASSIFIABLE = "unclassifiable"
 ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED, NO_MODEL})
 
 
+def check_detector_settings(score_threshold: float | None, th_s: float | None) -> None:
+    """Range-check the detector settings; None stands for "the model supplies this"."""
+    if score_threshold is not None and not 0 <= score_threshold <= 100:
+        raise ValueError("score_threshold must be within [0, 100]")
+    check_model_settings(th_s=th_s)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     score_threshold: float
@@ -39,10 +46,7 @@ class DetectorConfig:
     chunks_enabled: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.score_threshold <= 100:
-            raise ValueError("score_threshold must be within [0, 100]")
-        if self.th_s <= 0:
-            raise ValueError("th_s must be > 0")
+        check_detector_settings(self.score_threshold, self.th_s)
 
     @classmethod
     def for_model(
@@ -199,7 +203,7 @@ class DetectionSummary:
 
     @property
     def alerts(self) -> int:
-        return self.anomalous + self.malformed + self.no_model
+        return sum(getattr(self, kind) for kind in ALERT_KINDS)
 
     @property
     def scored(self) -> int:

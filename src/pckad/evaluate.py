@@ -212,8 +212,9 @@ def sweep(
                 alpha=alpha,
                 th_s=th_s,
             )
-            # one judgement per test packet, with every rule on, serves every cell
-            outcomes = _outcomes(model, test_records, labels, DetectorConfig(0.0, th_s))
+            # one judgement per test packet serves every cell; rule 3 runs only if a cell reads it
+            judge_cfg = DetectorConfig(0.0, th_s, True in grid.chunk_modes)
+            outcomes = _outcomes(model, test_records, labels, judge_cfg)
             for threshold in grid.score_thresholds:
                 for chunks_enabled in grid.chunk_modes:
                     cfg = DetectorConfig(threshold, th_s, chunks_enabled)

@@ -123,10 +123,27 @@ class TrafficModel:
     summary: TrainingSummary | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.th_s <= 0:
-            raise ValueError("th_s must be > 0")
+        check_model_settings(self.port, self.alpha, self.th_s)
+
+
+def check_model_settings(
+    port: int | None = None, alpha: float | None = None, th_s: float | None = None
+) -> None:
+    """Range-check the model settings given; None skips one. Raises ValueError."""
+    if port is not None and not 0 <= port <= 65535:
+        raise ValueError("port must be within [0, 65535]")
+    if alpha is not None and alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    if th_s is not None and th_s <= 0:
+        raise ValueError("th_s must be > 0")
+
+
+def _mean_std(sums: list[int], k: int) -> tuple[float, float]:
+    """Mean and population std of k samples from their (sum, sum of squares)."""
+    s1, s2 = sums
+    mean = s1 / k
+    var = s2 / k - mean * mean
+    return mean, math.sqrt(var) if var > 0 else 0.0
 
 
 class _ClassAccumulator:
@@ -161,19 +178,10 @@ class _ClassAccumulator:
     def finalize(self) -> ClassModel:
         k = self.count
         stats: dict[bytes, NGramStats] = {}
-        for gram, (s1, s2) in self.payload.items():
-            mean = s1 / k
-            var = s2 / k - mean * mean
-            chunk_stats: dict[int, tuple[float, float]] = {}
-            for j, (c1, c2) in sorted(self.chunks.get(gram, {}).items()):
-                cmean = c1 / k
-                cvar = c2 / k - cmean * cmean
-                chunk_stats[j] = (cmean, math.sqrt(cvar) if cvar > 0 else 0.0)
-            stats[gram] = NGramStats(
-                mean=mean,
-                std=math.sqrt(var) if var > 0 else 0.0,
-                chunks=chunk_stats,
-            )
+        for gram, sums in self.payload.items():
+            mean, std = _mean_std(sums, k)
+            chunks = {j: _mean_std(c, k) for j, c in sorted(self.chunks.get(gram, {}).items())}
+            stats[gram] = NGramStats(mean, std, chunks)
         return ClassModel(sample_count=k, stats=stats)
 
 

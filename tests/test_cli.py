@@ -95,6 +95,33 @@ class TestExitCodes:
         assert run(["eval", "--model", paths.model, "--in", paths.test,
                     "--score-threshold", "-3"]) == 2
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--alpha", "0"], "alpha must be > 0"),
+        ("train", ["--th-s", "0"], "th_s must be > 0"),
+        ("train", ["--port", "70000"], "port must be within [0, 65535]"),
+        ("sweep", ["--alpha", "0"], "alpha must be > 0"),
+        ("sweep", ["--th-s", "0"], "th_s must be > 0"),
+        ("sweep", ["--port", "70000"], "port must be within [0, 65535]"),
+        ("gen", ["--count", "-1"], "count must be >= 0"),
+        ("eval", ["--th-s", "0"], "th_s must be > 0"),
+    ])
+    def test_out_of_range_flag_is_usage_error_before_io(self, tmp_path, paths, capsys,
+                                                        command, flags, message):
+        # no input exists and gen's output directory is missing: any I/O would exit 1
+        argv = {
+            "train": ["train", "--in", paths.legit, "--protocol", "ftp", "--out", paths.model],
+            "sweep": ["sweep", "--train-in", paths.legit, "--test-in", paths.test,
+                      "--protocol", "ftp", "--grid", "n=3;chunk=15;score=30",
+                      "--out", paths.report],
+            "gen": ["gen", "--protocol", "ftp", "--out", str(tmp_path / "missing" / "out.jsonl")],
+            "eval": ["eval", "--model", paths.model, "--in", paths.test],
+        }[command]
+        assert run(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_port_override(self, tmp_path, capsys):
         from pckad import PacketRecord, write_jsonl
 

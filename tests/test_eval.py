@@ -190,6 +190,17 @@ class TestSweep:
         assert drs == sorted(drs, reverse=True)
         assert fprs == sorted(fprs, reverse=True)
 
+    def test_chunks_off_only_grid_matches_both_mode_grid(self, sweep_setup):
+        # a chunks=off grid judges without rule 3; its rows must not change
+        train_records, test_records, labels = sweep_setup
+        axes = dict(ns=(2, 3), chunk_lens=(7, 15), score_thresholds=(0.0, 30.0, 40.0))
+        off = sweep(train_records, test_records, labels,
+                    GridSpec(**axes, chunk_modes=(False,)), protocol=Protocol.FTP)
+        both = sweep(train_records, test_records, labels,
+                     GridSpec(**axes, chunk_modes=(True, False)), protocol=Protocol.FTP)
+        assert len(off) == 2 * 2 * 3
+        assert off == [row for row in both if not row.chunks_enabled]
+
     def test_invalid_cell_becomes_warning_row(self, sweep_setup, tmp_path, capsys):
         train_records, test_records, labels = sweep_setup
         grid = GridSpec(ns=(8,), chunk_lens=(7,), score_thresholds=(40.0,))
