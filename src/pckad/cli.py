@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .chunking import ChunkingConfig
-from .corpus import IngestSummary, TrafficFilter, read_jsonl, read_pcap, write_jsonl
+from .corpus import TrafficFilter, read_jsonl, read_pcap, write_jsonl
 from .detector import (
     DetectionSummary,
     DetectorConfig,
@@ -95,9 +95,9 @@ def _checked(parser: argparse.ArgumentParser, make, *args):
         parser.error(str(exc))
 
 
-def _parse_pcap_filter(spec: str | None, default_ports: set[int],
-                       parser: argparse.ArgumentParser) -> TrafficFilter:
-    ports = frozenset(default_ports)
+def _parse_pcap_filter(spec: str | None, parser: argparse.ArgumentParser):
+    """The ports (None when the spec names none) and the prefix of a --pcap-filter spec."""
+    ports = None
     prefix = None
     if spec:
         for part in spec.split(";"):
@@ -117,18 +117,25 @@ def _parse_pcap_filter(spec: str | None, default_ports: set[int],
                     parser.error(f"--pcap-filter: bad prefix {value!r}")
             else:
                 parser.error(f"--pcap-filter: unknown key {key!r}")
-    return _checked(parser, TrafficFilter, ports, prefix)
+    return ports, prefix
 
 
-def _load_corpus(path_str: str, pcap_filter: str | None, default_ports: set[int],
-                 parser: argparse.ArgumentParser, summary: IngestSummary | None = None):
+def _corpus(path_str: str, pcap_filter: str | None, parser: argparse.ArgumentParser):
+    """Check a corpus path's extension and the --pcap-filter spec before any file is read.
+
+    Returns read(port): the corpus's records, where a pcap filter that names no
+    ports keeps the given port's traffic.
+    """
     path = Path(path_str)
     if path.suffix == ".jsonl":
-        return read_jsonl(path)
-    if path.suffix == ".pcap":
-        flt = _parse_pcap_filter(pcap_filter, default_ports, parser)
-        return read_pcap(path, flt, summary)
-    parser.error(f"--in: unsupported corpus extension {path.suffix!r} (want .pcap or .jsonl)")
+        return lambda port: read_jsonl(path)
+    if path.suffix != ".pcap":
+        parser.error(f"--in: unsupported corpus extension {path.suffix!r} (want .pcap or .jsonl)")
+    ports, prefix = _parse_pcap_filter(pcap_filter, parser)
+    if ports is not None:
+        flt = _checked(parser, TrafficFilter, ports, prefix)
+        return lambda port: read_pcap(path, flt)
+    return lambda port: read_pcap(path, TrafficFilter(frozenset({port}), prefix))
 
 
 def _parse_inject_specs(specs: list[str], count: int, parser: argparse.ArgumentParser):
@@ -202,7 +209,7 @@ def _training_settings(args, parser) -> tuple[Protocol, int]:
 def _cmd_train(args, parser) -> int:
     cfg = _checked(parser, ChunkingConfig, args.n, args.chunk_len)
     protocol, port = _training_settings(args, parser)
-    records = _load_corpus(args.infile, args.pcap_filter, {port}, parser)
+    records = _corpus(args.infile, args.pcap_filter, parser)(port)
     model = train(
         records,
         protocol=protocol,
@@ -224,8 +231,9 @@ def _cmd_train(args, parser) -> int:
 
 
 def _scoring_inputs(args, parser):
-    """Range-check the scoring flags, then load the model and the corpus of detect and eval."""
+    """Check the scoring flags, then load the model and the corpus of detect and eval."""
     _checked(parser, check_detector_settings, args.score_threshold, args.th_s)
+    read = _corpus(args.infile, args.pcap_filter, parser)
     model = load_model(args.model)
     cfg = DetectorConfig.for_model(
         model,
@@ -233,8 +241,7 @@ def _scoring_inputs(args, parser):
         th_s=args.th_s,
         chunks_enabled=not args.no_chunks,
     )
-    records = _load_corpus(args.infile, args.pcap_filter, {model.port}, parser)
-    return model, cfg, records
+    return model, cfg, read(model.port)
 
 
 def _labels(path: str | None, records: list) -> LabelSet:
@@ -282,8 +289,10 @@ def _cmd_eval(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     protocol, port = _training_settings(args, parser)
     grid = _parse_grid(args.grid, parser)
-    train_records = list(_load_corpus(args.train_in, args.pcap_filter, {port}, parser))
-    test_records = list(_load_corpus(args.test_in, args.pcap_filter, {port}, parser))
+    read_train = _corpus(args.train_in, args.pcap_filter, parser)
+    read_test = _corpus(args.test_in, args.pcap_filter, parser)
+    train_records = list(read_train(port))
+    test_records = list(read_test(port))
     rows = sweep(
         train_records, test_records, _labels(args.labels, test_records), grid,
         protocol=protocol, port=port, alpha=args.alpha, th_s=args.th_s,

@@ -31,6 +31,12 @@ _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
 _LINKTYPE_ETHERNET = 1
 
 
+def check_port(port: int) -> None:
+    """Range-check a TCP port. Raises ValueError."""
+    if not 0 <= port <= 65535:
+        raise ValueError("port must be within [0, 65535]")
+
+
 def validate_label(label: str) -> None:
     if label == "legit":
         return
@@ -82,6 +88,8 @@ class TrafficFilter:
     def __post_init__(self):
         if not self.ports:
             raise ValueError("filter needs at least one port")
+        for port in self.ports:
+            check_port(port)
 
     def matches(self, dst_port: int, dst_addr: bytes | None) -> bool:
         if dst_port not in self.ports:
@@ -236,6 +244,10 @@ def read_jsonl(path) -> Iterator[PacketRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # an integer literal of more digits than int() takes
+                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+            except RecursionError:
+                raise CorpusError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}: line {lineno}: record must be an object")
             yield _record_from_obj(obj, lineno, path)

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import PacketRecord
-from .model import ClassKey, NGramStats, Skipped, TrafficModel, check_model_settings, featurize
+from .model import (
+    ABSENT_CHUNK,
+    ClassKey,
+    NGramStats,
+    Skipped,
+    TrafficModel,
+    check_model_settings,
+    featurize,
+)
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -101,12 +109,16 @@ def anomalous_occurrences(
     Rules 1-2 mark all occurrences in both modes; rule 3 marks occurrences in
     chunk mode only, and runs only when cfg.chunks_enabled is set.
     """
-    if stats is None or mahalanobis_term(stats.mean, stats.std, x_total, alpha) > cfg.th_s:
+    if stats is None:
+        return x_total, x_total
+    # unpacked once: a NamedTuple's fields read slower by name than a tuple's by position
+    mean, std, chunks = stats
+    if mahalanobis_term(mean, std, x_total, alpha) > cfg.th_s:
         return x_total, x_total
     anomalous = 0
     if cfg.chunks_enabled:
         for j, x in x_chunks.items():
-            mean, std = stats.chunk_stats(j)
+            mean, std = chunks.get(j, ABSENT_CHUNK)
             if mahalanobis_term(mean, std, x, alpha) > cfg.th_s:
                 anomalous += x
     return anomalous, 0

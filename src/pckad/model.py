@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .chunking import ChunkingConfig, NGramCounts, extract_ngrams, split_chunks
-from .corpus import PacketRecord
+from .corpus import PacketRecord, check_port
 from .errors import CorpusError, ModelFormatError
 from .protocols import Malformed, Protocol, extract_relevant
 
@@ -30,12 +31,15 @@ class ClassKey(NamedTuple):
     chunk_count: int
 
 
-@dataclass(frozen=True)
-class NGramStats:
+# (mean, std) of a chunk position where an n-gram never occurred in training
+ABSENT_CHUNK = (0.0, 0.0)
+
+
+class NGramStats(NamedTuple):
     """Mean/std of one n-gram's occurrence count within a class.
 
     chunks is sparse: positions where the n-gram never occurred in training
-    are simply absent and read as (0.0, 0.0).
+    are simply absent and read as ABSENT_CHUNK.
     """
 
     mean: float
@@ -43,7 +47,7 @@ class NGramStats:
     chunks: dict[int, tuple[float, float]]
 
     def chunk_stats(self, j: int) -> tuple[float, float]:
-        return self.chunks.get(j, (0.0, 0.0))
+        return self.chunks.get(j, ABSENT_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ def check_model_settings(
     port: int | None = None, alpha: float | None = None, th_s: float | None = None
 ) -> None:
     """Range-check the model settings given; None skips one. Raises ValueError."""
-    if port is not None and not 0 <= port <= 65535:
-        raise ValueError("port must be within [0, 65535]")
+    if port is not None:
+        check_port(port)
     if alpha is not None and alpha <= 0:
         raise ValueError("alpha must be > 0")
     if th_s is not None and th_s <= 0:
@@ -289,8 +293,13 @@ def _expect(cond: bool, msg: str) -> None:
         raise ModelFormatError(f"invalid model file: {msg}")
 
 
+# the largest finite float; a JSON number above it has no float value
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number a float can hold: not a bool, NaN, an infinity or a huge integer."""
+    return (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 def _is_int(v) -> bool:
@@ -298,7 +307,10 @@ def _is_int(v) -> bool:
 
 
 def load_model(path) -> TrafficModel:
-    """Load and validate a model file written by save_model."""
+    """Load and validate a model file written by save_model.
+
+    Any file it cannot load, malformed or hostile, raises ModelFormatError.
+    """
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -308,6 +320,8 @@ def load_model(path) -> TrafficModel:
         doc = json.loads(raw)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from exc
+    except RecursionError:
+        raise ModelFormatError(f"{path}: not a valid model file (nested too deeply)") from None
 
     _expect(isinstance(doc, dict), "top level must be an object")
     version = doc.get("format_version")
@@ -329,6 +343,10 @@ def load_model(path) -> TrafficModel:
     raw_classes = doc.get("classes")
     _expect(isinstance(raw_classes, list), "classes must be a list")
 
+    # The per-entry checks below are _is_num and _expect written out inline,
+    # with _expect called only to fail: a large model has tens of thousands of
+    # entries, and the calls would cost more than the checks.
+    hex_len = 2 * n
     classes: dict[ClassKey, ClassModel] = {}
     for rc in raw_classes:
         _expect(isinstance(rc, dict), "class entry must be an object")
@@ -341,38 +359,49 @@ def load_model(path) -> TrafficModel:
         _expect(key not in classes, f"duplicate class {key}")
         raw_ngrams = rc.get("ngrams")
         _expect(isinstance(raw_ngrams, list), "ngrams must be a list")
+        # a chunk count above the float range saturates the tolerance, not overflows it
+        tolerance = 1e-9 * min(nck_total, _FLOAT_MAX)
         stats: dict[bytes, NGramStats] = {}
         for rg in raw_ngrams:
-            _expect(isinstance(rg, dict), "ngram entry must be an object")
+            if type(rg) is not dict:
+                _expect(False, "ngram entry must be an object")
             gram_hex = rg.get("gram_hex")
-            _expect(isinstance(gram_hex, str) and len(gram_hex) == 2 * n, "bad gram_hex length")
+            if type(gram_hex) is not str or len(gram_hex) != hex_len:
+                _expect(False, "bad gram_hex length")
             try:
                 gram = bytes.fromhex(gram_hex)
             except ValueError:
                 raise ModelFormatError(f"invalid model file: bad gram_hex {gram_hex!r}") from None
-            _expect(gram not in stats, f"duplicate n-gram {gram_hex}")
+            if gram in stats:
+                _expect(False, f"duplicate n-gram {gram_hex}")
             mean = rg.get("mean")
             std = rg.get("std")
-            _expect(_is_num(mean) and mean >= 0, "mean must be >= 0")
-            _expect(_is_num(std) and std >= 0, "std must be >= 0")
-            chunk_stats: dict[int, tuple[float, float]] = {}
+            if not ((type(mean) is float or type(mean) is int) and 0 <= mean <= _FLOAT_MAX):
+                _expect(False, "mean must be >= 0")
+            if not ((type(std) is float or type(std) is int) and 0 <= std <= _FLOAT_MAX):
+                _expect(False, "std must be >= 0")
             raw_chunks = rg.get("chunks")
-            _expect(isinstance(raw_chunks, list), "chunks must be a list")
+            if type(raw_chunks) is not list:
+                _expect(False, "chunks must be a list")
+            chunk_stats: dict[int, tuple[float, float]] = {}
             for ch in raw_chunks:
-                _expect(isinstance(ch, dict), "chunk entry must be an object")
+                if type(ch) is not dict:
+                    _expect(False, "chunk entry must be an object")
                 j = ch.get("j")
-                _expect(_is_int(j) and 0 <= j < nck_total, "chunk index out of range")
-                _expect(j not in chunk_stats, f"duplicate chunk index {j}")
+                if type(j) is not int or not 0 <= j < nck_total:
+                    _expect(False, "chunk index out of range")
+                if j in chunk_stats:
+                    _expect(False, f"duplicate chunk index {j}")
                 cm = ch.get("mean")
                 cs = ch.get("std")
-                _expect(_is_num(cm) and cm >= 0, "chunk mean must be >= 0")
-                _expect(_is_num(cs) and cs >= 0, "chunk std must be >= 0")
+                if not ((type(cm) is float or type(cm) is int) and 0 <= cm <= _FLOAT_MAX):
+                    _expect(False, "chunk mean must be >= 0")
+                if not ((type(cs) is float or type(cs) is int) and 0 <= cs <= _FLOAT_MAX):
+                    _expect(False, "chunk std must be >= 0")
                 chunk_stats[j] = (float(cm), float(cs))
             chunk_mean_sum = sum(m for m, _ in chunk_stats.values())
-            _expect(
-                abs(chunk_mean_sum - mean) <= 1e-9 * nck_total,
-                f"chunk means sum to {chunk_mean_sum!r}, payload mean is {mean!r}",
-            )
+            if not abs(chunk_mean_sum - mean) <= tolerance:
+                _expect(False, f"chunk means sum to {chunk_mean_sum!r}, payload mean is {mean!r}")
             stats[gram] = NGramStats(float(mean), float(std), chunk_stats)
         classes[key] = ClassModel(sample_count=sample_count, stats=stats)
 

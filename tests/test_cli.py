@@ -262,6 +262,61 @@ class TestPcapPath:
         assert run(["train", "--in", str(capture), "--protocol", "ftp",
                     "--pcap-filter", "ports=abc", "--out", str(tmp_path / "m")]) == 2
 
+    def test_out_of_range_filter_port_is_usage_error(self, tmp_path, capsys):
+        capture = tmp_path / "traffic.pcap"
+        capture.write_bytes(pcap_bytes([tcp_frame(b"USER alice\r\n", 21)] * 5))
+        assert run(["train", "--in", str(capture), "--protocol", "ftp",
+                    "--pcap-filter", "ports=21,99999", "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "port must be within [0, 65535]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    @pytest.mark.parametrize("infile, flags, message", [
+        ("x.pcap", ["--pcap-filter", "ports=abc"], "--pcap-filter: bad ports 'abc'"),
+        ("x.pcap", ["--pcap-filter", "ports=99999"], "port must be within [0, 65535]"),
+        ("x.pcap", ["--pcap-filter", "color=red"], "--pcap-filter: unknown key 'color'"),
+        ("x.txt", [], "--in: unsupported corpus extension '.txt'"),
+    ])
+    def test_corpus_usage_error_before_model_load(self, tmp_path, capsys,
+                                                  command, infile, flags, message):
+        # the model does not exist: reading it first would exit 1
+        argv = [command, "--model", str(tmp_path / "missing.model"),
+                "--in", str(tmp_path / infile)] + flags
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+class TestHostileJson:
+    def test_deeply_nested_model_is_runtime_error(self, tmp_path, capsys):
+        model = tmp_path / "deep.model"
+        model.write_text("[" * 200_000 + "]" * 200_000)
+        assert run(["detect", "--model", str(model), "--in", str(tmp_path / "x.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pckad: ") and "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_model_number_beyond_float_range_is_runtime_error(self, paths, capsys):
+        gen_and_train(paths, count=100)
+        text = open(paths.model).read()
+        open(paths.model, "w").write(text.replace('"alpha":0.1', '"alpha":' + "9" * 400, 1))
+        assert run(["eval", "--model", paths.model, "--in", paths.legit]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pckad: ") and "alpha must be > 0" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_corpus_line_is_runtime_error(self, tmp_path, paths, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text('{"port":21,"payload_hex":"55534552"}\n' + "[" * 200_000 + "\n")
+        assert run(["train", "--in", str(corpus), "--protocol", "ftp",
+                    "--out", paths.model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pckad: ") and "line 1: invalid JSON (nested too deeply)" in err
+        assert "Traceback" not in err
+
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0

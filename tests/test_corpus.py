@@ -81,6 +81,18 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 1: invalid UTF-8"):
             list(read_jsonl(path))
 
+    def test_deep_nesting_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":21,"payload_hex":"00"}\n' + "[" * 200_000 + "]" * 200_000 + "\n")
+        with pytest.raises(CorpusError, match="line 1: invalid JSON \\(nested too deeply\\)"):
+            list(read_jsonl(path))
+
+    def test_overlong_integer_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":' + "2" * 5000 + ',"payload_hex":"00"}\n')
+        with pytest.raises(CorpusError, match="line 0: invalid JSON"):
+            list(read_jsonl(path))
+
     def test_escaped_surrogate_is_not_invalid_utf8(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00","label":"attack:\\udcff"}\n')
@@ -293,3 +305,10 @@ class TestReadPcap:
 def test_traffic_filter_requires_ports():
     with pytest.raises(ValueError):
         TrafficFilter(ports=frozenset())
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 99999])
+def test_traffic_filter_range_checks_ports(port):
+    with pytest.raises(ValueError, match=r"port must be within \[0, 65535\]"):
+        TrafficFilter(ports=frozenset({21, port}))
+    assert TrafficFilter(ports=frozenset({0, 65535})).matches(65535, None)

@@ -1,7 +1,11 @@
+import copy
 import json
+import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pckad import (
     ChunkingConfig,
@@ -9,6 +13,7 @@ from pckad import (
     CorpusError,
     GenSpec,
     ModelFormatError,
+    NGramStats,
     PacketRecord,
     Protocol,
     TrafficModel,
@@ -212,6 +217,29 @@ class TestPersistence:
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("protocol", [Protocol.FTP, Protocol.HTTP])
+    def test_trained_model_loads_equal_with_float_stats(self, tmp_path, protocol):
+        model = train(
+            iter(gen_legit(GenSpec(protocol, 400, seed=91))),
+            protocol=protocol,
+            chunking=ChunkingConfig(3, 15),
+        )
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        back = load_model(path)
+        assert back == model
+        for key, cls in back.classes.items():
+            assert cls.sample_count == model.classes[key].sample_count
+            for gram_stats in cls.stats.values():
+                assert type(gram_stats) is NGramStats
+                assert type(gram_stats.mean) is float and type(gram_stats.std) is float
+                chunks = gram_stats.chunks
+                assert all(type(v) is float for pair in chunks.values() for v in pair)
+                assert list(chunks) == sorted(chunks)
+        again = tmp_path / "again.model"
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_http_model_round_trips(self, tmp_path):
         model = train(
             iter(gen_legit(GenSpec(Protocol.HTTP, 300, seed=81))),
@@ -320,3 +348,287 @@ class TestLoadValidation:
         save_model(model, path)
         assert "chunks_enabled" not in json.loads(path.read_text())
         assert load_model(path).chunking == model.chunking
+
+
+def _cls(doc):
+    return doc["classes"][0]
+
+
+def _gram(doc):
+    return doc["classes"][0]["ngrams"][0]
+
+
+def _chunk(doc):
+    return doc["classes"][0]["ngrams"][0]["chunks"][0]
+
+
+_DELETE = object()
+
+
+def _set(where, key, value):
+    """A corruption that sets (or, with _DELETE, removes) where(doc)[key]."""
+
+    def corrupt(doc):
+        target = where(doc)
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+
+    return corrupt
+
+
+def _top(doc):
+    return doc
+
+
+def _append_copy(where):
+    def corrupt(doc):
+        items = where(doc)
+        items.append(copy.deepcopy(items[0]))
+
+    return corrupt
+
+
+def _both(*corruptions):
+    def corrupt(doc):
+        for c in corruptions:
+            c(doc)
+
+    return corrupt
+
+
+def _bad(corrupt, message, id):
+    return pytest.param(corrupt, message, id=id)
+
+
+_INVALID = "invalid model file: "
+
+# one corrupted field of _valid_doc() each, and the exact message load_model gives
+REJECTIONS = [
+    _bad(lambda doc: [doc], _INVALID + "top level must be an object", "top-level-list"),
+    _bad(_set(_top, "format_version", 2), "unsupported model format version: 2", "version-2"),
+    _bad(_set(_top, "format_version", _DELETE), "unsupported model format version: None",
+         "version-missing"),
+    _bad(_set(_top, "protocol", "smtp"), _INVALID + "unknown protocol 'smtp'", "protocol"),
+    _bad(_set(_top, "port", 70000), _INVALID + "bad port", "port-range"),
+    _bad(_set(_top, "port", True), _INVALID + "bad port", "port-bool"),
+    _bad(_set(_top, "port", 21.0), _INVALID + "bad port", "port-float"),
+    _bad(_set(_top, "n", 0), _INVALID + "bad n", "n-zero"),
+    _bad(_set(_top, "n", "2"), _INVALID + "bad n", "n-string"),
+    _bad(_set(_top, "chunk_len", 1), _INVALID + "chunk_len must be >= n", "chunk-len-below-n"),
+    _bad(_set(_top, "chunk_len", 15.0), _INVALID + "chunk_len must be >= n", "chunk-len-float"),
+    _bad(_set(_top, "alpha", 0), _INVALID + "alpha must be > 0", "alpha-zero"),
+    _bad(_set(_top, "alpha", math.nan), _INVALID + "alpha must be > 0", "alpha-nan"),
+    _bad(_set(_top, "alpha", math.inf), _INVALID + "alpha must be > 0", "alpha-inf"),
+    _bad(_set(_top, "alpha", True), _INVALID + "alpha must be > 0", "alpha-bool"),
+    _bad(_set(_top, "th_s", -1.0), _INVALID + "th_s must be > 0", "th-s-negative"),
+    _bad(_set(_top, "th_s", math.inf), _INVALID + "th_s must be > 0", "th-s-inf"),
+    _bad(_set(_top, "th_s", "5"), _INVALID + "th_s must be > 0", "th-s-string"),
+    _bad(_set(_top, "classes", {}), _INVALID + "classes must be a list", "classes-object"),
+    _bad(_set(_top, "classes", _DELETE), _INVALID + "classes must be a list", "classes-missing"),
+    # class entries
+    _bad(_set(_top, "classes", [[]]), _INVALID + "class entry must be an object", "class-list"),
+    _bad(_set(_cls, "port", 2121), _INVALID + "class port differs from model port",
+         "class-port"),
+    _bad(_set(_cls, "nck_total", 0), _INVALID + "bad nck_total", "nck-total-zero"),
+    _bad(_set(_cls, "nck_total", True), _INVALID + "bad nck_total", "nck-total-bool"),
+    _bad(_set(_cls, "nck_total", 1.0), _INVALID + "bad nck_total", "nck-total-float"),
+    _bad(_set(_cls, "nck_total", _DELETE), _INVALID + "bad nck_total", "nck-total-missing"),
+    _bad(_set(_cls, "sample_count", 0), _INVALID + "sample_count must be >= 1",
+         "sample-count-zero"),
+    _bad(_set(_cls, "sample_count", True), _INVALID + "sample_count must be >= 1",
+         "sample-count-bool"),
+    _bad(_append_copy(lambda doc: doc["classes"]),
+         _INVALID + "duplicate class ClassKey(port=21, chunk_count=1)", "class-duplicate"),
+    _bad(_set(_cls, "ngrams", {}), _INVALID + "ngrams must be a list", "ngrams-object"),
+    # n-gram entries
+    _bad(_set(_cls, "ngrams", ["5553"]), _INVALID + "ngram entry must be an object",
+         "ngram-string"),
+    _bad(_set(_gram, "gram_hex", "555344"), _INVALID + "bad gram_hex length", "gram-hex-long"),
+    _bad(_set(_gram, "gram_hex", 5553), _INVALID + "bad gram_hex length", "gram-hex-int"),
+    _bad(_set(_gram, "gram_hex", _DELETE), _INVALID + "bad gram_hex length",
+         "gram-hex-missing"),
+    _bad(_set(_gram, "gram_hex", "zz53"), _INVALID + "bad gram_hex 'zz53'", "gram-hex-non-hex"),
+    _bad(_append_copy(lambda doc: _cls(doc)["ngrams"]), _INVALID + "duplicate n-gram 5553",
+         "ngram-duplicate"),
+    _bad(_set(_gram, "mean", -1.0), _INVALID + "mean must be >= 0", "mean-negative"),
+    _bad(_set(_gram, "mean", math.nan), _INVALID + "mean must be >= 0", "mean-nan"),
+    _bad(_set(_gram, "mean", math.inf), _INVALID + "mean must be >= 0", "mean-inf"),
+    _bad(_set(_gram, "mean", True), _INVALID + "mean must be >= 0", "mean-bool"),
+    _bad(_set(_gram, "mean", "1.0"), _INVALID + "mean must be >= 0", "mean-string"),
+    _bad(_set(_gram, "mean", _DELETE), _INVALID + "mean must be >= 0", "mean-missing"),
+    _bad(_set(_gram, "std", -0.5), _INVALID + "std must be >= 0", "std-negative"),
+    _bad(_set(_gram, "std", math.nan), _INVALID + "std must be >= 0", "std-nan"),
+    _bad(_set(_gram, "std", math.inf), _INVALID + "std must be >= 0", "std-inf"),
+    _bad(_set(_gram, "std", False), _INVALID + "std must be >= 0", "std-bool"),
+    _bad(_set(_gram, "std", "0"), _INVALID + "std must be >= 0", "std-string"),
+    _bad(_set(_gram, "chunks", {}), _INVALID + "chunks must be a list", "chunks-object"),
+    _bad(_set(_gram, "chunks", _DELETE), _INVALID + "chunks must be a list", "chunks-missing"),
+    # chunk entries
+    _bad(_set(_gram, "chunks", [[0, 1.0, 0.0]]), _INVALID + "chunk entry must be an object",
+         "chunk-list"),
+    _bad(_set(_chunk, "j", 1), _INVALID + "chunk index out of range", "j-too-large"),
+    _bad(_set(_chunk, "j", -1), _INVALID + "chunk index out of range", "j-negative"),
+    _bad(_set(_chunk, "j", True), _INVALID + "chunk index out of range", "j-bool"),
+    _bad(_set(_chunk, "j", 0.0), _INVALID + "chunk index out of range", "j-float"),
+    _bad(_set(_chunk, "j", _DELETE), _INVALID + "chunk index out of range", "j-missing"),
+    _bad(_append_copy(lambda doc: _gram(doc)["chunks"]), _INVALID + "duplicate chunk index 0",
+         "j-duplicate"),
+    _bad(_set(_chunk, "mean", -1.0), _INVALID + "chunk mean must be >= 0",
+         "chunk-mean-negative"),
+    _bad(_set(_chunk, "mean", math.nan), _INVALID + "chunk mean must be >= 0", "chunk-mean-nan"),
+    _bad(_set(_chunk, "mean", math.inf), _INVALID + "chunk mean must be >= 0", "chunk-mean-inf"),
+    _bad(_set(_chunk, "mean", True), _INVALID + "chunk mean must be >= 0", "chunk-mean-bool"),
+    _bad(_set(_chunk, "std", -0.5), _INVALID + "chunk std must be >= 0", "chunk-std-negative"),
+    _bad(_set(_chunk, "std", math.nan), _INVALID + "chunk std must be >= 0", "chunk-std-nan"),
+    _bad(_set(_chunk, "std", "0"), _INVALID + "chunk std must be >= 0", "chunk-std-string"),
+    _bad(_set(_chunk, "mean", 0.25), _INVALID + "chunk means sum to 0.25, payload mean is 1.0",
+         "chunk-means-sum"),
+    _bad(_set(_gram, "chunks", []), _INVALID + "chunk means sum to 0, payload mean is 1.0",
+         "chunk-means-empty"),
+    _bad(_both(_set(_gram, "mean", 2), _set(_chunk, "mean", 1)),
+         _INVALID + "chunk means sum to 1.0, payload mean is 2", "chunk-means-int"),
+    # within an entry, the first failing check names the error
+    _bad(_both(_set(_gram, "mean", -1.0), _set(_gram, "std", -1.0)),
+         _INVALID + "mean must be >= 0", "order-mean-before-std"),
+    _bad(_both(_set(_gram, "gram_hex", "zz53"), _set(_gram, "mean", -1.0)),
+         _INVALID + "bad gram_hex 'zz53'", "order-gram-before-mean"),
+    _bad(_both(_set(_gram, "std", -1.0), _set(_gram, "chunks", {})),
+         _INVALID + "std must be >= 0", "order-std-before-chunks"),
+    _bad(_both(_set(_chunk, "j", 5), _set(_chunk, "mean", -1.0)),
+         _INVALID + "chunk index out of range", "order-j-before-chunk-mean"),
+    _bad(_both(_set(_chunk, "mean", -1.0), _set(_chunk, "std", -1.0)),
+         _INVALID + "chunk mean must be >= 0", "order-chunk-mean-before-std"),
+    _bad(_both(_set(_chunk, "std", -1.0), _set(_chunk, "mean", 0.25)),
+         _INVALID + "chunk std must be >= 0", "order-chunk-std-before-sum"),
+]
+
+# files that must keep loading, with the value they load to
+ACCEPTED = [
+    pytest.param(_set(_gram, "mean", 1), (1.0, 0.0, {0: (1.0, 0.0)}), id="int-mean"),
+    pytest.param(_both(_set(_gram, "std", 0), _set(_chunk, "std", 0)),
+                 (1.0, 0.0, {0: (1.0, 0.0)}), id="int-stds"),
+    pytest.param(_set(_chunk, "mean", 1), (1.0, 0.0, {0: (1.0, 0.0)}), id="int-chunk-mean"),
+    pytest.param(_set(_chunk, "mean", 1.0 + 9e-10), (1.0, 0.0, {0: (1.0 + 9e-10, 0.0)}),
+                 id="chunk-means-within-tolerance"),
+    pytest.param(_both(_set(_gram, "mean", 0.0), _set(_gram, "chunks", [])),
+                 (0.0, 0.0, {}), id="no-chunks-zero-mean"),
+    pytest.param(_set(_gram, "gram_hex", "5A5a"), None, id="mixed-case-hex"),
+]
+
+
+class TestLoadRejections:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("corrupt, message", REJECTIONS)
+    def test_rejected_with_exact_message(self, tmp_path, corrupt, message):
+        doc = _valid_doc()
+        doc = corrupt(doc) or doc
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(self.write(tmp_path, doc))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("change, stats", ACCEPTED)
+    def test_accepted(self, tmp_path, change, stats):
+        doc = _valid_doc()
+        change(doc)
+        model = load_model(self.write(tmp_path, doc))
+        [(gram, got)] = model.classes[ClassKey(21, 1)].stats.items()
+        assert gram == bytes.fromhex(_gram(doc)["gram_hex"])
+        if stats is not None:
+            assert (got.mean, got.std, got.chunks) == stats
+        assert type(got.mean) is float and type(got.std) is float
+        assert all(type(v) is float for pair in got.chunks.values() for v in pair)
+
+    # a number a float cannot hold is rejected like any other bad number
+    @pytest.mark.parametrize("where, key, message", [
+        (_top, "alpha", "alpha must be > 0"),
+        (_top, "th_s", "th_s must be > 0"),
+        (_gram, "mean", "mean must be >= 0"),
+        (_gram, "std", "std must be >= 0"),
+        (_chunk, "mean", "chunk mean must be >= 0"),
+        (_chunk, "std", "chunk std must be >= 0"),
+    ])
+    @pytest.mark.parametrize("huge", [
+        pytest.param(10**400, id="400-digits"), pytest.param(-10**400, id="minus-400-digits"),
+    ])
+    def test_number_beyond_float_range_rejected(self, tmp_path, where, key, message, huge):
+        doc = _valid_doc()
+        where(doc)[key] = huge
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(self.write(tmp_path, doc))
+        assert str(excinfo.value) == _INVALID + message
+
+    def test_integer_beyond_parse_limit_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(_valid_doc()).replace('"mean": 1.0', '"mean": ' + "1" * 5000, 1))
+        with pytest.raises(ModelFormatError, match="not a valid model file"):
+            load_model(path)
+
+    def test_chunk_count_beyond_float_range_loads(self, tmp_path):
+        doc = _valid_doc()
+        _cls(doc)["nck_total"] = 10**400
+        model = load_model(self.write(tmp_path, doc))
+        assert model.classes[ClassKey(21, 10**400)].stats[b"US"].chunks == {0: (1.0, 0.0)}
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: not a valid model file (nested too deeply)"
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A small trained FTP model: its path and its bytes."""
+    model = train_ftp([b"USER alice\r\n", b"USER bob\r\n", b"PASS x1\r\n", b"QUIT\r\n"] * 2)
+    path = tmp_path_factory.mktemp("fuzz") / "m.model"
+    save_model(model, path)
+    return path, path.read_bytes()
+
+
+# bytes that keep a JSON document parseable more often than a random byte does
+_NUMBER_BYTES = list(b"0123456789-+.eE")
+_edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.one_of(st.sampled_from(_NUMBER_BYTES), st.sampled_from(list(b'"[]{},:tfn ')),
+                  st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _load_corrupted(saved_model, edits, cut=None):
+    path, raw = saved_model
+    data = bytearray(raw)
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    corrupted = path.with_name("corrupted.model")
+    corrupted.write_bytes(bytes(data))
+    try:
+        model = load_model(corrupted)
+    except ModelFormatError:
+        return
+    assert isinstance(model, TrafficModel)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(edits=_edits)
+def test_edited_model_raises_only_model_format_error(saved_model, edits):
+    _load_corrupted(saved_model, edits)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=2),
+       cut=st.integers(min_value=0))
+def test_truncated_model_raises_only_model_format_error(saved_model, edits, cut):
+    _load_corrupted(saved_model, edits, cut)
