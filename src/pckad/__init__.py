@@ -68,8 +68,6 @@ from .protocols import (
 from .synth import (
     AnomalyKind,
     GenSpec,
-    Template,
-    default_templates,
     gen_legit,
     inject,
     inject_corpus,
@@ -103,13 +101,11 @@ __all__ = [
     "Protocol",
     "RelevantPayload",
     "SweepRow",
-    "Template",
     "TrafficFilter",
     "TrafficModel",
     "TrainingSummary",
     "Verdict",
     "anomalous_occurrences",
-    "default_templates",
     "detect_stream",
     "evaluate",
     "extract_ngrams",

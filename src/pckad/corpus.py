@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -63,8 +66,7 @@ class PacketRecord:
     ts: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
+        check_port(self.dst_port)
         if self.label is not None:
             validate_label(self.label)
 
@@ -176,6 +178,9 @@ def read_pcap(
     except OSError as exc:
         raise CorpusError(f"cannot open capture {path}: {exc}") from exc
     with f:
+        info = os.fstat(f.fileno())
+        # a record can hold at most the bytes left in a regular file; a pipe has no known end
+        size = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         header = f.read(24)
         if len(header) < 24:
             raise CorpusError(f"{path}: truncated pcap global header")
@@ -186,6 +191,7 @@ def read_pcap(
         if link_type != _LINKTYPE_ETHERNET:
             raise CorpusError(f"{path}: unsupported link type {link_type} (Ethernet required)")
 
+        offset = 24  # where the next record starts, counted because a pipe cannot tell()
         next_id = 0
         while True:
             rec_hdr = f.read(16)
@@ -198,11 +204,16 @@ def read_pcap(
             if incl_len > snaplen:
                 # a corrupt length; checked before it sizes a read
                 raise CorpusError(
-                    f"{path}: record at byte {f.tell() - 16}: captured length {incl_len} "
+                    f"{path}: record at byte {offset}: captured length {incl_len} "
                     f"exceeds the snapshot length {snaplen}"
                 )
-            data = f.read(incl_len)
             summary.frames += 1
+            offset += 16 + incl_len
+            if offset > size:
+                # checked before the read, which would allocate the whole claimed length
+                summary.truncated += 1
+                break
+            data = f.read(incl_len)
             if len(data) < incl_len:
                 summary.truncated += 1
                 break
@@ -254,8 +265,9 @@ def read_jsonl(path) -> Iterator[PacketRecord]:
 
 
 def _record_from_obj(obj: dict, lineno: int, path) -> PacketRecord:
+    """Check the JSON types of one record; PacketRecord checks their values."""
     port = obj.get("port")
-    if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
+    if not isinstance(port, int) or isinstance(port, bool):
         raise CorpusError(f"{path}: line {lineno}: missing or invalid 'port'")
     payload_hex = obj.get("payload_hex")
     if not isinstance(payload_hex, str):
@@ -265,23 +277,16 @@ def _record_from_obj(obj: dict, lineno: int, path) -> PacketRecord:
     if not _HEX_RE.match(payload_hex):
         raise CorpusError(f"{path}: line {lineno}: payload_hex is not hexadecimal")
     label = obj.get("label")
-    if label is not None:
-        if not isinstance(label, str):
-            raise CorpusError(f"{path}: line {lineno}: label must be a string")
-        try:
-            validate_label(label)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+    if label is not None and not isinstance(label, str):
+        raise CorpusError(f"{path}: line {lineno}: label must be a string")
     ts = obj.get("ts")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
         raise CorpusError(f"{path}: line {lineno}: ts must be an integer")
-    return PacketRecord(
-        id=lineno,
-        dst_port=port,
-        payload=bytes.fromhex(payload_hex),
-        label=label,
-        ts=ts,
-    )
+    try:
+        return PacketRecord(id=lineno, dst_port=port, payload=bytes.fromhex(payload_hex),
+                            label=label, ts=ts)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def write_jsonl(records: Iterable[PacketRecord], path) -> int:

@@ -38,32 +38,41 @@ class LabelSet:
     @classmethod
     def from_csv(cls, path) -> "LabelSet":
         """Sidecar label file: header `id,label`, ids are ingest ordinals."""
-        by_id: dict[int, str] = {}
         try:
             f = open(path, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise EvaluationError(f"cannot open labels {path}: {exc}") from exc
         with f:
             reader = csv.reader(f)
-            header = next(reader, None)
-            if header != ["id", "label"]:
-                raise EvaluationError(f"{path}: expected header 'id,label', got {header}")
-            for row_no, row in enumerate(reader, start=1):
-                if len(row) != 2:
-                    raise EvaluationError(f"{path}: row {row_no}: expected 2 fields")
-                try:
-                    rec_id = int(row[0])
-                except ValueError:
-                    raise EvaluationError(f"{path}: row {row_no}: bad id {row[0]!r}") from None
-                label = row[1]
-                try:
-                    validate_label(label)
-                except ValueError:
-                    raise EvaluationError(f"{path}: row {row_no}: bad label {label!r}") from None
-                if rec_id in by_id:
-                    raise EvaluationError(f"{path}: row {row_no}: duplicate id {rec_id}")
-                by_id[rec_id] = label
-        return cls(by_id)
+            try:
+                return cls(_label_rows(reader, path))
+            except UnicodeDecodeError:
+                raise EvaluationError(f"{path}: invalid UTF-8") from None
+            except csv.Error as exc:
+                raise EvaluationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _label_rows(reader, path) -> dict[int, str]:
+    by_id: dict[int, str] = {}
+    header = next(reader, None)
+    if header != ["id", "label"]:
+        raise EvaluationError(f"{path}: expected header 'id,label', got {header}")
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != 2:
+            raise EvaluationError(f"{path}: row {row_no}: expected 2 fields")
+        try:
+            rec_id = int(row[0])
+        except ValueError:
+            raise EvaluationError(f"{path}: row {row_no}: bad id {row[0]!r}") from None
+        label = row[1]
+        try:
+            validate_label(label)
+        except ValueError:
+            raise EvaluationError(f"{path}: row {row_no}: bad label {label!r}") from None
+        if rec_id in by_id:
+            raise EvaluationError(f"{path}: row {row_no}: duplicate id {rec_id}")
+        by_id[rec_id] = label
+    return by_id
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ class NGramStats(NamedTuple):
     std: float
     chunks: dict[int, tuple[float, float]]
 
-    def chunk_stats(self, j: int) -> tuple[float, float]:
-        return self.chunks.get(j, ABSENT_CHUNK)
-
 
 @dataclass(frozen=True)
 class ClassModel:
@@ -142,49 +139,50 @@ def check_model_settings(
         raise ValueError("th_s must be > 0")
 
 
-def _mean_std(sums: list[int], k: int) -> tuple[float, float]:
-    """Mean and population std of k samples from their (sum, sum of squares)."""
-    s1, s2 = sums
+def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
+    """Mean and population std of k samples from their sum and sum of squares."""
     mean = s1 / k
     var = s2 / k - mean * mean
     return mean, math.sqrt(var) if var > 0 else 0.0
 
 
 class _ClassAccumulator:
-    """Running sums sufficient for exact mean/population-std per n-gram."""
+    """Running sums sufficient for exact mean/population-std per n-gram.
 
-    __slots__ = ("count", "payload", "chunks")
+    sums maps gram -> [s1, s2, {j: [s1, s2]}], in the shape of NGramStats.
+    """
+
+    __slots__ = ("count", "sums")
 
     def __init__(self):
         self.count = 0
-        self.payload: dict[bytes, list[int]] = {}
-        self.chunks: dict[bytes, dict[int, list[int]]] = {}
+        self.sums: dict[bytes, list] = {}
 
     def add(self, counts: NGramCounts) -> None:
         self.count += 1
+        sums = self.sums
+        chunk_counts = counts.chunk_counts
         for gram, x in counts.payload_counts.items():
-            cell = self.payload.get(gram)
+            cell = sums.get(gram)
             if cell is None:
-                self.payload[gram] = [x, x * x]
-            else:
-                cell[0] += x
-                cell[1] += x * x
-        for gram, per_chunk in counts.chunk_counts.items():
-            slots = self.chunks.setdefault(gram, {})
-            for j, x in per_chunk.items():
-                cell = slots.get(j)
-                if cell is None:
-                    slots[j] = [x, x * x]
+                cell = sums[gram] = [0, 0, {}]
+            cell[0] += x
+            cell[1] += x * x
+            slots = cell[2]
+            for j, c in chunk_counts[gram].items():
+                slot = slots.get(j)
+                if slot is None:
+                    slots[j] = [c, c * c]
                 else:
-                    cell[0] += x
-                    cell[1] += x * x
+                    slot[0] += c
+                    slot[1] += c * c
 
     def finalize(self) -> ClassModel:
         k = self.count
         stats: dict[bytes, NGramStats] = {}
-        for gram, sums in self.payload.items():
-            mean, std = _mean_std(sums, k)
-            chunks = {j: _mean_std(c, k) for j, c in sorted(self.chunks.get(gram, {}).items())}
+        for gram, (s1, s2, slots) in self.sums.items():
+            mean, std = _mean_std(s1, s2, k)
+            chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in sorted(slots.items())}
             stats[gram] = NGramStats(mean, std, chunks)
         return ClassModel(sample_count=k, stats=stats)
 

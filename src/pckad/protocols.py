@@ -84,7 +84,7 @@ def request_target_span(payload: bytes) -> tuple[int, int] | None:
     return m.start(2), m.end(2)
 
 
-_PORT_PROTOCOLS = {80: Protocol.HTTP, 21: Protocol.FTP}
+_PORT_PROTOCOLS = {p.default_port: p for p in Protocol}
 
 
 def protocol_for_port(port: int) -> Protocol | None:

@@ -23,7 +23,6 @@ import enum
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from .chunking import ChunkingConfig, sliding_window_oracle
 from .corpus import PacketRecord
@@ -48,47 +47,37 @@ _SWAP_TOKEN_RE = re.compile(rb"id([a-z]{7})42")
 DEFAULT_INJECT_CHUNKING = ChunkingConfig(n=3, chunk_len=15)
 
 
-@dataclass(frozen=True)
-class Template:
-    name: str
-    weight: float
-    build: Callable[[random.Random], bytes]
+def _http_request(request_line: bytes) -> bytes:
+    return request_line + _HTTP_HEADERS
 
 
-def _ftp_templates() -> tuple[Template, ...]:
-    return (
-        Template("auth", 0.30, lambda r: b"USER id%s42\r\nPASS id%s42\r\n"
-                 % (r.choice(_TOKENS_AM), r.choice(_TOKENS_NZ))),
-        Template("retr", 0.20, lambda r: b"RETR /srv/ftp/%s.dat\r\n" % r.choice(_FILE_TOKENS)),
-        Template("stor", 0.15, lambda r: b"STOR /srv/ftp/upload/%s.tmp\r\n" % r.choice(_FILE_TOKENS)),
-        Template("cwd", 0.10, lambda r: b"CWD /srv/ftp/%s\r\n" % r.choice(_DIR_TOKENS)),
-        Template("type", 0.08, lambda r: b"TYPE I\r\n"),
-        Template("pasv", 0.07, lambda r: b"PASV\r\n"),
-        Template("list", 0.06, lambda r: b"LIST -la\r\n"),
-        Template("quit", 0.04, lambda r: b"QUIT\r\n"),
-    )
+# legit message shapes per protocol, as (weight, build) pairs
+_FTP_TEMPLATES = (
+    (0.30, lambda r: b"USER id%s42\r\nPASS id%s42\r\n"
+     % (r.choice(_TOKENS_AM), r.choice(_TOKENS_NZ))),
+    (0.20, lambda r: b"RETR /srv/ftp/%s.dat\r\n" % r.choice(_FILE_TOKENS)),
+    (0.15, lambda r: b"STOR /srv/ftp/upload/%s.tmp\r\n" % r.choice(_FILE_TOKENS)),
+    (0.10, lambda r: b"CWD /srv/ftp/%s\r\n" % r.choice(_DIR_TOKENS)),
+    (0.08, lambda r: b"TYPE I\r\n"),
+    (0.07, lambda r: b"PASV\r\n"),
+    (0.06, lambda r: b"LIST -la\r\n"),
+    (0.04, lambda r: b"QUIT\r\n"),
+)
 
+# the two path tokens of the first shape sit fully inside chunks 0 and 1 at
+# the default 15-byte chunk length, so swapping them moves every token
+# n-gram into a chunk where it was never trained
+_HTTP_TEMPLATES = (
+    (0.25, lambda r: _http_request(b"GET /id%s42/id%s42 HTTP/1.0\r\n"
+                                   % (r.choice(_TOKENS_AM), r.choice(_TOKENS_NZ)))),
+    (0.25, lambda r: _http_request(b"GET /%s.html HTTP/1.0\r\n" % r.choice(_PAGE_TOKENS))),
+    (0.20, lambda r: _http_request(b"GET /static/css/%s.css HTTP/1.1\r\n"
+                                   % r.choice(_PAGE_TOKENS))),
+    (0.20, lambda r: _http_request(b"POST /api/v1/%s HTTP/1.1\r\n" % r.choice(_API_TOKENS))),
+    (0.10, lambda r: _http_request(b"HEAD /health HTTP/1.0\r\n")),
+)
 
-def _http_templates() -> tuple[Template, ...]:
-    def line(req: bytes) -> bytes:
-        return req + _HTTP_HEADERS
-
-    # the two path tokens of "res" sit fully inside chunks 0 and 1 at the
-    # default 15-byte chunk length, so swapping them moves every token
-    # n-gram into a chunk where it was never trained
-    return (
-        Template("res", 0.25, lambda r: line(b"GET /id%s42/id%s42 HTTP/1.0\r\n"
-                 % (r.choice(_TOKENS_AM), r.choice(_TOKENS_NZ)))),
-        Template("page", 0.25, lambda r: line(b"GET /%s.html HTTP/1.0\r\n" % r.choice(_PAGE_TOKENS))),
-        Template("asset", 0.20, lambda r: line(b"GET /static/css/%s.css HTTP/1.1\r\n"
-                 % r.choice(_PAGE_TOKENS))),
-        Template("api", 0.20, lambda r: line(b"POST /api/v1/%s HTTP/1.1\r\n" % r.choice(_API_TOKENS))),
-        Template("head", 0.10, lambda r: line(b"HEAD /health HTTP/1.0\r\n")),
-    )
-
-
-def default_templates(protocol: Protocol) -> tuple[Template, ...]:
-    return _ftp_templates() if protocol is Protocol.FTP else _http_templates()
+_TEMPLATES = {Protocol.FTP: _FTP_TEMPLATES, Protocol.HTTP: _HTTP_TEMPLATES}
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,6 @@ class GenSpec:
     protocol: Protocol
     count: int
     seed: int
-    templates: tuple[Template, ...] | None = None
 
     def __post_init__(self):
         if self.count < 0:
@@ -106,15 +94,14 @@ class GenSpec:
 
 
 def gen_legit(spec: GenSpec) -> list[PacketRecord]:
-    """Generate legit-labeled packets from the template pools."""
-    templates = spec.templates if spec.templates is not None else default_templates(spec.protocol)
-    weights = [t.weight for t in templates]
+    """Generate legit-labeled packets from the protocol's template pool."""
+    weights, builds = zip(*_TEMPLATES[spec.protocol])
     rng = random.Random(spec.seed)
     port = spec.protocol.default_port
     records = []
     for i in range(spec.count):
-        template = rng.choices(templates, weights=weights)[0]
-        records.append(PacketRecord(id=i, dst_port=port, payload=template.build(rng), label="legit"))
+        build = rng.choices(builds, weights=weights)[0]
+        records.append(PacketRecord(id=i, dst_port=port, payload=build(rng), label="legit"))
     return records
 
 

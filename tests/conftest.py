@@ -1,6 +1,11 @@
 import contextlib
 
 import pytest
+from hypothesis import settings
+
+# every property test replays the same examples and keeps no example database
+settings.register_profile("pckad", derandomize=True, database=None, deadline=None)
+settings.load_profile("pckad")
 
 _CRITERIA: list[tuple[str, str, str]] = []
 

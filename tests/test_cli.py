@@ -210,6 +210,21 @@ class TestEvalCommand:
                     "--labels", str(labels)]) == 0
         assert "detection rate: undefined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body, message", [
+        (b"id,label\n0,legit\xff\n", "labels.csv: invalid UTF-8"),
+        (b"id,label\n0," + b"a" * 200_000 + b"\n", "labels.csv: line 2: field larger than"),
+    ], ids=["invalid-utf8", "field-over-limit"])
+    def test_unreadable_sidecar_labels_is_runtime_error(self, paths, tmp_path, capsys,
+                                                         body, message):
+        gen_and_train(paths, count=50)
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(body)
+        assert run(["eval", "--model", paths.model, "--in", paths.legit,
+                    "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pckad: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, paths, capsys):

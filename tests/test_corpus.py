@@ -1,7 +1,14 @@
 import ipaddress
+import json
+import os
 import random
+import struct
+import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pckad import (
     CorpusError,
@@ -111,6 +118,12 @@ class TestJsonl:
         with pytest.raises(CorpusError):
             list(read_jsonl(path))
 
+    def test_port_out_of_range_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":21,"payload_hex":"00"}\n{"port":70000,"payload_hex":"00"}\n')
+        with pytest.raises(CorpusError, match=r"line 1: port must be within \[0, 65535\]"):
+            list(read_jsonl(path))
+
     def test_write_empty(self, tmp_path):
         path = tmp_path / "out.jsonl"
         assert write_jsonl([], path) == 0
@@ -216,6 +229,49 @@ class TestReadPcap:
         with pytest.raises(CorpusError, match="exceeds the snapshot length 65535"):
             next(records)
 
+    def test_length_past_end_of_file_is_truncated_before_the_read(self, tmp_path):
+        data = bytearray(pcap_bytes([tcp_frame(b"TYPE I\r\n", 21)]))
+        data[16:20] = struct.pack("<I", 0xFFFFFFFF)  # snaplen puts no bound on the length
+        # a record claims 100 MB; 84 bytes follow
+        data += struct.pack("<IIII", 9, 0, 100_000_000, 100_000_000) + b"\x00" * 84
+        path = tmp_path / "c.pcap"
+        path.write_bytes(bytes(data))
+        summary = IngestSummary()
+        tracemalloc.start()
+        try:
+            records = list(read_pcap(path, filt(21), summary))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.payload for r in records] == [b"TYPE I\r\n"]
+        assert (summary.frames, summary.truncated) == (2, 1)
+        assert peak < 1_000_000
+
+    @staticmethod
+    def read_through_pipe(tmp_path, data):
+        """Records read from a named pipe that a thread fills with data."""
+        path = tmp_path / "c.pcap"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return list(read_pcap(path, filt(21)))
+        finally:
+            writer.join(timeout=10)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_has_no_known_end_and_is_read_whole(self, tmp_path):
+        data = pcap_bytes([tcp_frame(b"QUIT\r\n", 21)])
+        assert [r.payload for r in self.read_through_pipe(tmp_path, data)] == [b"QUIT\r\n"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_with_length_above_snaplen_is_corpus_error(self, tmp_path):
+        data = pcap_bytes([tcp_frame(b"TYPE I\r\n", 21)])
+        data += struct.pack("<IIII", 9, 0, 0xFFFFFFF0, 60) + b"\x00" * 60
+        offset = len(data) - 76
+        with pytest.raises(CorpusError, match=f"record at byte {offset}: captured length"):
+            self.read_through_pipe(tmp_path, data)
+
     def test_captured_length_equal_to_snaplen_read(self, tmp_path):
         import struct
 
@@ -312,3 +368,70 @@ def test_traffic_filter_range_checks_ports(port):
     with pytest.raises(ValueError, match=r"port must be within \[0, 65535\]"):
         TrafficFilter(ports=frozenset({21, port}))
     assert TrafficFilter(ports=frozenset({0, 65535})).matches(65535, None)
+
+
+# JSON values of every type for every known key, so that lines get past json.loads
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+    st.sampled_from(["legit", "attack:", "attack:x", "00", "0a1B", "zz", "abc", "\udcff"]),
+    st.text(alphabet="0aZ:x\u00e9", max_size=6), st.lists(st.integers(), max_size=2),
+)
+_JSONL_LINES = st.one_of(
+    st.dictionaries(st.sampled_from(["port", "payload_hex", "label", "ts", "x"]), _JSON_VALUES)
+    .map(lambda obj: json.dumps(obj).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=24),
+)
+
+
+@settings(max_examples=200)
+@given(lines=st.lists(_JSONL_LINES, max_size=6))
+def test_jsonl_bytes_raise_only_corpus_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        records = list(read_jsonl(path))
+    except CorpusError:
+        return
+    assert all(isinstance(r, PacketRecord) for r in records)
+
+
+def _pcap_record(fields):
+    """One record: a TCP frame cut, padded or edited, under an honest or a lying length."""
+    payload, port, edits, cut, claimed = fields
+    frame = bytearray(tcp_frame(payload, port))
+    for pos, byte in edits:
+        frame[pos % len(frame)] = byte
+    frame = bytes(frame[:cut])
+    return claimed if claimed is not None else len(frame), frame
+
+
+_PCAP_RECORDS = st.tuples(
+    st.binary(max_size=16),
+    st.sampled_from([21, 80, 443]),
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 255)), max_size=3),
+    st.one_of(st.none(), st.integers(0, 80)),
+    st.one_of(st.none(), st.integers(0, 1 << 20)),
+).map(_pcap_record)
+
+
+@settings(max_examples=200)
+@given(
+    records=st.lists(_PCAP_RECORDS, max_size=5),
+    big_endian=st.booleans(),
+    snaplen=st.sampled_from([0, 60, 65535, 0xFFFFFFFF]),
+    tail=st.binary(max_size=20),
+)
+def test_pcap_records_raise_only_corpus_error(tmp_path_factory, records, big_endian, snaplen,
+                                              tail):
+    endian = ">" if big_endian else "<"
+    data = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, snaplen, 1)
+    for i, (claimed, frame) in enumerate(records):
+        data += struct.pack(endian + "IIII", i, 0, claimed, len(frame)) + frame
+    path = tmp_path_factory.getbasetemp() / "fuzz.pcap"
+    path.write_bytes(data + tail)
+    summary = IngestSummary()
+    try:
+        got = list(read_pcap(path, filt(21, 80, prefix="172.16.0.0/16"), summary))
+    except CorpusError:
+        return
+    assert len(got) == summary.yielded <= summary.frames

@@ -2,6 +2,8 @@ import csv
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pckad import (
     ChunkingConfig,
@@ -137,6 +139,37 @@ class TestLabelSetCsv:
     def test_duplicate_id(self, tmp_path):
         with pytest.raises(EvaluationError, match="duplicate"):
             LabelSet.from_csv(self.write(tmp_path, "id,label\n0,legit\n0,legit\n"))
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"id,label\n0,legit\xff\n")
+        with pytest.raises(EvaluationError, match=r"labels\.csv: invalid UTF-8"):
+            LabelSet.from_csv(path)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        path = self.write(tmp_path, "id,label\n0," + "a" * 200_000 + "\n")
+        with pytest.raises(EvaluationError, match=r"labels\.csv: line 2: field larger than"):
+            LabelSet.from_csv(path)
+
+
+# well-formed rows, near misses and raw bytes, so that parsing gets past the header
+_CSV_PIECES = st.one_of(
+    st.sampled_from([b"id,label\n", b"0,legit\n", b"1,attack:x\n", b"2,legit\r\n", b",",
+                     b'"', b'"a""b"', b"\n", b"\r", b"\x00", b"\xff", b"-7", b"attack:"]),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=200)
+@given(pieces=st.lists(_CSV_PIECES, max_size=12), header=st.booleans())
+def test_label_csv_bytes_raise_only_evaluation_error(tmp_path_factory, pieces, header):
+    path = tmp_path_factory.getbasetemp() / "fuzz-labels.csv"
+    path.write_bytes((b"id,label\n" if header else b"") + b"".join(pieces))
+    try:
+        labels = LabelSet.from_csv(path)
+    except EvaluationError:
+        return
+    assert all(isinstance(k, int) and isinstance(v, str) for k, v in labels.by_id.items())
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import statistics
@@ -24,6 +25,7 @@ from pckad import (
     save_model,
     split_chunks,
     train,
+    write_jsonl,
 )
 
 CFG = ChunkingConfig(n=2, chunk_len=15)
@@ -272,6 +274,26 @@ def _valid_doc():
             }],
         }],
     }
+
+
+# sha256 of a seeded corpus and of the model trained on it; a change to
+# generation, training or serialization shows up here first
+GOLDEN = {
+    Protocol.FTP: ("fcd8187b3e86d04715fc77f29add71a27fb274975d927eafabe8d9ae88aa35b4",
+                   "2d48c7a555912d0dfd305070c40c6928d5eef04ac97f768836424bb05339c3ba"),
+    Protocol.HTTP: ("d890f9544965b056035c565b01c919df5cf8f19331c2ae03c54612b6f07708ce",
+                    "799eb9bdd98f23a353ea11627a117a4354b7daa551686dc1ffe5edf044ba1f43"),
+}
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN), ids=lambda p: p.name)
+def test_corpus_and_model_bytes_are_pinned(tmp_path, protocol):
+    records = gen_legit(GenSpec(protocol, 500, 7))
+    corpus, model = tmp_path / "corpus.jsonl", tmp_path / "m.model"
+    write_jsonl(records, corpus)
+    save_model(train(records, protocol=protocol, chunking=ChunkingConfig(3, 15)), model)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (corpus, model))
+    assert digests == GOLDEN[protocol]
 
 
 class TestLoadValidation:
