@@ -9,6 +9,8 @@ from .chunking import (
     ChunkingConfig,
     ChunkLayout,
     NGramCounts,
+    WindowCounts,
+    count_windows,
     extract_ngrams,
     sliding_window_oracle,
     split_chunks,
@@ -105,7 +107,9 @@ __all__ = [
     "TrafficModel",
     "TrainingSummary",
     "Verdict",
+    "WindowCounts",
     "anomalous_occurrences",
+    "count_windows",
     "detect_stream",
     "evaluate",
     "extract_ngrams",

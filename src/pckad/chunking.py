@@ -6,12 +6,18 @@ are every length-n window sliding by one byte within a component; windows
 never span component boundaries. A window that straddles the border between
 two consecutive chunks counts toward the chunk holding its first byte, so
 every occurrence lands in exactly one chunk.
+
+`count_windows` is the one counting pass, shared by training, scoring and
+the sweep. `split_chunks` (chunk spans) and `extract_ngrams` (the same counts
+grouped per n-gram) restate its result for the tests and the benchmark.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -77,33 +83,64 @@ class NGramCounts:
     tot_seqs: int
 
 
-def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
+class WindowCounts(NamedTuple):
+    """Occurrence counts for one payload, as `count_windows` returns them.
+
+    totals maps n-gram -> occurrences over the whole relevant payload; pairs
+    maps (n-gram, global chunk index) -> occurrences in that chunk. Both keep
+    first-occurrence order. nck_total is the class's chunk count.
+    """
+
+    totals: Counter
+    pairs: Counter
+    tot_seqs: int
+    nck_total: int
+
+
+def count_windows(relevant, cfg: ChunkingConfig) -> WindowCounts:
     """Count every sliding-window occurrence, attributed to one chunk each.
 
-    The windows starting inside one chunk are counted together by a single
-    Counter over C-level slices; n-grams keep their first-occurrence order.
+    Each component's windows are sliced once and counted by two C-level
+    Counters; each window's chunk index comes from a stream that repeats
+    every chunk index chunk_len times. Chunk indices run in component order,
+    then chunk order, and each component holds ceil(len / chunk_len) chunks.
     """
     n, chunk_len = cfg.n, cfg.chunk_len
-    payload_counts: dict[bytes, int] = {}
-    chunk_counts: dict[bytes, dict[int, int]] = {}
+    totals: Counter = Counter()
+    pairs: Counter = Counter()
     tot = 0
-    for comp, base in zip(relevant.components, layout.component_base):
-        windows = len(comp) - n + 1
-        if windows <= 0:
-            continue
-        tot += windows
-        for j, start in enumerate(range(0, windows, chunk_len), base):
-            stop = min(start + chunk_len, windows)
-            slices = map(slice, range(start, stop), range(start + n, stop + n))
-            grams = Counter(map(comp.__getitem__, slices))
-            for gram, x in grams.items():
-                payload_counts[gram] = payload_counts.get(gram, 0) + x
-                per_chunk = chunk_counts.get(gram)
-                if per_chunk is None:
-                    chunk_counts[gram] = {j: x}
-                else:
-                    per_chunk[j] = x
-    return NGramCounts(payload_counts=payload_counts, chunk_counts=chunk_counts, tot_seqs=tot)
+    base = 0
+    for comp in relevant.components:
+        size = len(comp)
+        nck = -(-size // chunk_len)
+        windows = size - n + 1
+        if windows > 0:
+            tot += windows
+            grams = list(map(comp.__getitem__, map(slice, range(windows), range(n, windows + n))))
+            totals.update(grams)
+            chunk_ids = chain.from_iterable(map(repeat, range(base, base + nck), repeat(chunk_len)))
+            pairs.update(zip(grams, chunk_ids))
+        base += nck
+    return WindowCounts(totals, pairs, tot, base)
+
+
+def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
+    """`count_windows`'s counts grouped per n-gram, for the tests and the benchmark.
+
+    layout is not read: `count_windows` numbers the chunks as `split_chunks`
+    does. n-grams and each n-gram's chunk indices keep first-occurrence order.
+    """
+    counts = count_windows(relevant, cfg)
+    chunk_counts: dict[bytes, dict[int, int]] = {}
+    for (gram, j), x in counts.pairs.items():
+        per_chunk = chunk_counts.get(gram)
+        if per_chunk is None:
+            chunk_counts[gram] = {j: x}
+        else:
+            per_chunk[j] = x
+    return NGramCounts(
+        payload_counts=dict(counts.totals), chunk_counts=chunk_counts, tot_seqs=counts.tot_seqs
+    )
 
 
 def sliding_window_oracle(component: bytes, n: int) -> Counter:

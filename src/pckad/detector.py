@@ -170,9 +170,13 @@ def judge(
 ) -> tuple[Outcome, list[tuple[bytes, int, int]]]:
     """Featurize one on-port packet and apply the per-gram rules once.
 
-    Returns the outcome and, in payload order, (n-gram, a_on, a_off) for every
-    n-gram with anomalous occurrences. cfg.score_threshold is not used; with
+    Returns the outcome and (n-gram, a_on, a_off) for every n-gram with
+    anomalous occurrences: first those that rules 1-2 flag, in payload order,
+    then those that only rule 3 flags. cfg.score_threshold is not used; with
     cfg.chunks_enabled the outcome serves both chunk modes, else a_on is a_off.
+
+    The rules are `anomalous_occurrences` written out inline, with the
+    deviation computed in `mahalanobis_term`'s float operation order.
     """
     features = featurize(record, model.protocol, model.port, model.chunking)
     if isinstance(features, Skipped):
@@ -184,15 +188,34 @@ def judge(
     cls = model.classes.get(key)
     if cls is None:
         return Outcome(NO_MODEL, class_key=key), []
-    stats, chunk_counts, alpha = cls.stats, counts.chunk_counts, model.alpha
+    stats_get, alpha, th_s = cls.stats.get, model.alpha, cfg.th_s
+    chunks_enabled = cfg.chunks_enabled
     grams = []
-    a_on = a_off = 0
-    for gram, x_total in counts.payload_counts.items():
-        on, off = anomalous_occurrences(stats.get(gram), x_total, chunk_counts[gram], cfg, alpha)
-        if on:
-            grams.append((gram, on, off))
-            a_on += on
-            a_off += off
+    usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
+    a_off = 0
+    for gram, x in counts.totals.items():
+        stats = stats_get(gram)
+        if stats is not None:
+            mean, std, chunks = stats
+            if not abs(mean - x) / (std + alpha) > th_s:
+                if chunks_enabled:
+                    usual[gram] = chunks
+                continue
+        grams.append((gram, x, x))
+        a_off += x
+    a_on = a_off
+    if usual:
+        located = {}  # n-gram -> occurrences in chunks where it deviates
+        usual_get = usual.get
+        for (gram, j), x in counts.pairs.items():
+            chunks = usual_get(gram)
+            if chunks is not None:
+                mean, std = chunks.get(j, ABSENT_CHUNK)
+                if abs(mean - x) / (std + alpha) > th_s:
+                    located[gram] = located.get(gram, 0) + x
+        for gram, a in located.items():
+            grams.append((gram, a, 0))
+            a_on += a
     return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key), grams
 
 
@@ -244,15 +267,18 @@ def detect_stream(
         yield rec.id, verdict
 
 
+# one encoder for every line: json.dumps with separators builds a new one per call
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def verdict_line(record_id: int, verdict: Verdict) -> str:
     """One JSON line per verdict, for alert files and stdout."""
-    return json.dumps(
+    return _LINE_ENCODER.encode(
         {
             "id": record_id,
             "verdict": verdict.kind,
             "score": verdict.score,
             "a_seqs": verdict.a_seqs,
             "tot_seqs": verdict.tot_seqs,
-        },
-        separators=(",", ":"),
+        }
     )

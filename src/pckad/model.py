@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .chunking import ChunkingConfig, NGramCounts, extract_ngrams, split_chunks
+from .chunking import ChunkingConfig, WindowCounts, count_windows
 from .corpus import PacketRecord, check_port
 from .errors import CorpusError, ModelFormatError
 from .protocols import Malformed, Protocol, extract_relevant
@@ -57,7 +57,7 @@ class Features(NamedTuple):
     """Class key and n-gram counts of one classifiable record."""
 
     key: ClassKey
-    counts: NGramCounts
+    counts: WindowCounts
 
 
 class Skipped(NamedTuple):
@@ -90,11 +90,10 @@ def featurize(
     n = chunking.n
     if relevant.total_len < n:
         return Skipped("short", f"relevant payload shorter than n={n}")
-    layout = split_chunks(relevant, chunking)
-    counts = extract_ngrams(relevant, layout, chunking)
+    counts = count_windows(relevant, chunking)
     if counts.tot_seqs == 0:
         return Skipped("short", f"no component fits an n={n} window")
-    return Features(ClassKey(port, layout.nck_total), counts)
+    return Features(ClassKey(port, counts.nck_total), counts)
 
 
 @dataclass
@@ -158,24 +157,25 @@ class _ClassAccumulator:
         self.count = 0
         self.sums: dict[bytes, list] = {}
 
-    def add(self, counts: NGramCounts) -> None:
+    def add(self, counts: WindowCounts) -> None:
         self.count += 1
         sums = self.sums
-        chunk_counts = counts.chunk_counts
-        for gram, x in counts.payload_counts.items():
+        for gram, x in counts.totals.items():
             cell = sums.get(gram)
             if cell is None:
-                cell = sums[gram] = [0, 0, {}]
-            cell[0] += x
-            cell[1] += x * x
-            slots = cell[2]
-            for j, c in chunk_counts[gram].items():
-                slot = slots.get(j)
-                if slot is None:
-                    slots[j] = [c, c * c]
-                else:
-                    slot[0] += c
-                    slot[1] += c * c
+                sums[gram] = [x, x * x, {}]
+            else:
+                cell[0] += x
+                cell[1] += x * x
+        # every gram of a pair has its cell now
+        for (gram, j), c in counts.pairs.items():
+            slots = sums[gram][2]
+            slot = slots.get(j)
+            if slot is None:
+                slots[j] = [c, c * c]
+            else:
+                slot[0] += c
+                slot[1] += c * c
 
     def finalize(self) -> ClassModel:
         k = self.count
