@@ -369,7 +369,10 @@ def load_model(path) -> TrafficModel:
             try:
                 gram = bytes.fromhex(gram_hex)
             except ValueError:
-                raise ModelFormatError(f"invalid model file: bad gram_hex {gram_hex!r}") from None
+                gram = b""
+            # fromhex skips whitespace: " 2d6c " has 2n characters but n - 1 bytes
+            if len(gram) != n:
+                raise ModelFormatError(f"invalid model file: bad gram_hex {gram_hex!r}")
             if gram in stats:
                 _expect(False, f"duplicate n-gram {gram_hex}")
             mean = rg.get("mean")

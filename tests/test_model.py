@@ -472,6 +472,8 @@ REJECTIONS = [
     _bad(_set(_gram, "gram_hex", _DELETE), _INVALID + "bad gram_hex length",
          "gram-hex-missing"),
     _bad(_set(_gram, "gram_hex", "zz53"), _INVALID + "bad gram_hex 'zz53'", "gram-hex-non-hex"),
+    _bad(_both(_set(_top, "n", 3), _set(_gram, "gram_hex", " 2d6c ")),
+         _INVALID + "bad gram_hex ' 2d6c '", "gram-hex-whitespace"),
     _bad(_append_copy(lambda doc: _cls(doc)["ngrams"]), _INVALID + "duplicate n-gram 5553",
          "ngram-duplicate"),
     _bad(_set(_gram, "mean", -1.0), _INVALID + "mean must be >= 0", "mean-negative"),
