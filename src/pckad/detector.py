@@ -107,7 +107,9 @@ def anomalous_occurrences(
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
     Rules 1-2 mark all occurrences in both modes; rule 3 marks occurrences in
-    chunk mode only, and runs only when cfg.chunks_enabled is set.
+    chunk mode only, and runs only when cfg.chunks_enabled is set. `judge`
+    applies the same rules inline; this per-gram form is the plain one that
+    the tests check it against.
     """
     if stats is None:
         return x_total, x_total
