@@ -369,7 +369,7 @@ def load_model(path) -> TrafficModel:
             try:
                 gram = bytes.fromhex(gram_hex)
             except ValueError:
-                gram = b""
+                gram = b""  # n >= 1, so the length check below rejects it
             # fromhex skips whitespace: " 2d6c " has 2n characters but n - 1 bytes
             if len(gram) != n:
                 raise ModelFormatError(f"invalid model file: bad gram_hex {gram_hex!r}")
