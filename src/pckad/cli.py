@@ -35,8 +35,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pcap = argparse.ArgumentParser(add_help=False)
     pcap.add_argument("--pcap-filter", default=None, metavar="SPEC",
                       help="pcap ingest filter, e.g. 'ports=21,80;prefix=172.16.0.0/16'")
-    training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--protocol", choices=["http", "ftp"], required=True)
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
+    chunking = argparse.ArgumentParser(add_help=False)
+    chunking.add_argument("--n", type=int, default=3, help="n-gram length")
+    chunking.add_argument("--chunk-len", type=int, default=15, help="chunk length in bytes")
+    training = argparse.ArgumentParser(add_help=False, parents=[protocol])
     training.add_argument("--port", type=int, default=None,
                           help="override the protocol default port")
     training.add_argument("--alpha", type=float, default=0.1)
@@ -48,23 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--th-s", type=float, default=None)
     scoring.add_argument("--no-chunks", action="store_true")
 
-    gen = sub.add_parser("gen", help="generate a seeded synthetic corpus")
-    gen.add_argument("--protocol", choices=["http", "ftp"], required=True)
+    gen = sub.add_parser("gen", parents=[protocol, chunking],
+                         help="generate a seeded synthetic corpus")
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--inject", action="append", default=[], metavar="KIND:FRACTION",
                      help="replace a fraction of records with injected attacks "
-                          "(kind: unseen|freq|location; repeatable)")
-    gen.add_argument("--n", type=int, default=3, help="n-gram length assumed by injections")
-    gen.add_argument("--chunk-len", type=int, default=15,
-                     help="chunk length assumed by location injections")
+                          "(kind: unseen|freq|location; repeatable), shaped for --n "
+                          "and --chunk-len")
 
-    tr = sub.add_parser("train", parents=[training, pcap],
+    tr = sub.add_parser("train", parents=[training, chunking, pcap],
                         help="train a model on an attack-free corpus")
     tr.add_argument("--in", dest="infile", required=True)
-    tr.add_argument("--n", type=int, default=3)
-    tr.add_argument("--chunk-len", type=int, default=15)
     tr.add_argument("--ignore-labels", action="store_true",
                     help="train even if the corpus carries attack labels")
     tr.add_argument("--out", required=True)

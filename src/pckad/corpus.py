@@ -33,6 +33,10 @@ _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
 _LINKTYPE_ETHERNET = 1
 
+# one compact encoder for every corpus record and verdict line: json.dumps
+# with separators builds a new encoder per call
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def check_port(port: int) -> None:
     """Range-check a TCP port. Raises ValueError."""
@@ -304,7 +308,7 @@ def write_jsonl(records: Iterable[PacketRecord], path) -> int:
                     obj["label"] = rec.label
                 if rec.ts is not None:
                     obj["ts"] = rec.ts
-                f.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                f.write(COMPACT_JSON.encode(obj) + "\n")
                 count += 1
     except OSError as exc:
         raise CorpusError(f"cannot write corpus {path}: {exc}") from exc

@@ -16,11 +16,10 @@ has no model alert too: traffic unlike anything seen in training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import PacketRecord
+from .corpus import COMPACT_JSON, PacketRecord
 from .model import (
     ABSENT_CHUNK,
     ClassKey,
@@ -269,13 +268,9 @@ def detect_stream(
         yield rec.id, verdict
 
 
-# one encoder for every line: json.dumps with separators builds a new one per call
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
 def verdict_line(record_id: int, verdict: Verdict) -> str:
     """One JSON line per verdict, for alert files and stdout."""
-    return _LINE_ENCODER.encode(
+    return COMPACT_JSON.encode(
         {
             "id": record_id,
             "verdict": verdict.kind,

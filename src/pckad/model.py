@@ -87,12 +87,9 @@ def featurize(
     relevant = extract_relevant(protocol, record.payload)
     if isinstance(relevant, Malformed):
         return Skipped("malformed", relevant.reason)
-    n = chunking.n
-    if relevant.total_len < n:
-        return Skipped("short", f"relevant payload shorter than n={n}")
     counts = count_windows(relevant, chunking)
     if counts.tot_seqs == 0:
-        return Skipped("short", f"no component fits an n={n} window")
+        return Skipped("short", f"no component fits an n={chunking.n} window")
     return Features(ClassKey(port, counts.nck_total), counts)
 
 
@@ -126,15 +123,19 @@ class TrafficModel:
         check_model_settings(self.port, self.alpha, self.th_s)
 
 
+# the largest finite float: `x <= _FLOAT_MAX` fails for NaN, infinity and huge integers
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_model_settings(
     port: int | None = None, alpha: float | None = None, th_s: float | None = None
 ) -> None:
     """Range-check the model settings given; None skips one. Raises ValueError."""
     if port is not None:
         check_port(port)
-    if alpha is not None and alpha <= 0:
+    if alpha is not None and not 0 < alpha <= _FLOAT_MAX:
         raise ValueError("alpha must be > 0")
-    if th_s is not None and th_s <= 0:
+    if th_s is not None and not 0 < th_s <= _FLOAT_MAX:
         raise ValueError("th_s must be > 0")
 
 
@@ -291,13 +292,9 @@ def _expect(cond: bool, msg: str) -> None:
         raise ModelFormatError(f"invalid model file: {msg}")
 
 
-# the largest finite float; a JSON number above it has no float value
-_FLOAT_MAX = sys.float_info.max
-
-
 def _is_num(v) -> bool:
-    """A JSON number a float can hold: not a bool, NaN, an infinity or a huge integer."""
-    return (type(v) is float or type(v) is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+    """A JSON number: a float or an int, not a bool."""
+    return type(v) is float or type(v) is int
 
 
 def _is_int(v) -> bool:
@@ -326,24 +323,29 @@ def load_model(path) -> TrafficModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     proto_name = doc.get("protocol")
-    _expect(proto_name in ("http", "ftp"), f"unknown protocol {proto_name!r}")
+    _expect(proto_name in [p.value for p in Protocol], f"unknown protocol {proto_name!r}")
     protocol = Protocol(proto_name)
     port = doc.get("port")
-    _expect(_is_int(port) and 0 <= port <= 65535, "bad port")
+    _expect(_is_int(port), "bad port")
     n = doc.get("n")
+    _expect(_is_int(n), "bad n")
     chunk_len = doc.get("chunk_len")
-    _expect(_is_int(n) and n >= 1, "bad n")
-    _expect(_is_int(chunk_len) and chunk_len >= n, "chunk_len must be >= n")
+    _expect(_is_int(chunk_len), "chunk_len must be >= n")
     alpha = doc.get("alpha")
-    _expect(_is_num(alpha) and alpha > 0, "alpha must be > 0")
+    _expect(_is_num(alpha), "alpha must be > 0")
     th_s = doc.get("th_s")
-    _expect(_is_num(th_s) and th_s > 0, "th_s must be > 0")
+    _expect(_is_num(th_s), "th_s must be > 0")
+    try:
+        check_model_settings(port, alpha, th_s)
+        chunking = ChunkingConfig(n, chunk_len)
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid model file: {exc}") from exc
     raw_classes = doc.get("classes")
     _expect(isinstance(raw_classes, list), "classes must be a list")
 
-    # The per-entry checks below are _is_num and _expect written out inline,
-    # with _expect called only to fail: a large model has tens of thousands of
-    # entries, and the calls would cost more than the checks.
+    # The per-entry checks below are written out inline, with _expect called
+    # only to fail: a large model has tens of thousands of entries, and the
+    # calls would cost more than the checks.
     hex_len = 2 * n
     classes: dict[ClassKey, ClassModel] = {}
     for rc in raw_classes:
@@ -409,7 +411,7 @@ def load_model(path) -> TrafficModel:
     return TrafficModel(
         protocol=protocol,
         port=port,
-        chunking=ChunkingConfig(n=n, chunk_len=chunk_len),
+        chunking=chunking,
         alpha=float(alpha),
         th_s=float(th_s),
         classes=classes,

@@ -40,10 +40,6 @@ class RelevantPayload:
         if any(len(c) == 0 for c in self.components):
             raise ValueError("relevant components must be non-empty")
 
-    @property
-    def total_len(self) -> int:
-        return sum(len(c) for c in self.components)
-
 
 @dataclass(frozen=True)
 class Malformed:

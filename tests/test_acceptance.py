@@ -21,8 +21,8 @@ from pckad import (
     Protocol,
     RelevantPayload,
     TrafficFilter,
+    count_windows,
     evaluate,
-    extract_ngrams,
     gen_legit,
     inject_corpus,
     load_model,
@@ -31,7 +31,6 @@ from pckad import (
     save_model,
     score_packet,
     sliding_window_oracle,
-    split_chunks,
     sweep,
     train,
 )
@@ -76,35 +75,44 @@ def test_criterion_1_oracle_equivalence(criterion):
             )
             n = rng.randrange(1, 9)
             cfg = ChunkingConfig(n=n, chunk_len=rng.randrange(n, 48))
-            relevant = RelevantPayload(components)
-            counts = extract_ngrams(relevant, split_chunks(relevant, cfg), cfg)
+            counts = count_windows(RelevantPayload(components), cfg)
+            # chunks are numbered across components, so each window's chunk
+            # is its component's first chunk plus start // chunk_len
             expected = Counter()
+            expected_pairs = Counter()
+            base = 0
             for comp in components:
                 expected += sliding_window_oracle(comp, n)
-            assert Counter(counts.payload_counts) == expected
-            for gram, per_chunk in counts.chunk_counts.items():
-                assert sum(per_chunk.values()) == counts.payload_counts[gram]
+                for start in range(len(comp) - n + 1):
+                    expected_pairs[comp[start:start + n], base + start // cfg.chunk_len] += 1
+                base += -(-len(comp) // cfg.chunk_len)
+            assert counts.totals == expected
+            assert counts.pairs == expected_pairs
+            assert counts.tot_seqs == sum(expected.values())
+            assert counts.nck_total == base
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
 def test_criterion_2_layout_properties(criterion):
-    with criterion("2", "ceiling chunk counts, concatenation identity, worked 50-byte split"):
-        layout = split_chunks(RelevantPayload((GET_LINE,)), ChunkingConfig(3, 15))
-        assert [GET_LINE[a:b] for a, b in layout.component_chunks[0]] == [
-            b"GET /people/sva",
-            b"lente/gif/poker",
-            b".dogs.jpg HTTP/",
-            b"1.0\r\n",
-        ]
+    with criterion("2", "ceiling chunk counts, each window in its first byte's chunk, "
+                        "worked 50-byte split"):
+        # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
+        counts = count_windows(RelevantPayload((GET_LINE,)), ChunkingConfig(3, 15))
+        assert counts.nck_total == 4
+        # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
+        assert counts.pairs[b"val", 0] == 1 and counts.pairs[b"val", 1] == 0
+        assert counts.pairs[b"0\r\n", 3] == 1
         rng = random.Random(2)
         for _ in range(500):
             comp = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
             chunk_len = rng.randrange(1, 40)
-            cfg = ChunkingConfig(1, chunk_len)
-            layout = split_chunks(RelevantPayload((comp,)), cfg)
-            assert layout.nck_per_component[0] == -(-len(comp) // chunk_len)
-            assert b"".join(comp[a:b] for a, b in layout.component_chunks[0]) == comp
+            n = rng.randrange(1, chunk_len + 1)
+            counts = count_windows(RelevantPayload((comp,)), ChunkingConfig(n, chunk_len))
+            assert counts.nck_total == -(-len(comp) // chunk_len)
+            assert counts.pairs == Counter(
+                (comp[start:start + n], start // chunk_len) for start in range(len(comp) - n + 1)
+            )
 
 
 # (mean, std, count, alpha, expected) with expected worked out by hand

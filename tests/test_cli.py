@@ -104,6 +104,13 @@ class TestExitCodes:
         ("sweep", ["--port", "70000"], "port must be within [0, 65535]"),
         ("gen", ["--count", "-1"], "count must be >= 0"),
         ("eval", ["--th-s", "0"], "th_s must be > 0"),
+        # NaN and infinity parse as floats; the range checks must refuse them
+        *[(command, [flag, value], message)
+          for command in ("train", "sweep")
+          for flag, message in (("--alpha", "alpha must be > 0"), ("--th-s", "th_s must be > 0"))
+          for value in ("nan", "inf")],
+        *[(command, ["--th-s", value], "th_s must be > 0")
+          for command in ("detect", "eval") for value in ("nan", "inf")],
     ])
     def test_out_of_range_flag_is_usage_error_before_io(self, tmp_path, paths, capsys,
                                                         command, flags, message):
@@ -114,6 +121,7 @@ class TestExitCodes:
                       "--protocol", "ftp", "--grid", "n=3;chunk=15;score=30",
                       "--out", paths.report],
             "gen": ["gen", "--protocol", "ftp", "--out", str(tmp_path / "missing" / "out.jsonl")],
+            "detect": ["detect", "--model", paths.model, "--in", paths.test],
             "eval": ["eval", "--model", paths.model, "--in", paths.test],
         }[command]
         assert run(argv + flags) == 2

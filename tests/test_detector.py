@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -347,6 +348,11 @@ class TestDetectorConfig:
             DetectorConfig(-1)
         with pytest.raises(ValueError):
             DetectorConfig(40, th_s=0)
+
+    @pytest.mark.parametrize("th_s", [math.nan, math.inf])
+    def test_non_finite_th_s_rejected(self, th_s):
+        with pytest.raises(ValueError, match="th_s must be > 0"):
+            DetectorConfig(40, th_s=th_s)
 
     def test_for_model_defaults(self):
         model = ftp_model([b"USER alice\r\n"], th_s=7.5)

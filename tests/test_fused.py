@@ -117,8 +117,6 @@ def per_gram_judge(model, record, cfg):
     if isinstance(relevant, Malformed):
         return Outcome(MALFORMED, reason=relevant.reason), []
     n = model.chunking.n
-    if relevant.total_len < n:
-        return Outcome(UNCLASSIFIABLE, reason=f"relevant payload shorter than n={n}"), []
     layout = split_chunks(relevant, model.chunking)
     counts = _per_gram_counts(relevant, layout, model.chunking)
     if counts.tot_seqs == 0:

@@ -178,6 +178,13 @@ class TestTrainSkips:
         with pytest.raises(CorpusError, match="no trainable packets"):
             train(iter([]), protocol=Protocol.FTP, chunking=CFG)
 
+    @pytest.mark.parametrize("setting", ["alpha", "th_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_rejected(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be > 0"):
+            train(iter(ftp_records([b"USER x\r\n"])), protocol=Protocol.FTP, chunking=CFG,
+                  **{setting: value})
+
 
 class TestPersistence:
     def test_round_trip_small(self, tmp_path):
@@ -433,12 +440,13 @@ REJECTIONS = [
     _bad(_set(_top, "format_version", _DELETE), "unsupported model format version: None",
          "version-missing"),
     _bad(_set(_top, "protocol", "smtp"), _INVALID + "unknown protocol 'smtp'", "protocol"),
-    _bad(_set(_top, "port", 70000), _INVALID + "bad port", "port-range"),
+    _bad(_set(_top, "port", 70000), _INVALID + "port must be within [0, 65535]", "port-range"),
     _bad(_set(_top, "port", True), _INVALID + "bad port", "port-bool"),
     _bad(_set(_top, "port", 21.0), _INVALID + "bad port", "port-float"),
-    _bad(_set(_top, "n", 0), _INVALID + "bad n", "n-zero"),
+    _bad(_set(_top, "n", 0), _INVALID + "n must be >= 1", "n-zero"),
     _bad(_set(_top, "n", "2"), _INVALID + "bad n", "n-string"),
-    _bad(_set(_top, "chunk_len", 1), _INVALID + "chunk_len must be >= n", "chunk-len-below-n"),
+    _bad(_set(_top, "chunk_len", 1), _INVALID + "n must be <= chunk_len (got n=2, chunk_len=1)",
+         "chunk-len-below-n"),
     _bad(_set(_top, "chunk_len", 15.0), _INVALID + "chunk_len must be >= n", "chunk-len-float"),
     _bad(_set(_top, "alpha", 0), _INVALID + "alpha must be > 0", "alpha-zero"),
     _bad(_set(_top, "alpha", math.nan), _INVALID + "alpha must be > 0", "alpha-nan"),

@@ -20,7 +20,7 @@ class TestHttp:
         rel = extract_relevant(Protocol.HTTP, payload)
         assert isinstance(rel, RelevantPayload)
         assert rel.components == (GET_LINE,)
-        assert rel.total_len == 50
+        assert len(rel.components[0]) == 50
 
     def test_request_line_without_headers(self):
         rel = extract_relevant(Protocol.HTTP, GET_LINE)
@@ -68,7 +68,7 @@ class TestFtp:
         payload = b"RETR file.txt\r\n"
         rel = extract_relevant(Protocol.FTP, payload)
         assert rel.components == (payload,)
-        assert rel.total_len == 15
+        assert len(rel.components[0]) == 15
 
     def test_any_bytes_pass(self):
         payload = bytes(range(1, 256))
