@@ -35,6 +35,9 @@ class ChunkingConfig:
             raise ValueError(f"n must be <= chunk_len (got n={self.n}, chunk_len={self.chunk_len})")
 
 
+DEFAULT_CHUNKING = ChunkingConfig(3, 15)
+
+
 @dataclass(frozen=True)
 class ChunkLayout:
     """Chunk byte-ranges per component plus global chunk numbering."""

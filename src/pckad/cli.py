@@ -7,11 +7,12 @@ when at least one alert was emitted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import ipaddress
 import sys
 from pathlib import Path
 
-from .chunking import ChunkingConfig
+from .chunking import DEFAULT_CHUNKING, ChunkingConfig
 from .corpus import TrafficFilter, read_jsonl, read_pcap, write_jsonl
 from .detector import (
     DetectionSummary,
@@ -22,7 +23,7 @@ from .detector import (
 )
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
-from .model import check_model_settings, load_model, save_model, train
+from .model import DEFAULT_ALPHA, DEFAULT_TH_S, check_model_settings, load_model, save_model, train
 from .protocols import Protocol
 from .synth import AnomalyKind, GenSpec, gen_legit, inject_corpus
 
@@ -38,13 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
     protocol = argparse.ArgumentParser(add_help=False)
     protocol.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
     chunking = argparse.ArgumentParser(add_help=False)
-    chunking.add_argument("--n", type=int, default=3, help="n-gram length")
-    chunking.add_argument("--chunk-len", type=int, default=15, help="chunk length in bytes")
+    chunking.add_argument("--n", type=int, default=DEFAULT_CHUNKING.n, help="n-gram length")
+    chunking.add_argument("--chunk-len", type=int, default=DEFAULT_CHUNKING.chunk_len,
+                          help="chunk length in bytes")
     training = argparse.ArgumentParser(add_help=False, parents=[protocol])
     training.add_argument("--port", type=int, default=None,
                           help="override the protocol default port")
-    training.add_argument("--alpha", type=float, default=0.1)
-    training.add_argument("--th-s", type=float, default=5.0)
+    training.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    training.add_argument("--th-s", type=float, default=DEFAULT_TH_S)
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--model", required=True)
     scoring.add_argument("--in", dest="infile", required=True)
@@ -231,16 +233,14 @@ def _cmd_train(args, parser) -> int:
 
 
 def _scoring_inputs(args, parser):
-    """Check the scoring flags, then load the model and the corpus of detect and eval."""
-    _checked(parser, check_detector_settings, args.score_threshold, args.th_s)
+    """Check the scoring flags, then load the model (--th-s replaces its th_s) and the corpus."""
+    _checked(parser, check_detector_settings, args.score_threshold)
+    _checked(parser, lambda: check_model_settings(th_s=args.th_s))
     read = _corpus(args.infile, args.pcap_filter, parser)
     model = load_model(args.model)
-    cfg = DetectorConfig.for_model(
-        model,
-        score_threshold=args.score_threshold,
-        th_s=args.th_s,
-        chunks_enabled=not args.no_chunks,
-    )
+    if args.th_s is not None:
+        model = dataclasses.replace(model, th_s=args.th_s)
+    cfg = DetectorConfig.for_model(model, args.score_threshold, not args.no_chunks)
     return model, cfg, read(model.port)
 
 
@@ -280,7 +280,7 @@ def _cmd_eval(args, parser) -> int:
     print(f"unclassifiable packets excluded: {report.unclassifiable}")
     print(
         f"config: n={model.chunking.n} chunk_len={model.chunking.chunk_len} "
-        f"alpha={model.alpha} th_s={cfg.th_s} score_threshold={cfg.score_threshold} "
+        f"alpha={model.alpha} th_s={model.th_s} score_threshold={cfg.score_threshold} "
         f"chunks={'on' if cfg.chunks_enabled else 'off'}"
     )
     return 0

@@ -16,7 +16,7 @@ has no model alert too: traffic unlike anything seen in training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import COMPACT_JSON, PacketRecord
@@ -26,7 +26,6 @@ from .model import (
     NGramStats,
     Skipped,
     TrafficModel,
-    check_model_settings,
     featurize,
 )
 
@@ -39,37 +38,32 @@ UNCLASSIFIABLE = "unclassifiable"
 ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED, NO_MODEL})
 
 
-def check_detector_settings(score_threshold: float | None, th_s: float | None) -> None:
-    """Range-check the detector settings; None stands for "the model supplies this"."""
+def check_detector_settings(score_threshold: float | None) -> None:
+    """Range-check the score threshold; None stands for "the protocol supplies it"."""
     if score_threshold is not None and not 0 <= score_threshold <= 100:
         raise ValueError("score_threshold must be within [0, 100]")
-    check_model_settings(th_s=th_s)
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """How verdicts are drawn from a packet's judgement; th_s and alpha are the model's."""
+
     score_threshold: float
-    th_s: float = 5.0
-    chunks_enabled: bool = True
+    chunks_enabled: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
-        check_detector_settings(self.score_threshold, self.th_s)
+        check_detector_settings(self.score_threshold)
 
     @classmethod
     def for_model(
         cls,
         model: TrafficModel,
         score_threshold: float | None = None,
-        th_s: float | None = None,
         chunks_enabled: bool = True,
     ) -> "DetectorConfig":
-        """Defaults taken from the model and its protocol."""
+        """The score threshold defaults to the model's protocol's."""
         return cls(
-            score_threshold=(
-                model.protocol.default_score_threshold
-                if score_threshold is None else score_threshold
-            ),
-            th_s=model.th_s if th_s is None else th_s,
+            model.protocol.default_score_threshold if score_threshold is None else score_threshold,
             chunks_enabled=chunks_enabled,
         )
 
@@ -100,13 +94,14 @@ def anomalous_occurrences(
     stats: NGramStats | None,
     x_total: int,
     x_chunks: dict[int, int],
-    cfg: DetectorConfig,
     alpha: float,
+    th_s: float,
+    chunks_enabled: bool,
 ) -> tuple[int, int]:
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
     Rules 1-2 mark all occurrences in both modes; rule 3 marks occurrences in
-    chunk mode only, and runs only when cfg.chunks_enabled is set. `judge`
+    chunk mode only, and runs only when chunks_enabled is set. `judge`
     applies the same rules inline; this per-gram form is the plain one that
     the tests check it against.
     """
@@ -114,13 +109,13 @@ def anomalous_occurrences(
         return x_total, x_total
     # unpacked once: a NamedTuple's fields read slower by name than a tuple's by position
     mean, std, chunks = stats
-    if mahalanobis_term(mean, std, x_total, alpha) > cfg.th_s:
+    if mahalanobis_term(mean, std, x_total, alpha) > th_s:
         return x_total, x_total
     anomalous = 0
-    if cfg.chunks_enabled:
+    if chunks_enabled:
         for j, x in x_chunks.items():
             mean, std = chunks.get(j, ABSENT_CHUNK)
-            if mahalanobis_term(mean, std, x, alpha) > cfg.th_s:
+            if mahalanobis_term(mean, std, x, alpha) > th_s:
                 anomalous += x
     return anomalous, 0
 
@@ -167,14 +162,14 @@ class Outcome(NamedTuple):
 
 
 def judge(
-    model: TrafficModel, record: PacketRecord, cfg: DetectorConfig
+    model: TrafficModel, record: PacketRecord, chunks_enabled: bool
 ) -> tuple[Outcome, list[tuple[bytes, int, int]]]:
-    """Featurize one on-port packet and apply the per-gram rules once.
+    """Featurize one on-port packet and apply the per-gram rules once, at model.th_s.
 
     Returns the outcome and (n-gram, a_on, a_off) for every n-gram with
     anomalous occurrences: first those that rules 1-2 flag, in payload order,
-    then those that only rule 3 flags. cfg.score_threshold is not used; with
-    cfg.chunks_enabled the outcome serves both chunk modes, else a_on is a_off.
+    then those that only rule 3 flags. With chunks_enabled the outcome serves
+    both chunk modes, else a_on is a_off.
 
     The rules are `anomalous_occurrences` written out inline, with the
     deviation computed in `mahalanobis_term`'s float operation order.
@@ -189,8 +184,7 @@ def judge(
     cls = model.classes.get(key)
     if cls is None:
         return Outcome(NO_MODEL, class_key=key), []
-    stats_get, alpha, th_s = cls.stats.get, model.alpha, cfg.th_s
-    chunks_enabled = cfg.chunks_enabled
+    stats_get, alpha, th_s = cls.stats.get, model.alpha, model.th_s
     grams = []
     usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
     a_off = 0
@@ -222,7 +216,7 @@ def judge(
 
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
     """Classify one packet whose destination port matches the model's."""
-    outcome, grams = judge(model, record, cfg)
+    outcome, grams = judge(model, record, cfg.chunks_enabled)
     return outcome.verdict(cfg, grams)
 
 

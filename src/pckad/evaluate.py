@@ -17,7 +17,7 @@ from .chunking import ChunkingConfig
 from .corpus import PacketRecord, attack_instance_of, validate_label
 from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
 from .errors import EvaluationError
-from .model import TrafficModel, train
+from .model import DEFAULT_ALPHA, DEFAULT_TH_S, TrafficModel, check_model_settings, train
 from .protocols import Protocol
 
 
@@ -90,7 +90,7 @@ def _outcomes(
     model: TrafficModel,
     records: Iterable[PacketRecord],
     labels: LabelSet,
-    cfg: DetectorConfig,
+    chunks_enabled: bool,
 ) -> list[tuple[str | None, Outcome]]:
     """(attack instance or None for legit, outcome) of every on-port record, in order."""
     out = []
@@ -100,7 +100,7 @@ def _outcomes(
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        out.append((attack_instance_of(label), judge(model, rec, cfg)[0]))
+        out.append((attack_instance_of(label), judge(model, rec, chunks_enabled)[0]))
     return out
 
 
@@ -148,7 +148,7 @@ def evaluate(
 
     This is the one-cell case of `sweep`: the same outcomes, the same fold.
     """
-    return _fold(_outcomes(model, records, labels, cfg), cfg)
+    return _fold(_outcomes(model, records, labels, cfg.chunks_enabled), cfg)
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,8 @@ def sweep(
     *,
     protocol: Protocol,
     port: int | None = None,
-    alpha: float = 0.1,
-    th_s: float = 5.0,
+    alpha: float = DEFAULT_ALPHA,
+    th_s: float = DEFAULT_TH_S,
 ) -> list[SweepRow]:
     """Train one model per (n, chunk_len) and evaluate every grid cell.
 
@@ -204,32 +204,30 @@ def sweep(
     cells (n > chunk_len) produce a row without a report and a warning on
     stderr. Rows come out in deterministic grid order.
     """
+    check_model_settings(port, alpha, th_s)
     rows: list[SweepRow] = []
     for n in grid.ns:
         for chunk_len in grid.chunk_lens:
             if n > chunk_len:
                 print(f"sweep: skipping invalid cell n={n} chunk_len={chunk_len}", file=sys.stderr)
-                for threshold in grid.score_thresholds:
-                    for chunks_enabled in grid.chunk_modes:
-                        rows.append(SweepRow(n, chunk_len, th_s, threshold, chunks_enabled, None))
-                continue
-            model = train(
-                iter(train_records),
-                protocol=protocol,
-                chunking=ChunkingConfig(n=n, chunk_len=chunk_len),
-                port=port,
-                alpha=alpha,
-                th_s=th_s,
-            )
-            # one judgement per test packet serves every cell; rule 3 runs only if a cell reads it
-            judge_cfg = DetectorConfig(0.0, th_s, True in grid.chunk_modes)
-            outcomes = _outcomes(model, test_records, labels, judge_cfg)
+                outcomes = None
+            else:
+                model = train(
+                    iter(train_records),
+                    protocol=protocol,
+                    chunking=ChunkingConfig(n=n, chunk_len=chunk_len),
+                    port=port,
+                    alpha=alpha,
+                    th_s=th_s,
+                )
+                # one judgement per test packet serves every cell; rule 3 runs if a cell reads it
+                outcomes = _outcomes(model, test_records, labels, True in grid.chunk_modes)
             for threshold in grid.score_thresholds:
                 for chunks_enabled in grid.chunk_modes:
-                    cfg = DetectorConfig(threshold, th_s, chunks_enabled)
-                    rows.append(SweepRow(
-                        n, chunk_len, th_s, threshold, chunks_enabled, _fold(outcomes, cfg)
-                    ))
+                    report = None if outcomes is None else _fold(
+                        outcomes, DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+                    )
+                    rows.append(SweepRow(n, chunk_len, th_s, threshold, chunks_enabled, report))
     return rows
 
 
@@ -242,18 +240,14 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
         for row in rows:
+            cells = [row.n, row.chunk_len, row.th_s, row.score_threshold,
+                     "on" if row.chunks_enabled else "off"]
             rep = row.report
-            writer.writerow([
-                row.n,
-                row.chunk_len,
-                row.th_s,
-                row.score_threshold,
-                "on" if row.chunks_enabled else "off",
-                "" if rep is None or rep.dr is None else repr(rep.dr),
-                "" if rep is None or rep.fpr is None else repr(rep.fpr),
-                "" if rep is None else rep.instances_total,
-                "" if rep is None else rep.instances_detected,
-                "" if rep is None else rep.legit_packets,
-                "" if rep is None else rep.false_alerts,
-                "" if rep is None else rep.unclassifiable,
-            ])
+            if rep is None:
+                cells += [""] * (len(SWEEP_CSV_HEADER) - len(cells))
+            else:
+                cells += ["" if rep.dr is None else repr(rep.dr),
+                          "" if rep.fpr is None else repr(rep.fpr),
+                          rep.instances_total, rep.instances_detected, rep.legit_packets,
+                          rep.false_alerts, rep.unclassifiable]
+            writer.writerow(cells)

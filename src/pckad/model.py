@@ -126,6 +126,9 @@ class TrafficModel:
 # the largest finite float: `x <= _FLOAT_MAX` fails for NaN, infinity and huge integers
 _FLOAT_MAX = sys.float_info.max
 
+DEFAULT_ALPHA = 0.1
+DEFAULT_TH_S = 5.0
+
 
 def check_model_settings(
     port: int | None = None, alpha: float | None = None, th_s: float | None = None
@@ -194,8 +197,8 @@ def train(
     protocol: Protocol,
     chunking: ChunkingConfig,
     port: int | None = None,
-    alpha: float = 0.1,
-    th_s: float = 5.0,
+    alpha: float = DEFAULT_ALPHA,
+    th_s: float = DEFAULT_TH_S,
     ignore_labels: bool = False,
 ) -> TrafficModel:
     """Build a model from an attack-free corpus.
@@ -207,6 +210,7 @@ def train(
     """
     if port is None:
         port = protocol.default_port
+    check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
     accumulators: dict[ClassKey, _ClassAccumulator] = {}
 

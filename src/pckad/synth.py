@@ -24,7 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .chunking import ChunkingConfig, sliding_window_oracle
+from .chunking import DEFAULT_CHUNKING, ChunkingConfig, sliding_window_oracle
 from .corpus import PacketRecord
 from .errors import InjectionError
 from .protocols import Protocol, protocol_for_port, request_target_span
@@ -43,8 +43,6 @@ _HTTP_HEADERS = b"Host: files.example.net\r\nUser-Agent: loadgen/2.1\r\n\r\n"
 
 # swappable slot: shared "id"/"42" affixes around a 7-letter token
 _SWAP_TOKEN_RE = re.compile(rb"id([a-z]{7})42")
-
-DEFAULT_INJECT_CHUNKING = ChunkingConfig(n=3, chunk_len=15)
 
 
 def _http_request(request_line: bytes) -> bytes:
@@ -186,7 +184,7 @@ def inject(
     cfg: ChunkingConfig | None = None,
 ) -> PacketRecord:
     """Turn one legit record into an attack of the given kind."""
-    return _inject(record, kind, random.Random(seed), cfg or DEFAULT_INJECT_CHUNKING)
+    return _inject(record, kind, random.Random(seed), cfg or DEFAULT_CHUNKING)
 
 
 def _inject(
@@ -229,7 +227,7 @@ def inject_corpus(
     Selection order is seed-shuffled; records raising InjectionError are
     passed over. Too few eligible records is an error.
     """
-    cfg = cfg or DEFAULT_INJECT_CHUNKING
+    cfg = cfg or DEFAULT_CHUNKING
     rng = random.Random(seed)
     out = list(records)
     order = rng.sample(range(len(out)), len(out))

@@ -124,12 +124,12 @@ def reference_verdict(model, payload, cfg):
     a_seqs = 0
     for gram, x in totals.items():
         st = cls.stats.get(gram)
-        if st is None or mahalanobis_term(st.mean, st.std, x, model.alpha) > cfg.th_s:
+        if st is None or mahalanobis_term(st.mean, st.std, x, model.alpha) > model.th_s:
             a_seqs += x
         elif cfg.chunks_enabled:
             for j, xj in per_chunk[gram].items():
                 mean, std = st.chunks.get(j, (0.0, 0.0))
-                if mahalanobis_term(mean, std, xj, model.alpha) > cfg.th_s:
+                if mahalanobis_term(mean, std, xj, model.alpha) > model.th_s:
                     a_seqs += xj
     score = a_seqs / tot * 100.0
     return ("anomalous" if score > cfg.score_threshold else "legit", score, a_seqs, tot)

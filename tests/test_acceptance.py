@@ -157,8 +157,8 @@ def test_criterion_4_chunk_monotonicity(criterion, ftp_model):
         packets = gen_legit(GenSpec(Protocol.FTP, 500, seed=4004))
         for kind in AnomalyKind:
             packets = inject_corpus(packets, kind, 40, seed=44)
-        on = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=True)
-        off = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=False)
+        on = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
+        off = DetectorConfig(score_threshold=40.0, chunks_enabled=False)
         compared = 0
         for rec in packets:
             v_on = score_packet(ftp_model, rec, on)
@@ -203,7 +203,7 @@ def test_criterion_5_rule_targeting(criterion):
 
         rates = {}
         for chunks_enabled in (True, False):
-            cfg = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=chunks_enabled)
+            cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=chunks_enabled)
             hits = Counter()
             totals = Counter()
             for rec in packets:
@@ -227,7 +227,7 @@ def test_criterion_5_rule_targeting(criterion):
 def test_criterion_6_false_positive_control(criterion, ftp_model, ftp_heldout_corpus):
     with criterion("6", "FPR <= 1% on a held-out in-distribution corpus at protocol defaults"):
         labels = LabelSet(by_id={rec.id: "legit" for rec in ftp_heldout_corpus})
-        cfg = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=True)
+        cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
         report = evaluate(ftp_model, ftp_heldout_corpus, labels, cfg)
         assert report.legit_packets > 0
         assert report.fpr is not None and report.fpr <= 1.0, f"FPR {report.fpr}"
@@ -287,7 +287,7 @@ def test_criterion_8_darpa_reproduction(criterion):
             **FTP_DEFAULTS,
         )
         labels = LabelSet.from_csv(labels_csv)
-        cfg = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=True)
+        cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
         report = evaluate(model, read_pcap(test_pcap, flt), labels, cfg)
         assert report.dr == 100.0, f"DR {report.dr}"
         assert report.fpr < 1.0, f"FPR {report.fpr}"

@@ -178,6 +178,30 @@ class TestDetectOutput:
         assert len([line for line in out.splitlines() if line.startswith("{")]) == 5
 
 
+class TestThSOverride:
+    def test_th_s_flag_replaces_the_models_th_s(self, paths, tmp_path, capsys):
+        assert run(["gen", "--protocol", "ftp", "--count", "300", "--seed", "7",
+                    "--out", paths.legit]) == 0
+        assert run(["gen", "--protocol", "ftp", "--count", "100", "--seed", "9",
+                    "--inject", "freq:0.1", "--out", paths.test]) == 0
+        low_model = str(tmp_path / "low.model")
+        assert run(["train", "--in", paths.legit, "--protocol", "ftp", "--out", paths.model]) == 0
+        assert run(["train", "--in", paths.legit, "--protocol", "ftp", "--th-s", "1.5",
+                    "--out", low_model]) == 0
+
+        def alerts(model, *flags):
+            out = tmp_path / "alerts.jsonl"
+            run(["detect", "--model", model, "--in", paths.test, "--alerts", str(out), *flags])
+            return out.read_bytes()
+
+        overridden = alerts(paths.model, "--th-s", "1.5")
+        assert overridden == alerts(low_model)
+        assert overridden != alerts(paths.model)
+        capsys.readouterr()
+        assert run(["eval", "--model", paths.model, "--in", paths.test, "--th-s", "1.5"]) == 0
+        assert " th_s=1.5 " in capsys.readouterr().out
+
+
 class TestReproducibility:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         outputs = []

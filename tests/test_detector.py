@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -68,36 +69,36 @@ class TestMahalanobisTerm:
 
 
 class TestAnomalousOccurrences:
-    CFG = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=True)
+    SETTINGS = dict(alpha=0.1, th_s=5.0, chunks_enabled=True)
 
     def test_never_seen_counts_everything(self):
-        assert anomalous_occurrences(None, 7, {}, self.CFG, alpha=0.1) == (7, 7)
+        assert anomalous_occurrences(None, 7, {}, **self.SETTINGS) == (7, 7)
 
     def test_usual_everywhere_counts_nothing(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0)})
-        assert anomalous_occurrences(stats, 2, {0: 2}, self.CFG, alpha=0.1) == (0, 0)
+        assert anomalous_occurrences(stats, 2, {0: 2}, **self.SETTINGS) == (0, 0)
 
     def test_payload_term_fires_for_all_occurrences(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0)})
         # |2 - 6| / 0.1 = 40 > 5
-        assert anomalous_occurrences(stats, 6, {0: 6}, self.CFG, alpha=0.1) == (6, 6)
+        assert anomalous_occurrences(stats, 6, {0: 6}, **self.SETTINGS) == (6, 6)
 
     def test_location_shift_signature_case(self):
         # usual in the payload, but the occurrences moved to a chunk where
         # the n-gram was never seen: |0 - 2| / (0 + 0.1) = 20 > 5
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
-        got = anomalous_occurrences(stats, 2, {0: 0, 1: 2}, self.CFG, alpha=0.1)
+        got = anomalous_occurrences(stats, 2, {0: 0, 1: 2}, **self.SETTINGS)
         assert got == (2, 0)
 
     def test_chunks_disabled_skips_rule_three(self):
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
-        cfg = DetectorConfig(score_threshold=40.0, th_s=5.0, chunks_enabled=False)
-        assert anomalous_occurrences(stats, 2, {0: 0, 1: 2}, cfg, alpha=0.1) == (0, 0)
+        settings = {**self.SETTINGS, "chunks_enabled": False}
+        assert anomalous_occurrences(stats, 2, {0: 0, 1: 2}, **settings) == (0, 0)
 
     def test_partial_chunk_anomaly_counts_only_those_occurrences(self):
         stats = NGramStats(mean=3.0, std=0.0, chunks={0: (2.0, 0.0), 1: (1.0, 0.0)})
         # chunk 0 usual (x=2), chunk 2 never seen (x=1): only that occurrence counts
-        got = anomalous_occurrences(stats, 3, {0: 2, 2: 1}, self.CFG, alpha=0.1)
+        got = anomalous_occurrences(stats, 3, {0: 2, 2: 1}, **self.SETTINGS)
         assert got == (1, 0)
 
     def test_th_s_monotonicity(self):
@@ -116,8 +117,9 @@ class TestAnomalousOccurrences:
                 continue
             previous = None
             for th_s in (0.5, 1, 2, 5, 10, 50):
-                cfg = DetectorConfig(score_threshold=40.0, th_s=th_s)
-                a_on, a_off = anomalous_occurrences(stats, x_total, x_chunks, cfg, alpha=0.1)
+                a_on, a_off = anomalous_occurrences(
+                    stats, x_total, x_chunks, alpha=0.1, th_s=th_s, chunks_enabled=True
+                )
                 assert a_off <= a_on
                 if previous is not None:
                     assert a_on <= previous[0] and a_off <= previous[1]
@@ -271,10 +273,10 @@ class TestReferenceScorer:
                 th_s=3.0,
             )
             # the sweep's path: one judgement with every rule on serves every cell
-            judged = [judge(model, rec, DetectorConfig(0.0, 3.0)) for rec in test]
+            judged = [judge(model, rec, True) for rec in test]
             for threshold in (0, 40, 100):
                 for chunks_enabled in (True, False):
-                    cfg = DetectorConfig(threshold, 3.0, chunks_enabled)
+                    cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
                     kinds = set()
                     for rec, (outcome, grams) in zip(test, judged):
                         want = reference_verdict(model, rec.payload, cfg)
@@ -309,9 +311,10 @@ class TestDetectStream:
 
     def test_self_detection_with_generous_threshold(self):
         records = gen_legit(GenSpec(Protocol.FTP, 500, seed=23))
-        model = train(iter(records), protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
+        model = train(iter(records), protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15),
+                      th_s=20.0)
         summary = DetectionSummary()
-        cfg = DetectorConfig(score_threshold=40.0, th_s=20.0)
+        cfg = DetectorConfig(score_threshold=40.0)
         list(detect_stream(model, records, cfg, summary))
         assert summary.anomalous == 0
         assert summary.alerts == 0
@@ -346,19 +349,29 @@ class TestDetectorConfig:
             DetectorConfig(101)
         with pytest.raises(ValueError):
             DetectorConfig(-1)
+        # th_s belongs to the model, which checks its own range
         with pytest.raises(ValueError):
-            DetectorConfig(40, th_s=0)
+            dataclasses.replace(ftp_model([b"USER alice\r\n"]), th_s=0)
 
     @pytest.mark.parametrize("th_s", [math.nan, math.inf])
     def test_non_finite_th_s_rejected(self, th_s):
         with pytest.raises(ValueError, match="th_s must be > 0"):
-            DetectorConfig(40, th_s=th_s)
+            dataclasses.replace(ftp_model([b"USER alice\r\n"]), th_s=th_s)
 
     def test_for_model_defaults(self):
         model = ftp_model([b"USER alice\r\n"], th_s=7.5)
         cfg = DetectorConfig.for_model(model)
         assert cfg.score_threshold == 40.0
-        assert cfg.th_s == 7.5
         assert cfg.chunks_enabled
-        override = DetectorConfig.for_model(model, score_threshold=10, th_s=1, chunks_enabled=False)
-        assert (override.score_threshold, override.th_s, override.chunks_enabled) == (10, 1, False)
+        override = DetectorConfig.for_model(model, score_threshold=10, chunks_enabled=False)
+        assert (override.score_threshold, override.chunks_enabled) == (10, False)
+
+    def test_holds_only_the_verdict_settings(self):
+        assert [f.name for f in dataclasses.fields(DetectorConfig)] == [
+            "score_threshold", "chunks_enabled",
+        ]
+
+    def test_stale_positional_call_rejected(self):
+        # a stale (score_threshold, th_s) call must not set chunks_enabled to a truthy th_s
+        with pytest.raises(TypeError):
+            DetectorConfig(0.0, 3.0)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from pckad import (
 )
 from pckad.synth import AnomalyKind
 
-CFG = DetectorConfig(score_threshold=40.0, th_s=5.0)
+CFG = DetectorConfig(score_threshold=40.0)
 
 
 def ftp_model(payloads, n=2):
@@ -57,6 +58,17 @@ class TestEvaluate:
         corpus = labeled([(b"USER alice\r\n", "attack:a1")])
         report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
         assert report.dr == 0.0
+
+    def test_scores_at_the_models_th_s(self):
+        # a library DetectorConfig and the CLI's for_model path judge at the same th_s
+        model = train(iter(gen_legit(GenSpec(Protocol.FTP, 300, seed=1))),
+                      protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15), th_s=1.0)
+        test = inject_corpus(gen_legit(GenSpec(Protocol.FTP, 300, seed=2)),
+                             AnomalyKind.FREQ_SHIFT, 30, seed=3)
+        labels = LabelSet.from_records(test)
+        direct = evaluate(model, test, labels, DetectorConfig(40))
+        assert direct == evaluate(model, test, labels, DetectorConfig.for_model(model, 40))
+        assert direct.fpr > 50
 
     def test_fpr_is_packet_level(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
@@ -246,6 +258,13 @@ class TestSweep:
         assert data[1][0] == "8"
         assert data[1][5] == "" and data[1][6] == ""
 
+    @pytest.mark.parametrize("setting", ["alpha", "th_s"])
+    def test_bad_setting_rejected_before_the_first_cell(self, sweep_setup, setting):
+        # every cell is invalid, so no model is trained that could check the setting
+        grid = GridSpec(ns=(5,), chunk_lens=(3,), score_thresholds=(40.0,))
+        with pytest.raises(ValueError, match=f"{setting} must be > 0"):
+            sweep(*sweep_setup, grid, protocol=Protocol.FTP, **{setting: math.nan})
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         path = tmp_path / "report.csv"
         write_sweep_csv([], path)
@@ -344,7 +363,7 @@ class TestSweepGolden:
             if key not in models:
                 models[key] = train(iter(train_records), protocol=Protocol.FTP,
                                     chunking=ChunkingConfig(*key), th_s=GOLDEN_TH_S)
-            cfg = DetectorConfig(row.score_threshold, row.th_s, row.chunks_enabled)
+            cfg = DetectorConfig(row.score_threshold, chunks_enabled=row.chunks_enabled)
             want = fold_verdicts(
                 (score_packet(models[key], rec, cfg), labels.by_id[rec.id])
                 for rec in test_records if rec.dst_port == 21

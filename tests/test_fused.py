@@ -129,7 +129,8 @@ def per_gram_judge(model, record, cfg):
     a_on = a_off = 0
     for gram, x in counts.payload_counts.items():
         on, off = anomalous_occurrences(
-            cls.stats.get(gram), x, counts.chunk_counts[gram], cfg, model.alpha
+            cls.stats.get(gram), x, counts.chunk_counts[gram],
+            model.alpha, model.th_s, cfg.chunks_enabled,
         )
         if on:
             grams.append((gram, on, off))
@@ -208,7 +209,7 @@ def _cases(seed, count=150):
 
 
 def _cfgs(model, threshold):
-    return [DetectorConfig(threshold, model.th_s, chunks) for chunks in (True, False)]
+    return [DetectorConfig(threshold, chunks_enabled=chunks) for chunks in (True, False)]
 
 
 @pytest.mark.usefixtures("components")
@@ -218,7 +219,7 @@ class TestFusedJudge:
         for model, records in _cases(71):
             for cfg in _cfgs(model, 0.0):
                 for rec in records:
-                    outcome, grams = judge(model, rec, cfg)
+                    outcome, grams = judge(model, rec, cfg.chunks_enabled)
                     want, want_grams = per_gram_judge(model, rec, cfg)
                     assert outcome == want, (rec, cfg)
                     # the same entries; only their order may differ
@@ -249,7 +250,7 @@ class TestFusedJudge:
         for model, records in _cases(73):
             on, off = _cfgs(model, 0.0)
             for rec in records:
-                outcome, grams = judge(model, rec, on)
+                outcome, grams = judge(model, rec, on.chunks_enabled)
                 assert outcome.verdict(off, grams) == score_packet(model, rec, off), rec
                 assert outcome.verdict(on, grams) == score_packet(model, rec, on), rec
                 differ += outcome.a_on != outcome.a_off

@@ -185,6 +185,19 @@ class TestTrainSkips:
             train(iter(ftp_records([b"USER x\r\n"])), protocol=Protocol.FTP, chunking=CFG,
                   **{setting: value})
 
+    @pytest.mark.parametrize("setting, value", [("alpha", math.inf), ("th_s", math.nan)])
+    def test_bad_setting_rejected_before_any_record_is_read(self, setting, value):
+        read = []
+
+        def records():
+            for rec in ftp_records([b"USER x\r\n"] * 3):
+                read.append(rec)
+                yield rec
+
+        with pytest.raises(ValueError, match=f"{setting} must be > 0"):
+            train(records(), protocol=Protocol.FTP, chunking=CFG, **{setting: value})
+        assert read == []
+
 
 class TestPersistence:
     def test_round_trip_small(self, tmp_path):
