@@ -56,6 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", parents=[protocol, chunking],
                          help="generate a seeded synthetic corpus")
+    gen.set_defaults(handler=_cmd_gen, parser=gen)
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -66,6 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", parents=[training, chunking, pcap],
                         help="train a model on an attack-free corpus")
+    tr.set_defaults(handler=_cmd_train, parser=tr)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--ignore-labels", action="store_true",
                     help="train even if the corpus carries attack labels")
@@ -73,13 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", parents=[scoring, pcap],
                          help="classify a corpus against a model")
+    det.set_defaults(handler=_cmd_detect, parser=det)
     det.add_argument("--alerts", default=None, help="write verdict lines here instead of stdout")
 
     ev = sub.add_parser("eval", parents=[scoring, pcap], help="compute DR/FPR against labels")
+    ev.set_defaults(handler=_cmd_eval, parser=ev)
     ev.add_argument("--labels", default=None, help="sidecar CSV (id,label); JSONL may carry labels inline")
 
     sw = sub.add_parser("sweep", parents=[training, pcap],
                         help="train/evaluate over a parameter grid, emit CSV")
+    sw.set_defaults(handler=_cmd_sweep, parser=sw)
     sw.add_argument("--train-in", required=True)
     sw.add_argument("--test-in", required=True)
     sw.add_argument("--labels", default=None)
@@ -89,109 +94,105 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checked(parser: argparse.ArgumentParser, make, *args):
+class _UsageError(Exception):
+    """A refused flag value; `run` reports it through the subcommand's parser (exit 2)."""
+
+
+def _checked(make, *args):
     """make(*args), with a ValueError from the library's range checks made a usage error."""
     try:
         return make(*args)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
 
 
-def _parse_pcap_filter(spec: str | None, parser: argparse.ArgumentParser):
-    """The ports (None when the spec names none) and the prefix of a --pcap-filter spec."""
-    ports = None
-    prefix = None
-    if spec:
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
+def _spec_items(spec: str):
+    """(part, key, value) of each non-empty part of a ';'-separated 'key=value' spec."""
+    for part in spec.split(";"):
+        part = part.strip()
+        if part:
             key, _, value = part.partition("=")
-            if key == "ports":
-                try:
-                    ports = frozenset(int(p) for p in value.split(","))
-                except ValueError:
-                    parser.error(f"--pcap-filter: bad ports {value!r}")
-            elif key == "prefix":
-                try:
-                    prefix = ipaddress.IPv4Network(value, strict=False)
-                except ValueError:
-                    parser.error(f"--pcap-filter: bad prefix {value!r}")
-            else:
-                parser.error(f"--pcap-filter: unknown key {key!r}")
-    return ports, prefix
+            yield part, key, value
 
 
-def _corpus(path_str: str, pcap_filter: str | None, parser: argparse.ArgumentParser):
+# --pcap-filter key -> value parser
+_FILTER_KEYS = {
+    "ports": lambda value: frozenset(int(p) for p in value.split(",")),
+    "prefix": lambda value: ipaddress.IPv4Network(value, strict=False),
+}
+
+
+def _corpus(path_str: str, pcap_filter: str | None):
     """Check a corpus path's extension and the --pcap-filter spec before any file is read.
 
-    Returns read(port): the corpus's records, where a pcap filter that names no
-    ports keeps the given port's traffic.
+    The spec is checked whatever the corpus format, but it narrows only pcap
+    input. Returns read(port): the corpus's records, where a pcap filter that
+    names no ports keeps the given port's traffic.
     """
     path = Path(path_str)
+    if path.suffix not in (".jsonl", ".pcap"):
+        raise _UsageError(f"--in: unsupported corpus extension {path.suffix!r} (want .pcap or .jsonl)")
+    spec = {}
+    for _, key, value in _spec_items(pcap_filter or ""):
+        if key not in _FILTER_KEYS:
+            raise _UsageError(f"--pcap-filter: unknown key {key!r}")
+        try:
+            spec[key] = _FILTER_KEYS[key](value)
+        except ValueError:
+            raise _UsageError(f"--pcap-filter: bad {key} {value!r}") from None
+    prefix = spec.get("prefix")
+    flt = _checked(TrafficFilter, spec["ports"], prefix) if "ports" in spec else None
     if path.suffix == ".jsonl":
         return lambda port: read_jsonl(path)
-    if path.suffix != ".pcap":
-        parser.error(f"--in: unsupported corpus extension {path.suffix!r} (want .pcap or .jsonl)")
-    ports, prefix = _parse_pcap_filter(pcap_filter, parser)
-    if ports is not None:
-        flt = _checked(parser, TrafficFilter, ports, prefix)
-        return lambda port: read_pcap(path, flt)
-    return lambda port: read_pcap(path, TrafficFilter(frozenset({port}), prefix))
+    return lambda port: read_pcap(path, flt or TrafficFilter(frozenset({port}), prefix))
 
 
-def _parse_inject_specs(specs: list[str], count: int, parser: argparse.ArgumentParser):
+def _parse_inject_specs(specs: list[str], count: int):
     parsed = []
     kinds = {k.value: k for k in AnomalyKind}
     for spec in specs:
         kind_name, sep, frac_str = spec.partition(":")
         if not sep or kind_name not in kinds:
-            parser.error(f"--inject: expected 'unseen|freq|location:<fraction>', got {spec!r}")
+            raise _UsageError(f"--inject: expected 'unseen|freq|location:<fraction>', got {spec!r}")
         try:
             fraction = float(frac_str)
         except ValueError:
-            parser.error(f"--inject: bad fraction in {spec!r}")
+            raise _UsageError(f"--inject: bad fraction in {spec!r}") from None
         if not 0 < fraction <= 1:
-            parser.error(f"--inject: fraction must be in (0, 1], got {fraction}")
+            raise _UsageError(f"--inject: fraction must be in (0, 1], got {fraction}")
         parsed.append((kinds[kind_name], round(fraction * count)))
     return parsed
 
 
-def _parse_grid(spec: str, parser: argparse.ArgumentParser) -> GridSpec:
-    axes = {"n": None, "chunk": None, "score": None, "chunks": (True, False)}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep or key not in axes:
-            parser.error(f"--grid: unknown axis {part!r}")
+# --grid axis -> (GridSpec field, value parser); an axis left out takes GridSpec's default
+_GRID_AXES = {
+    "n": ("ns", int),
+    "chunk": ("chunk_lens", int),
+    "score": ("score_thresholds", float),
+    "chunks": ("chunk_modes", {"on": True, "off": False}.__getitem__),
+}
+
+
+def _parse_grid(spec: str) -> GridSpec:
+    axes = {}
+    for part, key, value in _spec_items(spec):
+        if "=" not in part or key not in _GRID_AXES:
+            raise _UsageError(f"--grid: unknown axis {part!r}")
+        field, parse = _GRID_AXES[key]
         try:
-            if key == "n":
-                axes["n"] = tuple(int(v) for v in value.split(","))
-            elif key == "chunk":
-                axes["chunk"] = tuple(int(v) for v in value.split(","))
-            elif key == "score":
-                axes["score"] = tuple(float(v) for v in value.split(","))
-            else:
-                modes = []
-                for v in value.split(","):
-                    if v not in ("on", "off"):
-                        raise ValueError(v)
-                    modes.append(v == "on")
-                axes["chunks"] = tuple(modes)
-        except ValueError:
-            parser.error(f"--grid: bad values in {part!r}")
+            axes[field] = tuple(parse(v) for v in value.split(","))
+        except (KeyError, ValueError):
+            raise _UsageError(f"--grid: bad values in {part!r}") from None
     for key in ("n", "chunk", "score"):
-        if axes[key] is None:
-            parser.error(f"--grid: missing axis '{key}='")
-    return _checked(parser, GridSpec, axes["n"], axes["chunk"], axes["score"], axes["chunks"])
+        if _GRID_AXES[key][0] not in axes:
+            raise _UsageError(f"--grid: missing axis '{key}='")
+    return _checked(lambda: GridSpec(**axes))
 
 
-def _cmd_gen(args, parser) -> int:
-    spec = _checked(parser, GenSpec, Protocol(args.protocol), args.count, args.seed)
-    injections = _parse_inject_specs(args.inject, args.count, parser)
-    cfg = _checked(parser, ChunkingConfig, args.n, args.chunk_len)
+def _cmd_gen(args) -> int:
+    spec = _checked(GenSpec, Protocol(args.protocol), args.count, args.seed)
+    injections = _parse_inject_specs(args.inject, args.count)
+    cfg = _checked(ChunkingConfig, args.n, args.chunk_len)
     records = gen_legit(spec)
     for offset, (kind, count) in enumerate(injections):
         records = inject_corpus(records, kind, count, seed=args.seed + 1 + offset, cfg=cfg)
@@ -200,18 +201,18 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _training_settings(args, parser) -> tuple[Protocol, int]:
+def _training_settings(args) -> tuple[Protocol, int]:
     """Protocol and port of train and sweep, with port, alpha and th_s range-checked."""
     protocol = Protocol(args.protocol)
     port = protocol.default_port if args.port is None else args.port
-    _checked(parser, check_model_settings, port, args.alpha, args.th_s)
+    _checked(check_model_settings, port, args.alpha, args.th_s)
     return protocol, port
 
 
-def _cmd_train(args, parser) -> int:
-    cfg = _checked(parser, ChunkingConfig, args.n, args.chunk_len)
-    protocol, port = _training_settings(args, parser)
-    records = _corpus(args.infile, args.pcap_filter, parser)(port)
+def _cmd_train(args) -> int:
+    cfg = _checked(ChunkingConfig, args.n, args.chunk_len)
+    protocol, port = _training_settings(args)
+    records = _corpus(args.infile, args.pcap_filter)(port)
     model = train(
         records,
         protocol=protocol,
@@ -232,11 +233,11 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _scoring_inputs(args, parser):
+def _scoring_inputs(args):
     """Check the scoring flags, then load the model (--th-s replaces its th_s) and the corpus."""
-    _checked(parser, check_detector_settings, args.score_threshold)
-    _checked(parser, lambda: check_model_settings(th_s=args.th_s))
-    read = _corpus(args.infile, args.pcap_filter, parser)
+    _checked(check_detector_settings, args.score_threshold)
+    _checked(lambda: check_model_settings(th_s=args.th_s))
+    read = _corpus(args.infile, args.pcap_filter)
     model = load_model(args.model)
     if args.th_s is not None:
         model = dataclasses.replace(model, th_s=args.th_s)
@@ -249,8 +250,8 @@ def _labels(path: str | None, records: list) -> LabelSet:
     return LabelSet.from_csv(path) if path else LabelSet.from_records(records)
 
 
-def _cmd_detect(args, parser) -> int:
-    model, cfg, records = _scoring_inputs(args, parser)
+def _cmd_detect(args) -> int:
+    model, cfg, records = _scoring_inputs(args)
     summary = DetectionSummary()
     out = open(args.alerts, "w", encoding="utf-8") if args.alerts else sys.stdout
     try:
@@ -269,8 +270,8 @@ def _cmd_detect(args, parser) -> int:
     return 3 if summary.alerts > 0 else 0
 
 
-def _cmd_eval(args, parser) -> int:
-    model, cfg, records = _scoring_inputs(args, parser)
+def _cmd_eval(args) -> int:
+    model, cfg, records = _scoring_inputs(args)
     records = list(records)
     report = evaluate(model, records, _labels(args.labels, records), cfg)
     dr = "undefined" if report.dr is None else f"{report.dr:.3f}%"
@@ -286,11 +287,11 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
-    protocol, port = _training_settings(args, parser)
-    grid = _parse_grid(args.grid, parser)
-    read_train = _corpus(args.train_in, args.pcap_filter, parser)
-    read_test = _corpus(args.test_in, args.pcap_filter, parser)
+def _cmd_sweep(args) -> int:
+    protocol, port = _training_settings(args)
+    grid = _parse_grid(args.grid)
+    read_train = _corpus(args.train_in, args.pcap_filter)
+    read_test = _corpus(args.test_in, args.pcap_filter)
     train_records = list(read_train(port))
     test_records = list(read_test(port))
     rows = sweep(
@@ -302,21 +303,14 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "detect": _cmd_detect,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.handler(args)
+        except _UsageError as exc:
+            args.parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (PckadError, OSError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
@@ -185,6 +185,9 @@ SWEEP_CSV_HEADER = [
     "instances", "detected", "legit_packets", "false_alerts", "unclassifiable",
 ]
 
+# the report cells of a skipped row
+_NO_REPORT = (None,) * len(fields(EvalReport))
+
 
 def sweep(
     train_records: Sequence[PacketRecord],
@@ -240,14 +243,7 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
         for row in rows:
-            cells = [row.n, row.chunk_len, row.th_s, row.score_threshold,
-                     "on" if row.chunks_enabled else "off"]
-            rep = row.report
-            if rep is None:
-                cells += [""] * (len(SWEEP_CSV_HEADER) - len(cells))
-            else:
-                cells += ["" if rep.dr is None else repr(rep.dr),
-                          "" if rep.fpr is None else repr(rep.fpr),
-                          rep.instances_total, rep.instances_detected, rep.legit_packets,
-                          rep.false_alerts, rep.unclassifiable]
-            writer.writerow(cells)
+            # csv writes None as an empty cell and a float as its repr
+            report = _NO_REPORT if row.report is None else astuple(row.report)
+            writer.writerow([row.n, row.chunk_len, row.th_s, row.score_threshold,
+                             "on" if row.chunks_enabled else "off", *report])

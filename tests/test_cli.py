@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +128,29 @@ class TestExitCodes:
         assert run(argv + flags) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["detect", "--model", "m", "--in", "x.jsonl", "--th-s", "nan"], "th_s must be > 0"),
+        (["train", "--protocol", "ftp", "--in", "x.jsonl", "--out", "m", "--n", "5",
+          "--chunk-len", "3"], "n must be <= chunk_len (got n=5, chunk_len=3)"),
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=3;chunk=15"], "--grid: missing axis 'score='"),
+        (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "color=red"],
+         "--pcap-filter: unknown key 'color'"),
+        (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl", "--inject", "weird:0.5"],
+         "--inject: expected 'unseen|freq|location:<fraction>', got 'weird:0.5'"),
+        (["detect", "--model", "m", "--in", "x.txt"],
+         "--in: unsupported corpus extension '.txt' (want .pcap or .jsonl)"),
+    ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension"])
+    def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        command = argv[0]
+        assert err.startswith(f"usage: pckad {command} ")
+        assert f"pckad {command}: error: {message}" in err.splitlines()
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
@@ -270,6 +294,24 @@ class TestSweepCommand:
         assert lines[0].startswith("n,len_ck,th_s,score_threshold,chunks,dr,fpr")
         assert len(lines) == 1 + 2 * 1 * 2 * 2
 
+    @pytest.mark.parametrize("modes, chunks", [
+        ("off", ["off"]),
+        ("on,off", ["on", "off"]),
+        ("off,on", ["off", "on"]),
+    ], ids=["off", "on-off", "off-on"])
+    def test_chunk_modes_axis(self, paths, modes, chunks):
+        gen_and_train(paths, count=200)
+        assert run(["gen", "--protocol", "ftp", "--count", "60", "--seed", "16",
+                    "--inject", "location:0.1", "--out", paths.test]) == 0
+        assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
+                    "--protocol", "ftp", "--grid", f"n=3;chunk=15,20;score=30;chunks={modes}",
+                    "--out", paths.report]) == 0
+        rows = [line.split(",") for line in open(paths.report).read().splitlines()[1:]]
+        # one row per (chunk_len, chunk mode) cell, in grid order
+        assert [(row[1], row[4]) for row in rows] == [
+            (chunk_len, mode) for chunk_len in ("15", "20") for mode in chunks
+        ]
+
     def test_bad_grid_is_usage_error(self, paths, capsys):
         cases = [
             ("n=2;bogus=1;score=30", "unknown axis"),
@@ -278,6 +320,7 @@ class TestSweepCommand:
             ("n=3;chunk=15;score=-1", "score_threshold must be within [0, 100]"),
             ("n=0;chunk=15;score=30", "n must be >= 1"),
             ("n=3;chunk=0;score=30", "chunk_len must be >= 1"),
+            ("n=3;chunk=15;score=30;chunks=maybe", "--grid: bad values in 'chunks=maybe'"),
         ]
         for grid, message in cases:
             assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
@@ -318,6 +361,27 @@ class TestPcapPath:
         assert "port must be within [0, 65535]" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("garbage;ports=abc", "--pcap-filter: unknown key 'garbage'"),
+        ("ports=99999", "port must be within [0, 65535]"),
+    ], ids=["unknown-key", "port-range"])
+    def test_bad_pcap_filter_on_jsonl_is_usage_error(self, paths, capsys, spec, message):
+        assert run(["gen", "--protocol", "ftp", "--count", "20", "--out", paths.legit]) == 0
+        capsys.readouterr()
+        assert run(["train", "--protocol", "ftp", "--in", paths.legit, "--pcap-filter", spec,
+                    "--out", paths.model]) == 2
+        err = capsys.readouterr().err
+        assert f"pckad train: error: {message}" in err.splitlines()
+        assert "Traceback" not in err
+        assert not Path(paths.model).exists()
+
+    def test_valid_pcap_filter_on_jsonl_is_accepted(self, paths, capsys):
+        # the filter narrows pcap input only: a JSONL corpus is read whole
+        assert run(["gen", "--protocol", "ftp", "--count", "20", "--out", paths.legit]) == 0
+        assert run(["train", "--protocol", "ftp", "--in", paths.legit, "--pcap-filter", "ports=21",
+                    "--out", paths.model]) == 0
+        assert "trained on 20/20" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     @pytest.mark.parametrize("infile, flags, message", [
