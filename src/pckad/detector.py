@@ -78,7 +78,6 @@ class Verdict:
     tot_seqs: int | None = None
     reason: str | None = None
     class_key: ClassKey | None = None
-    top_contributors: tuple[tuple[bytes, int], ...] | None = None
 
     @property
     def is_alert(self) -> bool:
@@ -143,49 +142,36 @@ class Outcome(NamedTuple):
             return self.kind in ALERT_KINDS
         return self.a_seqs(cfg) / self.tot_seqs * 100.0 > cfg.score_threshold
 
-    def verdict(self, cfg: DetectorConfig, grams: list[tuple[bytes, int, int]]) -> Verdict:
-        """The verdict under cfg; grams is the (n-gram, a_on, a_off) list `judge` returned."""
+    def verdict(self, cfg: DetectorConfig) -> Verdict:
+        """The verdict under cfg."""
         if self.kind is not None:
             return Verdict(self.kind, reason=self.reason, class_key=self.class_key)
         a_seqs = self.a_seqs(cfg)
-        score = a_seqs / self.tot_seqs * 100.0
-        if not self.is_alert(cfg):
-            return Verdict(LEGIT, score, a_seqs, self.tot_seqs, class_key=self.class_key)
-        col = 1 if cfg.chunks_enabled else 2  # a_on or a_off in grams
-        contributors = sorted(
-            ((g[0], g[col]) for g in grams if g[col]), key=lambda item: (-item[1], item[0])
-        )
-        return Verdict(
-            ANOMALOUS, score, a_seqs, self.tot_seqs,
-            class_key=self.class_key, top_contributors=tuple(contributors[:10]),
-        )
+        kind = ANOMALOUS if self.is_alert(cfg) else LEGIT
+        return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs,
+                       class_key=self.class_key)
 
 
-def judge(
-    model: TrafficModel, record: PacketRecord, chunks_enabled: bool
-) -> tuple[Outcome, list[tuple[bytes, int, int]]]:
+def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Outcome:
     """Featurize one on-port packet and apply the per-gram rules once, at model.th_s.
 
-    Returns the outcome and (n-gram, a_on, a_off) for every n-gram with
-    anomalous occurrences: first those that rules 1-2 flag, in payload order,
-    then those that only rule 3 flags. With chunks_enabled the outcome serves
-    both chunk modes, else a_on is a_off.
-
-    The rules are `anomalous_occurrences` written out inline, with the
-    deviation computed in `mahalanobis_term`'s float operation order.
+    With chunks_enabled the outcome serves both chunk modes, else a_on is
+    a_off. The rules are `anomalous_occurrences` written out inline and summed
+    over the packet's n-grams, with the deviation computed in
+    `mahalanobis_term`'s float operation order. Only the sums are kept: a
+    caller that wants each n-gram's share asks `anomalous_occurrences`.
     """
     features = featurize(record, model.protocol, model.port, model.chunking)
     if isinstance(features, Skipped):
         if features.cause == "other_port":
             raise ValueError(features.reason)
         kind = MALFORMED if features.cause == "malformed" else UNCLASSIFIABLE
-        return Outcome(kind, reason=features.reason), []
+        return Outcome(kind, reason=features.reason)
     key, counts = features
     cls = model.classes.get(key)
     if cls is None:
-        return Outcome(NO_MODEL, class_key=key), []
+        return Outcome(NO_MODEL, class_key=key)
     stats_get, alpha, th_s = cls.stats.get, model.alpha, model.th_s
-    grams = []
     usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
     a_off = 0
     for gram, x in counts.totals.items():
@@ -196,28 +182,22 @@ def judge(
                 if chunks_enabled:
                     usual[gram] = chunks
                 continue
-        grams.append((gram, x, x))
         a_off += x
     a_on = a_off
     if usual:
-        located = {}  # n-gram -> occurrences in chunks where it deviates
         usual_get = usual.get
         for (gram, j), x in counts.pairs.items():
             chunks = usual_get(gram)
             if chunks is not None:
                 mean, std = chunks.get(j, ABSENT_CHUNK)
                 if abs(mean - x) / (std + alpha) > th_s:
-                    located[gram] = located.get(gram, 0) + x
-        for gram, a in located.items():
-            grams.append((gram, a, 0))
-            a_on += a
-    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key), grams
+                    a_on += x
+    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key)
 
 
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
     """Classify one packet whose destination port matches the model's."""
-    outcome, grams = judge(model, record, cfg.chunks_enabled)
-    return outcome.verdict(cfg, grams)
+    return judge(model, record, cfg.chunks_enabled).verdict(cfg)
 
 
 @dataclass

@@ -100,7 +100,7 @@ def _outcomes(
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        out.append((attack_instance_of(label), judge(model, rec, chunks_enabled)[0]))
+        out.append((attack_instance_of(label), judge(model, rec, chunks_enabled)))
     return out
 
 

@@ -112,31 +112,28 @@ def per_gram_judge(model, record, cfg):
     """judge as it was: featurize into NGramCounts, then anomalous_occurrences per n-gram."""
     payload = record.payload
     if not payload:
-        return Outcome(UNCLASSIFIABLE, reason="empty payload"), []
+        return Outcome(UNCLASSIFIABLE, reason="empty payload")
     relevant = pckad.model.extract_relevant(model.protocol, payload)
     if isinstance(relevant, Malformed):
-        return Outcome(MALFORMED, reason=relevant.reason), []
+        return Outcome(MALFORMED, reason=relevant.reason)
     n = model.chunking.n
     layout = split_chunks(relevant, model.chunking)
     counts = _per_gram_counts(relevant, layout, model.chunking)
     if counts.tot_seqs == 0:
-        return Outcome(UNCLASSIFIABLE, reason=f"no component fits an n={n} window"), []
+        return Outcome(UNCLASSIFIABLE, reason=f"no component fits an n={n} window")
     key = ClassKey(model.port, layout.nck_total)
     cls = model.classes.get(key)
     if cls is None:
-        return Outcome(NO_MODEL, class_key=key), []
-    grams = []
+        return Outcome(NO_MODEL, class_key=key)
     a_on = a_off = 0
     for gram, x in counts.payload_counts.items():
         on, off = anomalous_occurrences(
             cls.stats.get(gram), x, counts.chunk_counts[gram],
             model.alpha, model.th_s, cfg.chunks_enabled,
         )
-        if on:
-            grams.append((gram, on, off))
-            a_on += on
-            a_off += off
-    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key), grams
+        a_on += on
+        a_off += off
+    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key)
 
 
 # --- randomized models with means on the rule edges --------------------------------
@@ -219,12 +216,8 @@ class TestFusedJudge:
         for model, records in _cases(71):
             for cfg in _cfgs(model, 0.0):
                 for rec in records:
-                    outcome, grams = judge(model, rec, cfg.chunks_enabled)
-                    want, want_grams = per_gram_judge(model, rec, cfg)
-                    assert outcome == want, (rec, cfg)
-                    # the same entries; only their order may differ
-                    assert sorted(grams) == sorted(want_grams), (rec, cfg)
-                    assert len({g for g, _, _ in grams}) == len(grams)
+                    outcome = judge(model, rec, cfg.chunks_enabled)
+                    assert outcome == per_gram_judge(model, rec, cfg), (rec, cfg)
                     kinds[outcome.kind] += 1
                     if outcome.kind is None:
                         kinds["rule 3", bool(outcome.a_on - outcome.a_off)] += 1
@@ -237,21 +230,20 @@ class TestFusedJudge:
             for cfg in _cfgs(model, (0.0, 20.0, 50.0)[i % 3]):
                 for rec in records:
                     got = score_packet(model, rec, cfg)
-                    outcome, grams = per_gram_judge(model, rec, cfg)
-                    assert got == outcome.verdict(cfg, grams), (rec, cfg)
+                    assert got == per_gram_judge(model, rec, cfg).verdict(cfg), (rec, cfg)
                     assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
                         reference_verdict(model, rec.payload, cfg), (rec, cfg)
                     alerts[got.kind] += 1
         assert alerts["anomalous"] and alerts["legit"]
 
     def test_all_rules_judgement_serves_chunks_off(self):
-        """One judgement with every rule on gives the chunks-off verdict, contributors included."""
+        """One judgement with every rule on gives the chunks-off verdict."""
         differ = 0
         for model, records in _cases(73):
             on, off = _cfgs(model, 0.0)
             for rec in records:
-                outcome, grams = judge(model, rec, on.chunks_enabled)
-                assert outcome.verdict(off, grams) == score_packet(model, rec, off), rec
-                assert outcome.verdict(on, grams) == score_packet(model, rec, on), rec
+                outcome = judge(model, rec, on.chunks_enabled)
+                assert outcome.verdict(off) == score_packet(model, rec, off), rec
+                assert outcome.verdict(on) == score_packet(model, rec, on), rec
                 differ += outcome.a_on != outcome.a_off
         assert differ
