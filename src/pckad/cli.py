@@ -136,6 +136,8 @@ def _corpus(path_str: str, pcap_filter: str | None):
     for _, key, value in _spec_items(pcap_filter or ""):
         if key not in _FILTER_KEYS:
             raise _UsageError(f"--pcap-filter: unknown key {key!r}")
+        if key in spec:
+            raise _UsageError(f"--pcap-filter: repeated key {key!r}")
         try:
             spec[key] = _FILTER_KEYS[key](value)
         except ValueError:
@@ -160,7 +162,10 @@ def _parse_inject_specs(specs: list[str], count: int):
             raise _UsageError(f"--inject: bad fraction in {spec!r}") from None
         if not 0 < fraction <= 1:
             raise _UsageError(f"--inject: fraction must be in (0, 1], got {fraction}")
-        parsed.append((kinds[kind_name], round(fraction * count)))
+        selected = round(fraction * count)
+        if selected == 0:
+            raise _UsageError(f"--inject: fraction {fraction} of --count {count} selects no record")
+        parsed.append((kinds[kind_name], selected))
     return parsed
 
 
@@ -179,6 +184,8 @@ def _parse_grid(spec: str) -> GridSpec:
         if "=" not in part or key not in _GRID_AXES:
             raise _UsageError(f"--grid: unknown axis {part!r}")
         field, parse = _GRID_AXES[key]
+        if field in axes:
+            raise _UsageError(f"--grid: repeated axis {key!r}")
         try:
             axes[field] = tuple(parse(v) for v in value.split(","))
         except (KeyError, ValueError):

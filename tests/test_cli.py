@@ -143,7 +143,16 @@ class TestExitCodes:
          "--inject: expected 'unseen|freq|location:<fraction>', got 'weird:0.5'"),
         (["detect", "--model", "m", "--in", "x.txt"],
          "--in: unsupported corpus extension '.txt' (want .pcap or .jsonl)"),
-    ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension"])
+        # a repeated key used to replace the earlier one silently
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=2;chunk=15;score=30;n=3"], "--grid: repeated axis 'n'"),
+        (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "ports=21;ports=80"],
+         "--pcap-filter: repeated key 'ports'"),
+        # round(0.01 * 10) is 0: the corpus used to be written without an attack
+        (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl",
+          "--inject", "unseen:0.01"], "--inject: fraction 0.01 of --count 10 selects no record"),
+    ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension",
+            "repeated-grid-axis", "repeated-pcap-filter-key", "inject-selects-none"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

@@ -70,6 +70,13 @@ STEPS = [
     ("usage-pcap-filter", "detect --model m --in x.pcap --pcap-filter color=red", []),
     ("usage-inject", "gen --protocol ftp --count 10 --out x.jsonl --inject weird:0.5", []),
     ("usage-extension", "detect --model m --in x.txt", []),
+    ("usage-repeated-grid-axis", "sweep --protocol ftp --train-in ftp-train.jsonl "
+                                 "--test-in ftp-test.jsonl --out r.csv "
+                                 "--grid n=2;chunk=15;score=30;n=3", []),
+    ("usage-repeated-pcap-filter-key", "detect --model http.model --in http-test.pcap "
+                                       "--pcap-filter ports=21;ports=80", []),
+    ("usage-inject-selects-none", "gen --protocol ftp --count 10 --out x.jsonl "
+                                  "--inject unseen:0.01", []),
 ]
 
 TRANSCRIPT = {
@@ -100,6 +107,9 @@ TRANSCRIPT = {
     "usage-pcap-filter": "b1a2cf7d34b3400d2cc39c905cdb2de2e7d4a46e23afaee772c663645d6006b4",
     "usage-inject": "4c53ea934969ccf59793f002658c0dc7505513cd5e2938f21b314567229bd5c7",
     "usage-extension": "f370c0182f569476ee2e1b172461fcca5846493c99748ea234687d8ac2073ec7",
+    "usage-repeated-grid-axis": "f1b75c33809e5edb5eefe932cd0adea3decc0a571de467e37d2c1333c5c1c077",
+    "usage-repeated-pcap-filter-key": "894721d50a6808b844f74d2c74a6f019cadc3e9877e70472d7f4cc30014fc6c4",
+    "usage-inject-selects-none": "2047e3dc9ff6a216549dce8372dacd2d185a6e981c862b40062e6ccb7184fd2d",
 }
 
 
