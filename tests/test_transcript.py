@@ -143,7 +143,7 @@ def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     transcript = {}
     for name, argv, files in STEPS:
-        if name == "train-http-pcap":
+        if name == "train-http-pcap":  # the first step to read the pcap copies of the HTTP corpora
             write_pcap_copy(Path("http-train.jsonl"), Path("http-train.pcap"))
             write_pcap_copy(Path("http-test.jsonl"), Path("http-test.pcap"),
                             Path("http-test-labels.csv"))
