@@ -7,13 +7,9 @@ occurrences in their protocol-relevant payload.
 
 from .chunking import (
     ChunkingConfig,
-    ChunkLayout,
-    NGramCounts,
     WindowCounts,
     count_windows,
-    extract_ngrams,
     sliding_window_oracle,
-    split_chunks,
 )
 from .corpus import (
     IngestSummary,
@@ -71,7 +67,6 @@ from .synth import (
     AnomalyKind,
     GenSpec,
     gen_legit,
-    inject,
     inject_corpus,
 )
 
@@ -80,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALERT_KINDS",
     "AnomalyKind",
-    "ChunkLayout",
     "ChunkingConfig",
     "ClassKey",
     "ClassModel",
@@ -96,7 +90,6 @@ __all__ = [
     "LabelSet",
     "Malformed",
     "ModelFormatError",
-    "NGramCounts",
     "NGramStats",
     "PacketRecord",
     "PckadError",
@@ -112,10 +105,8 @@ __all__ = [
     "count_windows",
     "detect_stream",
     "evaluate",
-    "extract_ngrams",
     "extract_relevant",
     "gen_legit",
-    "inject",
     "inject_corpus",
     "load_model",
     "mahalanobis_term",
@@ -125,7 +116,6 @@ __all__ = [
     "save_model",
     "score_packet",
     "sliding_window_oracle",
-    "split_chunks",
     "sweep",
     "train",
     "verdict_line",

@@ -248,7 +248,7 @@ def _scoring_inputs(args):
     model = load_model(args.model)
     if args.th_s is not None:
         model = dataclasses.replace(model, th_s=args.th_s)
-    cfg = DetectorConfig.for_model(model, args.score_threshold, not args.no_chunks)
+    cfg = DetectorConfig.for_model(model, args.score_threshold, chunks_enabled=not args.no_chunks)
     return model, cfg, read(model.port)
 
 

@@ -76,12 +76,7 @@ class PacketRecord:
 
     @property
     def is_attack(self) -> bool:
-        return self.label is not None and self.label.startswith("attack:")
-
-    @property
-    def attack_instance(self) -> str | None:
-        """Attack instance id, or None for legit/unlabeled records."""
-        return attack_instance_of(self.label)
+        return attack_instance_of(self.label) is not None
 
 
 @dataclass(frozen=True)
@@ -244,53 +239,60 @@ def read_pcap(
 
 
 def read_jsonl(path) -> Iterator[PacketRecord]:
-    """Yield records from a JSONL corpus; any malformed line is fatal."""
+    """Yield records from a JSONL corpus; any malformed line is fatal.
+
+    A record's id is its 0-based line index; errors name the 1-based line.
+    """
     try:
         # invalid bytes decode to lone surrogates, so each is caught on its own line
         f = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot open corpus {path}: {exc}") from exc
     with f:
-        for lineno, line in enumerate(f):
-            line = line.rstrip("\r\n")
-            if _UNDECODABLE_RE.search(line):
-                raise CorpusError(f"{path}: line {lineno}: invalid UTF-8")
+        for rec_id, line in enumerate(f):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            except ValueError as exc:  # an integer literal of more digits than int() takes
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-            except RecursionError:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno}: record must be an object")
-            yield _record_from_obj(obj, lineno, path)
+                record = _record_from_line(line, rec_id)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {rec_id + 1}: {exc}") from exc
+            yield record
 
 
-def _record_from_obj(obj: dict, lineno: int, path) -> PacketRecord:
-    """Check the JSON types of one record; PacketRecord checks their values."""
+def _record_from_line(line: str, rec_id: int) -> PacketRecord:
+    """Parse one JSONL line; a ValueError says what is wrong with it.
+
+    The JSON types are checked here, their values by PacketRecord.
+    """
+    line = line.rstrip("\r\n")
+    if _UNDECODABLE_RE.search(line):
+        raise ValueError("invalid UTF-8")
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer literal of more digits than int() takes
+        raise ValueError(f"invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record must be an object")
     port = obj.get("port")
     if not isinstance(port, int) or isinstance(port, bool):
-        raise CorpusError(f"{path}: line {lineno}: missing or invalid 'port'")
+        raise ValueError("missing or invalid 'port'")
     payload_hex = obj.get("payload_hex")
     if not isinstance(payload_hex, str):
-        raise CorpusError(f"{path}: line {lineno}: missing or invalid 'payload_hex'")
+        raise ValueError("missing or invalid 'payload_hex'")
     if len(payload_hex) % 2 != 0:
-        raise CorpusError(f"{path}: line {lineno}: odd-length payload_hex")
+        raise ValueError("odd-length payload_hex")
     if not _HEX_RE.match(payload_hex):
-        raise CorpusError(f"{path}: line {lineno}: payload_hex is not hexadecimal")
+        raise ValueError("payload_hex is not hexadecimal")
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
-        raise CorpusError(f"{path}: line {lineno}: label must be a string")
+        raise ValueError("label must be a string")
     ts = obj.get("ts")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
-        raise CorpusError(f"{path}: line {lineno}: ts must be an integer")
-    try:
-        return PacketRecord(id=lineno, dst_port=port, payload=bytes.fromhex(payload_hex),
-                            label=label, ts=ts)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        raise ValueError("ts must be an integer")
+    return PacketRecord(id=rec_id, dst_port=port, payload=bytes.fromhex(payload_hex),
+                        label=label, ts=ts)
 
 
 def write_jsonl(records: Iterable[PacketRecord], path) -> int:

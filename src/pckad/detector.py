@@ -56,15 +56,12 @@ class DetectorConfig:
 
     @classmethod
     def for_model(
-        cls,
-        model: TrafficModel,
-        score_threshold: float | None = None,
-        chunks_enabled: bool = True,
+        cls, model: TrafficModel, score_threshold: float | None = None, **settings
     ) -> "DetectorConfig":
-        """The score threshold defaults to the model's protocol's."""
+        """The score threshold defaults to the model's protocol's; other settings pass through."""
         return cls(
             model.protocol.default_score_threshold if score_threshold is None else score_threshold,
-            chunks_enabled=chunks_enabled,
+            **settings,
         )
 
 

@@ -37,9 +37,12 @@ class LabelSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabelSet":
-        """Sidecar label file: header `id,label`, ids are ingest ordinals."""
+        """Sidecar label file: header `id,label`, ids are ingest ordinals.
+
+        A leading UTF-8 byte-order mark is skipped; errors name the 1-based line.
+        """
         try:
-            f = open(path, "r", encoding="utf-8", newline="")
+            f = open(path, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise EvaluationError(f"cannot open labels {path}: {exc}") from exc
         with f:
@@ -57,20 +60,20 @@ def _label_rows(reader, path) -> dict[int, str]:
     header = next(reader, None)
     if header != ["id", "label"]:
         raise EvaluationError(f"{path}: expected header 'id,label', got {header}")
-    for row_no, row in enumerate(reader, start=1):
+    for row in reader:
         if len(row) != 2:
-            raise EvaluationError(f"{path}: row {row_no}: expected 2 fields")
+            raise EvaluationError(f"{path}: line {reader.line_num}: expected 2 fields")
         try:
             rec_id = int(row[0])
         except ValueError:
-            raise EvaluationError(f"{path}: row {row_no}: bad id {row[0]!r}") from None
+            raise EvaluationError(f"{path}: line {reader.line_num}: bad id {row[0]!r}") from None
         label = row[1]
         try:
             validate_label(label)
         except ValueError:
-            raise EvaluationError(f"{path}: row {row_no}: bad label {label!r}") from None
+            raise EvaluationError(f"{path}: line {reader.line_num}: bad label {label!r}") from None
         if rec_id in by_id:
-            raise EvaluationError(f"{path}: row {row_no}: duplicate id {rec_id}")
+            raise EvaluationError(f"{path}: line {reader.line_num}: duplicate id {rec_id}")
         by_id[rec_id] = label
     return by_id
 
@@ -153,7 +156,7 @@ def evaluate(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep axes; an empty axis simply yields no rows."""
+    """Sweep axes; an empty axis simply yields no rows, a repeated value is refused."""
 
     ns: tuple[int, ...]
     chunk_lens: tuple[int, ...]
@@ -168,6 +171,11 @@ class GridSpec:
             ChunkingConfig(1, chunk_len)
         for threshold in self.score_thresholds:
             DetectorConfig(threshold)
+        # a repeated value would only repeat rows
+        for axis in fields(self):
+            values = getattr(self, axis.name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"grid axis {axis.name} repeats a value: {values}")
 
 
 @dataclass(frozen=True)

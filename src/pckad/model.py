@@ -104,10 +104,6 @@ class TrainingSummary:
     skipped_malformed: int = 0
     skipped_short: int = 0
 
-    @property
-    def skipped(self) -> int:
-        return self.read - self.trained
-
 
 @dataclass
 class TrafficModel:
@@ -186,7 +182,7 @@ class _ClassAccumulator:
         stats: dict[bytes, NGramStats] = {}
         for gram, (s1, s2, slots) in self.sums.items():
             mean, std = _mean_std(s1, s2, k)
-            chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in sorted(slots.items())}
+            chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in slots.items()}
             stats[gram] = NGramStats(mean, std, chunks)
         return ClassModel(sample_count=k, stats=stats)
 

@@ -181,10 +181,10 @@ def inject(
     record: PacketRecord,
     kind: AnomalyKind,
     seed: int,
-    cfg: ChunkingConfig | None = None,
+    cfg: ChunkingConfig = DEFAULT_CHUNKING,
 ) -> PacketRecord:
     """Turn one legit record into an attack of the given kind."""
-    return _inject(record, kind, random.Random(seed), cfg or DEFAULT_CHUNKING)
+    return _inject(record, kind, random.Random(seed), cfg)
 
 
 def _inject(
@@ -220,14 +220,13 @@ def inject_corpus(
     kind: AnomalyKind,
     count: int,
     seed: int,
-    cfg: ChunkingConfig | None = None,
+    cfg: ChunkingConfig = DEFAULT_CHUNKING,
 ) -> list[PacketRecord]:
     """Replace `count` eligible legit records with injected attacks.
 
     Selection order is seed-shuffled; records raising InjectionError are
     passed over. Too few eligible records is an error.
     """
-    cfg = cfg or DEFAULT_CHUNKING
     rng = random.Random(seed)
     out = list(records)
     order = rng.sample(range(len(out)), len(out))

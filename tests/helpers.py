@@ -1,4 +1,4 @@
-"""Builders for synthetic pcap fixtures used across the test suite."""
+"""Synthetic pcap fixtures and plain reference counters used across the test suite."""
 
 import struct
 
@@ -61,7 +61,7 @@ def window_loop_ngrams(relevant, layout, cfg):
     """
     from collections import Counter
 
-    from pckad import NGramCounts
+    from pckad.chunking import NGramCounts
 
     payload_counts = Counter()
     chunk_counts = {}
@@ -87,34 +87,46 @@ def window_loop_ngrams(relevant, layout, cfg):
     )
 
 
-def reference_verdict(model, payload, cfg):
-    """(kind, score, a_seqs, tot_seqs) of one on-port packet, from first principles.
+def reference_counts(components, cfg):
+    """(totals, per_chunk, nck) of the components, counted with sliding_window_oracle alone.
 
-    Built from sliding_window_oracle and mahalanobis_term alone: no chunk
-    layout, no extract_ngrams, no anomalous_occurrences. Chunk counts are
+    totals maps n-gram -> occurrences over all components; per_chunk maps
+    n-gram -> {global chunk index -> occurrences}. Chunk counts are
     ceil(len / chunk_len) per component, and each window belongs to the chunk
     of its first byte.
     """
     from collections import Counter
 
-    from pckad import Malformed, extract_relevant, mahalanobis_term, sliding_window_oracle
+    from pckad import sliding_window_oracle
 
-    if not payload:
-        return ("unclassifiable", None, None, None)
-    relevant = extract_relevant(model.protocol, payload)
-    if isinstance(relevant, Malformed):
-        return ("malformed", None, None, None)
-    n, chunk_len = model.chunking.n, model.chunking.chunk_len
+    n, chunk_len = cfg.n, cfg.chunk_len
     totals = Counter()
     per_chunk = {}
     nck = 0
-    for comp in relevant.components:
+    for comp in components:
         totals += sliding_window_oracle(comp, n)
         for k, start in enumerate(range(0, len(comp), chunk_len)):
             # the windows starting in chunk k may run n - 1 bytes past its end
             for gram, x in sliding_window_oracle(comp[start:start + chunk_len + n - 1], n).items():
                 per_chunk.setdefault(gram, Counter())[nck + k] += x
         nck += -(-len(comp) // chunk_len)
+    return totals, per_chunk, nck
+
+
+def reference_verdict(model, payload, cfg):
+    """(kind, score, a_seqs, tot_seqs) of one on-port packet, from first principles.
+
+    Built from reference_counts and mahalanobis_term alone: no chunk layout,
+    no extract_ngrams, no anomalous_occurrences.
+    """
+    from pckad import Malformed, extract_relevant, mahalanobis_term
+
+    if not payload:
+        return ("unclassifiable", None, None, None)
+    relevant = extract_relevant(model.protocol, payload)
+    if isinstance(relevant, Malformed):
+        return ("malformed", None, None, None)
+    totals, per_chunk, nck = reference_counts(relevant.components, model.chunking)
     tot = sum(totals.values())
     if tot == 0:
         return ("unclassifiable", None, None, None)

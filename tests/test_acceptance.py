@@ -35,6 +35,7 @@ from pckad import (
     train,
 )
 from pckad.cli import run
+from pckad.corpus import attack_instance_of
 from pckad.synth import AnomalyKind
 
 GET_LINE = b"GET /people/svalente/gif/poker.dogs.jpg HTTP/1.0\r\n"
@@ -209,7 +210,7 @@ def test_criterion_5_rule_targeting(criterion):
             for rec in packets:
                 if not rec.is_attack:
                     continue
-                kind = rec.attack_instance.split("-")[0]
+                kind = attack_instance_of(rec.label).split("-")[0]
                 totals[kind] += 1
                 hits[kind] += score_packet(model, rec, cfg).is_alert
             assert sorted(totals.items()) == [("freq", 100), ("location", 100), ("unseen", 100)]

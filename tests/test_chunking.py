@@ -3,14 +3,8 @@ from collections import Counter
 
 import pytest
 
-from pckad import (
-    ChunkingConfig,
-    NGramCounts,
-    RelevantPayload,
-    extract_ngrams,
-    sliding_window_oracle,
-    split_chunks,
-)
+from pckad import ChunkingConfig, RelevantPayload, sliding_window_oracle
+from pckad.chunking import NGramCounts, extract_ngrams, split_chunks
 
 from helpers import window_loop_ngrams
 

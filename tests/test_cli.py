@@ -72,7 +72,7 @@ class TestExitCodes:
         assert run(["train", "--in", str(corpus), "--protocol", "ftp",
                     "--out", paths.model]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pckad: ") and "line 1: invalid UTF-8" in err
+        assert err.startswith("pckad: ") and "line 2: invalid UTF-8" in err
         assert "Traceback" not in err
 
     def test_unsupported_extension_is_usage_error(self, tmp_path, paths):
@@ -148,11 +148,16 @@ class TestExitCodes:
           "--out", "r.csv", "--grid", "n=2;chunk=15;score=30;n=3"], "--grid: repeated axis 'n'"),
         (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "ports=21;ports=80"],
          "--pcap-filter: repeated key 'ports'"),
+        # a repeated value used to train and write the same rows twice
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=3,3;chunk=15;score=40;chunks=on,on"],
+         "grid axis ns repeats a value: (3, 3)"),
         # round(0.01 * 10) is 0: the corpus used to be written without an attack
         (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl",
           "--inject", "unseen:0.01"], "--inject: fraction 0.01 of --count 10 selects no record"),
     ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension",
-            "repeated-grid-axis", "repeated-pcap-filter-key", "inject-selects-none"])
+            "repeated-grid-axis", "repeated-pcap-filter-key", "repeated-grid-value",
+            "inject-selects-none"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
@@ -195,7 +200,7 @@ class TestDetectOutput:
         assert run(["gen", "--protocol", "ftp", "--count", "50", "--seed", "9",
                     "--out", paths.test]) == 0
         run(["detect", "--model", paths.model, "--in", paths.test, "--alerts", paths.alerts])
-        lines = [json.loads(line) for line in open(paths.alerts)]
+        lines = [json.loads(line) for line in Path(paths.alerts).read_text().splitlines()]
         assert len(lines) == 50
         assert {line["verdict"] for line in lines} <= {
             "legit", "anomalous", "malformed", "no_model", "unclassifiable"
@@ -250,7 +255,7 @@ class TestReproducibility:
                         "--out", test]) == 0
             assert run(["train", "--in", legit, "--protocol", "ftp", "--out", model]) == 0
             run(["detect", "--model", model, "--in", test, "--alerts", alerts])
-            outputs.append(tuple(open(p, "rb").read() for p in (legit, test, model, alerts)))
+            outputs.append(tuple(Path(p).read_bytes() for p in (legit, test, model, alerts)))
         assert outputs[0] == outputs[1]
 
 
@@ -299,7 +304,7 @@ class TestSweepCommand:
         assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
                     "--protocol", "ftp", "--grid", "n=2,3;chunk=15;score=30,40",
                     "--out", paths.report]) == 0
-        lines = open(paths.report).read().splitlines()
+        lines = Path(paths.report).read_text().splitlines()
         assert lines[0].startswith("n,len_ck,th_s,score_threshold,chunks,dr,fpr")
         assert len(lines) == 1 + 2 * 1 * 2 * 2
 
@@ -315,7 +320,7 @@ class TestSweepCommand:
         assert run(["sweep", "--train-in", paths.legit, "--test-in", paths.test,
                     "--protocol", "ftp", "--grid", f"n=3;chunk=15,20;score=30;chunks={modes}",
                     "--out", paths.report]) == 0
-        rows = [line.split(",") for line in open(paths.report).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(paths.report).read_text().splitlines()[1:]]
         # one row per (chunk_len, chunk mode) cell, in grid order
         assert [(row[1], row[4]) for row in rows] == [
             (chunk_len, mode) for chunk_len in ("15", "20") for mode in chunks
@@ -421,8 +426,8 @@ class TestHostileJson:
 
     def test_model_number_beyond_float_range_is_runtime_error(self, paths, capsys):
         gen_and_train(paths, count=100)
-        text = open(paths.model).read()
-        open(paths.model, "w").write(text.replace('"alpha":0.1', '"alpha":' + "9" * 400, 1))
+        text = Path(paths.model).read_text()
+        Path(paths.model).write_text(text.replace('"alpha":0.1', '"alpha":' + "9" * 400, 1))
         assert run(["eval", "--model", paths.model, "--in", paths.legit]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pckad: ") and "alpha must be > 0" in err
@@ -434,7 +439,7 @@ class TestHostileJson:
         assert run(["train", "--in", str(corpus), "--protocol", "ftp",
                     "--out", paths.model]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pckad: ") and "line 1: invalid JSON (nested too deeply)" in err
+        assert err.startswith("pckad: ") and "line 2: invalid JSON (nested too deeply)" in err
         assert "Traceback" not in err
 
 

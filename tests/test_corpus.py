@@ -19,6 +19,7 @@ from pckad import (
     read_pcap,
     write_jsonl,
 )
+from pckad.corpus import attack_instance_of
 
 from helpers import pcap_bytes, tcp_frame, udp_frame
 
@@ -42,10 +43,10 @@ class TestPacketRecord:
     def test_attack_instance_parsing(self):
         rec = PacketRecord(id=0, dst_port=21, payload=b"x", label="attack:ps-17")
         assert rec.is_attack
-        assert rec.attack_instance == "ps-17"
+        assert attack_instance_of(rec.label) == "ps-17"
         legit = PacketRecord(id=1, dst_port=21, payload=b"x", label="legit")
         assert not legit.is_attack
-        assert legit.attack_instance is None
+        assert attack_instance_of(legit.label) is None
 
 
 class TestJsonl:
@@ -67,37 +68,37 @@ class TestJsonl:
     def test_odd_length_hex_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"5553A"}\n')
-        with pytest.raises(CorpusError, match="line 0"):
+        with pytest.raises(CorpusError, match="line 1:"):
             list(read_jsonl(path))
 
     def test_non_hex_payload(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"zz"}\n')
-        with pytest.raises(CorpusError, match="line 0"):
+        with pytest.raises(CorpusError, match="line 1:"):
             list(read_jsonl(path))
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00"}\n{broken\n')
-        with pytest.raises(CorpusError, match="line 1"):
+        with pytest.raises(CorpusError, match="line 2:"):
             list(read_jsonl(path))
 
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"port":21,"payload_hex":"00"}\n\xff\xfe\n')
-        with pytest.raises(CorpusError, match="line 1: invalid UTF-8"):
+        with pytest.raises(CorpusError, match="line 2: invalid UTF-8"):
             list(read_jsonl(path))
 
     def test_deep_nesting_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00"}\n' + "[" * 200_000 + "]" * 200_000 + "\n")
-        with pytest.raises(CorpusError, match="line 1: invalid JSON \\(nested too deeply\\)"):
+        with pytest.raises(CorpusError, match="line 2: invalid JSON \\(nested too deeply\\)"):
             list(read_jsonl(path))
 
     def test_overlong_integer_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":' + "2" * 5000 + ',"payload_hex":"00"}\n')
-        with pytest.raises(CorpusError, match="line 0: invalid JSON"):
+        with pytest.raises(CorpusError, match="line 1: invalid JSON"):
             list(read_jsonl(path))
 
     def test_escaped_surrogate_is_not_invalid_utf8(self, tmp_path):
@@ -121,7 +122,7 @@ class TestJsonl:
     def test_port_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00"}\n{"port":70000,"payload_hex":"00"}\n')
-        with pytest.raises(CorpusError, match=r"line 1: port must be within \[0, 65535\]"):
+        with pytest.raises(CorpusError, match=r"line 2: port must be within \[0, 65535\]"):
             list(read_jsonl(path))
 
     def test_write_empty(self, tmp_path):

@@ -163,6 +163,17 @@ class TestLabelSetCsv:
         with pytest.raises(EvaluationError, match=r"labels\.csv: line 2: field larger than"):
             LabelSet.from_csv(path)
 
+    def test_row_error_names_the_file_line(self, tmp_path):
+        # the header is line 1, so the second data row is line 3
+        path = self.write(tmp_path, "id,label\n0,legit\nzz,legit\n")
+        with pytest.raises(EvaluationError, match=r"labels\.csv: line 3: bad id 'zz'"):
+            LabelSet.from_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\n0,legit\n1,attack:x1\n", encoding="utf-8-sig")
+        assert LabelSet.from_csv(path).by_id == {0: "legit", 1: "attack:x1"}
+
 
 # well-formed rows, near misses and raw bytes, so that parsing gets past the header
 _CSV_PIECES = st.one_of(
@@ -254,7 +265,7 @@ class TestSweep:
         assert "invalid cell" in capsys.readouterr().err
         path = tmp_path / "report.csv"
         write_sweep_csv(rows, path)
-        data = list(csv.reader(path.open()))
+        data = list(csv.reader(path.read_text().splitlines()))
         assert data[1][0] == "8"
         assert data[1][5] == "" and data[1][6] == ""
 
@@ -265,10 +276,21 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{setting} must be > 0"):
             sweep(*sweep_setup, grid, protocol=Protocol.FTP, **{setting: math.nan})
 
+    @pytest.mark.parametrize("axes", [
+        dict(ns=(3, 3), chunk_lens=(15,), score_thresholds=(40.0,)),
+        dict(ns=(3,), chunk_lens=(15, 7, 15), score_thresholds=(40.0,)),
+        dict(ns=(3,), chunk_lens=(15,), score_thresholds=(40, 40.0)),
+        dict(ns=(3,), chunk_lens=(15,), score_thresholds=(40.0,), chunk_modes=(True, True)),
+    ], ids=["n", "chunk_len", "score", "chunks"])
+    def test_repeated_axis_value_is_refused(self, axes):
+        # a repeated value would only repeat rows
+        with pytest.raises(ValueError, match="repeats a value"):
+            GridSpec(**axes)
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         path = tmp_path / "report.csv"
         write_sweep_csv([], path)
-        data = list(csv.reader(path.open()))
+        data = list(csv.reader(path.read_text().splitlines()))
         assert data == [[
             "n", "len_ck", "th_s", "score_threshold", "chunks", "dr", "fpr",
             "instances", "detected", "legit_packets", "false_alerts", "unclassifiable",
@@ -280,7 +302,7 @@ class TestSweep:
         rows = sweep(train_records, test_records, labels, grid, protocol=Protocol.FTP)
         path = tmp_path / "report.csv"
         write_sweep_csv(rows, path)
-        data = list(csv.reader(path.open()))
+        data = list(csv.reader(path.read_text().splitlines()))
         assert len(data) == 2
         header, row = data
         record = dict(zip(header, row))

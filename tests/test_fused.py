@@ -1,6 +1,7 @@
 """The one counting pass and the inlined rules, checked against plain references.
 
-`count_windows` is checked against `sliding_window_oracle`. The fused
+`count_windows` is checked against `tests/helpers.py:reference_counts`,
+which counts with `sliding_window_oracle` alone. The fused
 `judge` is checked against a test-local copy of the per-gram judge it
 replaced (per-chunk Counters into a dict of dicts, then one
 `anomalous_occurrences` call per n-gram) and against
@@ -22,7 +23,6 @@ from pckad import (
     ClassKey,
     ClassModel,
     DetectorConfig,
-    NGramCounts,
     NGramStats,
     PacketRecord,
     Protocol,
@@ -31,13 +31,12 @@ from pckad import (
     anomalous_occurrences,
     count_windows,
     score_packet,
-    sliding_window_oracle,
-    split_chunks,
 )
+from pckad.chunking import NGramCounts, split_chunks
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.protocols import Malformed
 
-from helpers import reference_verdict
+from helpers import reference_counts, reference_verdict
 
 ALPHABET = b"ab\x00"  # few symbols, so n-grams repeat within and across chunks
 SEP = b"|"  # splits a test payload into relevant components
@@ -60,17 +59,8 @@ def _chunking(draw):
 @given(components=_COMPONENTS, cfg=_chunking())
 def test_count_windows_matches_oracle(components, cfg):
     counts = count_windows(RelevantPayload(tuple(components)), cfg)
-    totals = Counter()
-    pairs = Counter()
-    nck = 0
-    for comp in components:
-        totals += sliding_window_oracle(comp, cfg.n)
-        for k, start in enumerate(range(0, len(comp), cfg.chunk_len)):
-            # the windows starting in chunk k may run n - 1 bytes past its end
-            window = comp[start:start + cfg.chunk_len + cfg.n - 1]
-            for gram, x in sliding_window_oracle(window, cfg.n).items():
-                pairs[gram, nck + k] += x
-        nck += math.ceil(len(comp) / cfg.chunk_len)
+    totals, per_chunk, nck = reference_counts(components, cfg)
+    pairs = {(gram, j): x for gram, xs in per_chunk.items() for j, x in xs.items()}
     assert counts.totals == totals
     assert counts.pairs == pairs
     per_gram = Counter()

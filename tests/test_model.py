@@ -18,15 +18,15 @@ from pckad import (
     PacketRecord,
     Protocol,
     TrafficModel,
-    extract_ngrams,
     extract_relevant,
     gen_legit,
     load_model,
     save_model,
-    split_chunks,
     train,
     write_jsonl,
 )
+
+from helpers import reference_counts
 
 CFG = ChunkingConfig(n=2, chunk_len=15)
 
@@ -72,24 +72,23 @@ class TestTrainingStats:
         per_class: dict = {}
         for rec in records:
             rel = extract_relevant(Protocol.FTP, rec.payload)
-            layout = split_chunks(rel, cfg)
-            counts = extract_ngrams(rel, layout, cfg)
-            per_class.setdefault(layout.nck_total, []).append(counts)
+            totals, per_chunk, nck = reference_counts(rel.components, cfg)
+            per_class.setdefault(nck, []).append((totals, per_chunk))
         for chunk_count, samples in per_class.items():
             cls = model.classes[ClassKey(21, chunk_count)]
             assert cls.sample_count == len(samples)
-            grams = set().union(*(s.payload_counts for s in samples))
+            grams = set().union(*(totals for totals, _ in samples))
             assert grams == set(cls.stats)
             for gram in grams:
-                xs = [s.payload_counts.get(gram, 0) for s in samples]
+                xs = [totals.get(gram, 0) for totals, _ in samples]
                 assert cls.stats[gram].mean == pytest.approx(statistics.mean(xs), abs=1e-12)
                 assert cls.stats[gram].std == pytest.approx(statistics.pstdev(xs), abs=1e-12)
                 observed_chunks = set().union(
-                    *(s.chunk_counts.get(gram, {}) for s in samples)
+                    *(per_chunk.get(gram, {}) for _, per_chunk in samples)
                 )
                 assert observed_chunks == set(cls.stats[gram].chunks)
                 for j in observed_chunks:
-                    cxs = [s.chunk_counts.get(gram, {}).get(j, 0) for s in samples]
+                    cxs = [per_chunk.get(gram, {}).get(j, 0) for _, per_chunk in samples]
                     cm, cs = cls.stats[gram].chunks[j]
                     assert cm == pytest.approx(statistics.mean(cxs), abs=1e-12)
                     assert cs == pytest.approx(statistics.pstdev(cxs), abs=1e-12)
@@ -101,10 +100,8 @@ class TestTrainingStats:
         per_class: dict = {}
         for rec in records:
             rel = extract_relevant(Protocol.FTP, rec.payload)
-            layout = split_chunks(rel, cfg)
-            per_class.setdefault(layout.nck_total, []).append(
-                extract_ngrams(rel, layout, cfg).payload_counts
-            )
+            totals, _, nck = reference_counts(rel.components, cfg)
+            per_class.setdefault(nck, []).append(totals)
         for key, cls in model.classes.items():
             samples = per_class[key.chunk_count]
             for gram, st in cls.stats.items():
@@ -159,7 +156,7 @@ class TestTrainSkips:
         model = train(iter(records), protocol=Protocol.FTP, chunking=CFG)
         s = model.summary
         assert (s.trained, s.skipped_other_port, s.skipped_empty, s.skipped_short) == (1, 1, 1, 1)
-        assert s.read == 4 and s.skipped == 3
+        assert s.read == 4 and s.read - s.trained == 3
 
     def test_malformed_http_is_skipped(self):
         records = [

@@ -8,15 +8,14 @@ from pckad import (
     InjectionError,
     Protocol,
     RelevantPayload,
-    extract_ngrams,
     extract_relevant,
     gen_legit,
-    inject,
     inject_corpus,
     sliding_window_oracle,
-    split_chunks,
 )
-from pckad.synth import AnomalyKind
+from pckad.chunking import extract_ngrams, split_chunks
+from pckad.corpus import attack_instance_of
+from pckad.synth import AnomalyKind, inject
 
 CFG = ChunkingConfig(n=3, chunk_len=15)
 
@@ -177,7 +176,7 @@ class TestInjectCorpus:
         assert len(out) == 500
         attacks = [r for r in out if r.is_attack]
         assert len(attacks) == 40
-        assert all(r.attack_instance.startswith("unseen-") for r in attacks)
+        assert all(attack_instance_of(r.label).startswith("unseen-") for r in attacks)
         untouched = [r for r in out if not r.is_attack]
         original_by_id = {r.id: r for r in records}
         assert all(original_by_id[r.id].payload == r.payload for r in untouched)
@@ -197,7 +196,7 @@ class TestInjectCorpus:
         records = gen_legit(GenSpec(Protocol.FTP, 500, seed=17))
         out = inject_corpus(records, AnomalyKind.UNSEEN_GRAM, 30, seed=5)
         out = inject_corpus(out, AnomalyKind.LOCATION_SHIFT, 30, seed=6)
-        kinds = Counter(r.attack_instance.split("-")[0] for r in out if r.is_attack)
+        kinds = Counter(attack_instance_of(r.label).split("-")[0] for r in out if r.is_attack)
         assert kinds == Counter({"unseen": 30, "location": 30})
 
 

@@ -75,6 +75,9 @@ STEPS = [
                                  "--grid n=2;chunk=15;score=30;n=3", []),
     ("usage-repeated-pcap-filter-key", "detect --model http.model --in http-test.pcap "
                                        "--pcap-filter ports=21;ports=80", []),
+    ("usage-repeated-grid-value", "sweep --protocol ftp --train-in ftp-train.jsonl "
+                                  "--test-in ftp-test.jsonl --out r.csv "
+                                  "--grid n=3,3;chunk=15;score=40;chunks=on,on", []),
     ("usage-inject-selects-none", "gen --protocol ftp --count 10 --out x.jsonl "
                                   "--inject unseen:0.01", []),
 ]
@@ -109,6 +112,7 @@ TRANSCRIPT = {
     "usage-extension": "f370c0182f569476ee2e1b172461fcca5846493c99748ea234687d8ac2073ec7",
     "usage-repeated-grid-axis": "f1b75c33809e5edb5eefe932cd0adea3decc0a571de467e37d2c1333c5c1c077",
     "usage-repeated-pcap-filter-key": "894721d50a6808b844f74d2c74a6f019cadc3e9877e70472d7f4cc30014fc6c4",
+    "usage-repeated-grid-value": "e676c74f91b59045adf2fd7dd4ddad2d33057e97f71b5f6dc40abae46c601fe9",
     "usage-inject-selects-none": "2047e3dc9ff6a216549dce8372dacd2d185a6e981c862b40062e6ccb7184fd2d",
 }
 
