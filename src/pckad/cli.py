@@ -9,18 +9,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import ipaddress
+import os
 import sys
 from pathlib import Path
 
 from .chunking import DEFAULT_CHUNKING, ChunkingConfig
 from .corpus import TrafficFilter, read_jsonl, read_pcap, write_jsonl
-from .detector import (
-    DetectionSummary,
-    DetectorConfig,
-    check_detector_settings,
-    detect_stream,
-    verdict_line,
-)
+from .detector import DetectionSummary, DetectorConfig, detect_stream, verdict_line
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
 from .model import DEFAULT_ALPHA, DEFAULT_TH_S, check_model_settings, load_model, save_model, train
@@ -242,7 +237,8 @@ def _cmd_train(args) -> int:
 
 def _scoring_inputs(args):
     """Check the scoring flags, then load the model (--th-s replaces its th_s) and the corpus."""
-    _checked(check_detector_settings, args.score_threshold)
+    if args.score_threshold is not None:
+        _checked(DetectorConfig, args.score_threshold)
     _checked(lambda: check_model_settings(th_s=args.th_s))
     read = _corpus(args.infile, args.pcap_filter)
     model = load_model(args.model)
@@ -257,7 +253,20 @@ def _labels(path: str | None, records: list) -> LabelSet:
     return LabelSet.from_csv(path) if path else LabelSet.from_records(records)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file; paths that do not both exist are compared absolute."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
 def _cmd_detect(args) -> int:
+    # the alerts file is opened before the corpus is read, so it must not be an input
+    if args.alerts:
+        for flag, path in (("--in", args.infile), ("--model", args.model)):
+            if _same_file(args.alerts, path):
+                raise _UsageError(f"--alerts names the same file as {flag}")
     model, cfg, records = _scoring_inputs(args)
     summary = DetectionSummary()
     out = open(args.alerts, "w", encoding="utf-8") if args.alerts else sys.stdout

@@ -92,15 +92,10 @@ class TrafficFilter:
         for port in self.ports:
             check_port(port)
 
-    def matches(self, dst_port: int, dst_addr: bytes | None) -> bool:
+    def matches(self, dst_port: int, dst_addr: bytes) -> bool:
         if dst_port not in self.ports:
             return False
-        if self.dst_prefix is not None:
-            if dst_addr is None:
-                return False
-            if ipaddress.IPv4Address(dst_addr) not in self.dst_prefix:
-                return False
-        return True
+        return self.dst_prefix is None or ipaddress.IPv4Address(dst_addr) in self.dst_prefix
 
 
 @dataclass
@@ -121,8 +116,8 @@ class _TruncatedFrame(Exception):
 def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | None:
     """Decapsulate Ethernet/IPv4/TCP; (dst_port, dst_addr, payload) or None.
 
-    Returns None for frames of other protocols (non-IPv4 ethertype, non-TCP,
-    non-first IP fragments). Raises _TruncatedFrame when a header is cut off.
+    Returns None for frames of other protocols (non-IPv4 ethertype, non-TCP)
+    and for IP fragments. Raises _TruncatedFrame when a header is cut off.
     """
     if len(data) < 14:
         raise _TruncatedFrame
@@ -138,8 +133,9 @@ def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | None:
         raise _TruncatedFrame
     if ip[9] != 6:
         return None
-    if int.from_bytes(ip[6:8], "big") & 0x1FFF:
-        # non-first fragment: the TCP header is in another packet
+    if int.from_bytes(ip[6:8], "big") & 0x3FFF:
+        # a fragment (MF set or a nonzero offset) holds part of a segment at most,
+        # and as with a snaplen-cut datagram below, a partial payload would skew counts
         return None
     total_len = int.from_bytes(ip[2:4], "big")
     if total_len < ihl + 20:
@@ -149,9 +145,7 @@ def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | None:
         raise _TruncatedFrame
     # trailing link-layer padding (minimum frame size) is not payload
     datagram = ip[:total_len]
-    tcp = datagram[ihl:]
-    if len(tcp) < 20:
-        raise _TruncatedFrame
+    tcp = datagram[ihl:]  # at least 20 bytes, by the total length check
     data_off = (tcp[12] >> 4) * 4
     if data_off < 20 or data_off > len(tcp):
         raise _TruncatedFrame

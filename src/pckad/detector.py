@@ -38,12 +38,6 @@ UNCLASSIFIABLE = "unclassifiable"
 ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED, NO_MODEL})
 
 
-def check_detector_settings(score_threshold: float | None) -> None:
-    """Range-check the score threshold; None stands for "the protocol supplies it"."""
-    if score_threshold is not None and not 0 <= score_threshold <= 100:
-        raise ValueError("score_threshold must be within [0, 100]")
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """How verdicts are drawn from a packet's judgement; th_s and alpha are the model's."""
@@ -52,7 +46,8 @@ class DetectorConfig:
     chunks_enabled: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
-        check_detector_settings(self.score_threshold)
+        if not 0 <= self.score_threshold <= 100:
+            raise ValueError("score_threshold must be within [0, 100]")
 
     @classmethod
     def for_model(
@@ -75,10 +70,6 @@ class Verdict:
     tot_seqs: int | None = None
     reason: str | None = None
     class_key: ClassKey | None = None
-
-    @property
-    def is_alert(self) -> bool:
-        return self.kind in ALERT_KINDS
 
 
 def mahalanobis_term(mu: float, sigma: float, x: float, alpha: float) -> float:
@@ -221,15 +212,13 @@ def detect_stream(
     model: TrafficModel,
     records: Iterable[PacketRecord],
     cfg: DetectorConfig,
-    summary: DetectionSummary | None = None,
+    summary: DetectionSummary,
 ) -> Iterator[tuple[int, Verdict]]:
     """Score every record on the model's port, in input order.
 
-    Records for other ports are counted as skipped. Pass a summary to
-    collect tallies while the stream is consumed.
+    The summary tallies the verdicts, and the records for other ports as
+    skipped, while the stream is consumed.
     """
-    if summary is None:
-        summary = DetectionSummary()
     for rec in records:
         if rec.dst_port != model.port:
             summary.skipped_other_port += 1

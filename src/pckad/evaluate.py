@@ -2,8 +2,9 @@
 
 Detection rate is counted per attack instance (an instance is detected when
 at least one of its packets alerts); the false-positive rate is counted per
-classifiable legitimate packet. Unclassifiable packets are excluded from
-both counts and reported separately.
+classifiable legitimate packet. An unclassifiable packet never alerts: an
+attack instance made only of such packets counts as missed, and a legit one
+is left out of the false-positive rate and counted in `unclassifiable`.
 """
 
 from __future__ import annotations

@@ -109,13 +109,6 @@ class AnomalyKind(enum.Enum):
     LOCATION_SHIFT = "location"
 
 
-def _protocol_for_record(record: PacketRecord) -> Protocol:
-    protocol = protocol_for_port(record.dst_port)
-    if protocol is None:
-        raise InjectionError(f"record {record.id}: port {record.dst_port} has no protocol")
-    return protocol
-
-
 def _editable_span(protocol: Protocol, payload: bytes) -> tuple[int, int]:
     """Byte range that can be rewritten without breaking the protocol grammar."""
     if protocol is Protocol.FTP:
@@ -180,24 +173,17 @@ def _inject_location(payload: bytes, cfg: ChunkingConfig) -> bytes:
 def inject(
     record: PacketRecord,
     kind: AnomalyKind,
-    seed: int,
+    rng: random.Random,
     cfg: ChunkingConfig = DEFAULT_CHUNKING,
 ) -> PacketRecord:
-    """Turn one legit record into an attack of the given kind."""
-    return _inject(record, kind, random.Random(seed), cfg)
-
-
-def _inject(
-    record: PacketRecord,
-    kind: AnomalyKind,
-    rng: random.Random,
-    cfg: ChunkingConfig,
-) -> PacketRecord:
+    """Turn one legit record into an attack of the given kind, drawing bytes from rng."""
     if record.is_attack:
         raise InjectionError(f"record {record.id} is already an attack")
     if not record.payload:
         raise InjectionError(f"record {record.id} has an empty payload")
-    protocol = _protocol_for_record(record)
+    protocol = protocol_for_port(record.dst_port)
+    if protocol is None:
+        raise InjectionError(f"record {record.id}: port {record.dst_port} has no protocol")
     if kind is AnomalyKind.LOCATION_SHIFT:
         payload = _inject_location(record.payload, cfg)
     else:
@@ -238,7 +224,7 @@ def inject_corpus(
         if rec.label != "legit":
             continue
         try:
-            out[idx] = _inject(rec, kind, rng, cfg)
+            out[idx] = inject(rec, kind, rng, cfg)
         except InjectionError:
             continue
         injected += 1

@@ -75,6 +75,27 @@ class TestExitCodes:
         assert err.startswith("pckad: ") and "line 2: invalid UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, message", [
+        ("gen", "cannot write corpus"),
+        ("train", "cannot write model"),
+        ("sweep", "cannot write report"),
+    ])
+    def test_unwritable_output_is_runtime_error(self, tmp_path, paths, capsys,
+                                                command, message):
+        assert run(["gen", "--protocol", "ftp", "--count", "50", "--out", paths.legit]) == 0
+        capsys.readouterr()
+        out = str(tmp_path)  # a directory cannot be opened for writing
+        argv = {
+            "gen": ["gen", "--protocol", "ftp", "--count", "5"],
+            "train": ["train", "--protocol", "ftp", "--in", paths.legit],
+            "sweep": ["sweep", "--protocol", "ftp", "--train-in", paths.legit,
+                      "--test-in", paths.legit, "--grid", "n=3;chunk=15;score=30"],
+        }[command]
+        assert run(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pckad: {message} {out}: ")
+        assert "Traceback" not in err
+
     def test_unsupported_extension_is_usage_error(self, tmp_path, paths):
         bad = tmp_path / "corpus.txt"
         bad.write_text("")
@@ -155,9 +176,14 @@ class TestExitCodes:
         # round(0.01 * 10) is 0: the corpus used to be written without an attack
         (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl",
           "--inject", "unseen:0.01"], "--inject: fraction 0.01 of --count 10 selects no record"),
+        (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl",
+          "--inject", "unseen:abc"], "--inject: bad fraction in 'unseen:abc'"),
+        # the alerts file would be created empty before the corpus is opened
+        (["detect", "--model", "m", "--in", "x.jsonl", "--alerts", "x.jsonl"],
+         "--alerts names the same file as --in"),
     ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension",
             "repeated-grid-axis", "repeated-pcap-filter-key", "repeated-grid-value",
-            "inject-selects-none"])
+            "inject-selects-none", "inject-bad-fraction", "alerts-is-input"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
@@ -214,6 +240,22 @@ class TestDetectOutput:
         run(["detect", "--model", paths.model, "--in", paths.test])
         out = capsys.readouterr().out
         assert len([line for line in out.splitlines() if line.startswith("{")]) == 5
+
+    @pytest.mark.parametrize("flag", ["--in", "--model"])
+    def test_alerts_naming_an_input_is_usage_error(self, paths, tmp_path, capsys, flag):
+        gen_and_train(paths, count=300)
+        assert run(["gen", "--protocol", "ftp", "--count", "50", "--seed", "9",
+                    "--out", paths.test]) == 0
+        target = Path(paths.test if flag == "--in" else paths.model)
+        before = target.read_bytes()
+        alias = tmp_path / "alias"  # another name for the same file
+        alias.symlink_to(target)
+        for alerts in (str(target), str(alias)):
+            code = run(["detect", "--model", paths.model, "--in", paths.test,
+                        "--alerts", alerts])
+            assert code == 2
+            assert f"--alerts names the same file as {flag}" in capsys.readouterr().err
+        assert target.read_bytes() == before
 
 
 class TestThSOverride:
@@ -283,12 +325,14 @@ class TestEvalCommand:
     @pytest.mark.parametrize("body, message", [
         (b"id,label\n0,legit\xff\n", "labels.csv: invalid UTF-8"),
         (b"id,label\n0," + b"a" * 200_000 + b"\n", "labels.csv: line 2: field larger than"),
-    ], ids=["invalid-utf8", "field-over-limit"])
+        (None, "cannot open labels"),
+    ], ids=["invalid-utf8", "field-over-limit", "missing"])
     def test_unreadable_sidecar_labels_is_runtime_error(self, paths, tmp_path, capsys,
                                                          body, message):
         gen_and_train(paths, count=50)
         labels = tmp_path / "labels.csv"
-        labels.write_bytes(body)
+        if body is not None:
+            labels.write_bytes(body)
         assert run(["eval", "--model", paths.model, "--in", paths.legit,
                     "--labels", str(labels)]) == 1
         err = capsys.readouterr().err

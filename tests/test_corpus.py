@@ -119,6 +119,18 @@ class TestJsonl:
         with pytest.raises(CorpusError):
             list(read_jsonl(path))
 
+    @pytest.mark.parametrize("line, message", [
+        ('[21, "00"]', "record must be an object"),
+        ('{"port":21,"payload_hex":"00","label":7}', "label must be a string"),
+        ('{"port":21,"payload_hex":"00","ts":1.5}', "ts must be an integer"),
+        ('{"port":21,"payload_hex":"00","ts":true}', "ts must be an integer"),
+    ], ids=["not-an-object", "label-not-a-string", "ts-float", "ts-bool"])
+    def test_wrong_json_type_names_line(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":21,"payload_hex":"00"}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=f"line 2: {message}"):
+            list(read_jsonl(path))
+
     def test_port_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00"}\n{"port":70000,"payload_hex":"00"}\n')
@@ -249,14 +261,14 @@ class TestReadPcap:
         assert peak < 1_000_000
 
     @staticmethod
-    def read_through_pipe(tmp_path, data):
+    def read_through_pipe(tmp_path, data, summary=None):
         """Records read from a named pipe that a thread fills with data."""
         path = tmp_path / "c.pcap"
         os.mkfifo(path)
         writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
         writer.start()
         try:
-            return list(read_pcap(path, filt(21)))
+            return list(read_pcap(path, filt(21), summary))
         finally:
             writer.join(timeout=10)
 
@@ -272,6 +284,16 @@ class TestReadPcap:
         offset = len(data) - 76
         with pytest.raises(CorpusError, match=f"record at byte {offset}: captured length"):
             self.read_through_pipe(tmp_path, data)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_with_cut_last_record_is_truncated(self, tmp_path):
+        data = pcap_bytes([tcp_frame(b"TYPE I\r\n", 21)])
+        # the record header claims 50 bytes; the pipe closes after 10
+        data += struct.pack("<IIII", 9, 0, 50, 50) + b"\x00" * 10
+        summary = IngestSummary()
+        records = self.read_through_pipe(tmp_path, data, summary)
+        assert [r.payload for r in records] == [b"TYPE I\r\n"]
+        assert (summary.frames, summary.truncated) == (2, 1)
 
     def test_captured_length_equal_to_snaplen_read(self, tmp_path):
         import struct
@@ -291,6 +313,34 @@ class TestReadPcap:
         records = list(read_pcap(path, filt(21), summary))
         assert [r.payload for r in records] == [b"LIST\r\n"]
         assert summary.truncated == 1
+
+    # tcp_frame's IP header starts at byte 14 and its TCP header at byte 34
+    @pytest.mark.parametrize("pos, value, outcome", [
+        (14, b"\x44", "truncated"),  # IHL 16 bytes
+        (14, b"\x4f", "truncated"),  # IHL 60 bytes, past the end of the frame
+        (16, struct.pack(">H", 39), "truncated"),  # total length below the two headers
+        (46, bytes([4 << 4]), "truncated"),  # TCP data offset 16 bytes
+        (46, bytes([15 << 4]), "truncated"),  # TCP data offset 60 bytes, past the segment
+        (14, b"\x65", "non_ipv4_tcp"),  # IP version 6 under the IPv4 ethertype
+        (20, struct.pack(">H", 0x2000), "non_ipv4_tcp"),  # first fragment: MF set, offset 0
+        (20, struct.pack(">H", 0x2005), "non_ipv4_tcp"),  # a middle fragment
+        (20, struct.pack(">H", 0x0005), "non_ipv4_tcp"),  # the last fragment
+        (20, struct.pack(">H", 0x4000), "yielded"),  # don't fragment: a whole datagram
+    ], ids=["ihl-below-20", "ihl-past-frame", "total-length-below-headers",
+            "data-offset-below-20", "data-offset-past-segment", "ip-version-6",
+            "first-fragment", "middle-fragment", "last-fragment", "dont-fragment"])
+    def test_edited_header_field(self, tmp_path, pos, value, outcome):
+        frame = bytearray(tcp_frame(b"USER x\r\n", 21))
+        frame[pos:pos + len(value)] = value
+        path = tmp_path / "c.pcap"
+        path.write_bytes(pcap_bytes([bytes(frame), tcp_frame(b"PASV\r\n", 21)]))
+        summary = IngestSummary()
+        records = list(read_pcap(path, filt(21), summary))
+        kept = outcome == "yielded"
+        assert [r.payload for r in records] == [b"USER x\r\n"] * kept + [b"PASV\r\n"]
+        want = {"truncated": 0, "non_ipv4_tcp": 0, "yielded": 1}
+        want[outcome] += 1
+        assert want == {key: getattr(summary, key) for key in want}
 
     def test_snaplen_cut_payload_skipped(self, tmp_path):
         # capture is 4 bytes shorter than the IP datagram claims
@@ -368,7 +418,7 @@ def test_traffic_filter_requires_ports():
 def test_traffic_filter_range_checks_ports(port):
     with pytest.raises(ValueError, match=r"port must be within \[0, 65535\]"):
         TrafficFilter(ports=frozenset({21, port}))
-    assert TrafficFilter(ports=frozenset({0, 65535})).matches(65535, None)
+    assert TrafficFilter(ports=frozenset({0, 65535})).matches(65535, bytes(4))
 
 
 # JSON values of every type for every known key, so that lines get past json.loads

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pckad import (
+    ALERT_KINDS,
     ChunkingConfig,
     ClassKey,
     DetectionSummary,
@@ -136,7 +137,7 @@ class TestScorePacket:
         model = ftp_model([b"USER alice\r\n"])
         verdict = score_packet(model, ftp_record(b""), DetectorConfig(40))
         assert verdict.kind == "unclassifiable"
-        assert not verdict.is_alert
+        assert verdict.kind not in ALERT_KINDS
 
     def test_payload_shorter_than_n_unclassifiable(self):
         model = ftp_model([b"USER alice\r\n"], n=3)
@@ -149,7 +150,7 @@ class TestScorePacket:
         bad = PacketRecord(id=1, dst_port=80, payload=b"GET ../..")
         verdict = score_packet(model, bad, DetectorConfig(30))
         assert verdict.kind == "malformed"
-        assert verdict.is_alert
+        assert verdict.kind in ALERT_KINDS
 
     def test_unknown_class_is_no_model_alert(self):
         model = ftp_model([b"USER alice\r\n"])  # one chunk
@@ -157,7 +158,7 @@ class TestScorePacket:
         verdict = score_packet(model, ftp_record(long_payload), DetectorConfig(40))
         assert verdict.kind == "no_model"
         assert verdict.class_key == ClassKey(21, 3)
-        assert verdict.is_alert
+        assert verdict.kind in ALERT_KINDS
 
     def test_score_is_anomalous_fraction_times_100(self):
         model = ftp_model([b"abcdef"])
@@ -237,8 +238,8 @@ class TestHttpLocationShift:
         for rec in packets:
             if not rec.is_attack:
                 continue
-            hits_on += score_packet(model, rec, on).is_alert
-            hits_off += score_packet(model, rec, off).is_alert
+            hits_on += (score_packet(model, rec, on).kind in ALERT_KINDS)
+            hits_off += (score_packet(model, rec, off).kind in ALERT_KINDS)
         assert hits_on == 20
         assert hits_off == 0
 
@@ -273,7 +274,7 @@ class TestReferenceScorer:
                         want = reference_verdict(model, rec.payload, cfg)
                         for got in (score_packet(model, rec, cfg), outcome.verdict(cfg)):
                             assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == want, (rec, cfg)
-                        assert outcome.is_alert(cfg) == got.is_alert
+                        assert outcome.is_alert(cfg) == (got.kind in ALERT_KINDS)
                         kinds.add(got.kind)
                     assert "no_model" in kinds and "unclassifiable" in kinds
                     if threshold < 100:
@@ -313,7 +314,8 @@ class TestDetectStream:
     def test_order_preserved(self):
         model = ftp_model([b"USER alice\r\n"])
         records = [ftp_record(b"USER alice\r\n", i) for i in range(20)]
-        ids = [rec_id for rec_id, _ in detect_stream(model, records, DetectorConfig(40))]
+        stream = detect_stream(model, records, DetectorConfig(40), DetectionSummary())
+        ids = [rec_id for rec_id, _ in stream]
         assert ids == list(range(20))
 
 

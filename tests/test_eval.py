@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pckad import (
+    ALERT_KINDS,
     ChunkingConfig,
     DetectorConfig,
     EvaluationError,
@@ -347,12 +348,12 @@ def fold_verdicts(verdicts_and_labels):
     detected, legit, false_alerts, unclassifiable = {}, 0, 0, 0
     for verdict, label in verdicts_and_labels:
         if label.startswith("attack:"):
-            detected[label] = detected.get(label, False) or verdict.is_alert
+            detected[label] = detected.get(label, False) or verdict.kind in ALERT_KINDS
         elif verdict.kind == "unclassifiable":
             unclassifiable += 1
         else:
             legit += 1
-            false_alerts += verdict.is_alert
+            false_alerts += verdict.kind in ALERT_KINDS
     return {
         "dr": sum(detected.values()) / len(detected) * 100.0 if detected else None,
         "fpr": false_alerts / legit * 100.0 if legit else None,

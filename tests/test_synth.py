@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -72,7 +73,7 @@ def eligible_record(protocol, kind, seed=55):
     """First generated record the given injection accepts."""
     for rec in gen_legit(GenSpec(protocol, 500, seed=seed)):
         try:
-            return rec, inject(rec, kind, seed=1)
+            return rec, inject(rec, kind, random.Random(1))
         except InjectionError:
             continue
     raise AssertionError("no eligible record found")
@@ -95,8 +96,8 @@ class TestInjectUnseen:
 
     def test_deterministic(self):
         rec = gen_legit(GenSpec(Protocol.FTP, 1, seed=3))[0]
-        assert inject(rec, AnomalyKind.UNSEEN_GRAM, seed=5).payload == \
-            inject(rec, AnomalyKind.UNSEEN_GRAM, seed=5).payload
+        assert inject(rec, AnomalyKind.UNSEEN_GRAM, random.Random(5)).payload == \
+            inject(rec, AnomalyKind.UNSEEN_GRAM, random.Random(5)).payload
 
 
 class TestInjectFreq:
@@ -120,7 +121,7 @@ class TestInjectFreq:
             if r.payload == b"QUIT\r\n"
         )
         with pytest.raises(InjectionError):
-            inject(rec, AnomalyKind.FREQ_SHIFT, seed=1)
+            inject(rec, AnomalyKind.FREQ_SHIFT, random.Random(1))
 
 
 class TestInjectLocation:
@@ -138,7 +139,7 @@ class TestInjectLocation:
         count = 0
         for rec in gen_legit(GenSpec(Protocol.FTP, 400, seed=6)):
             try:
-                injected = inject(rec, AnomalyKind.LOCATION_SHIFT, seed=1)
+                injected = inject(rec, AnomalyKind.LOCATION_SHIFT, random.Random(1))
             except InjectionError:
                 continue
             count += 1
@@ -158,7 +159,7 @@ class TestInjectLocation:
             if r.payload.startswith(b"RETR ")
         )
         with pytest.raises(InjectionError):
-            inject(rec, AnomalyKind.LOCATION_SHIFT, seed=1)
+            inject(rec, AnomalyKind.LOCATION_SHIFT, random.Random(1))
 
     def test_oversized_n_rejected_by_multiset_check(self):
         rec = next(
@@ -166,7 +167,7 @@ class TestInjectLocation:
             if r.payload.startswith(b"USER ")
         )
         with pytest.raises(InjectionError, match="multiset"):
-            inject(rec, AnomalyKind.LOCATION_SHIFT, seed=1, cfg=ChunkingConfig(6, 15))
+            inject(rec, AnomalyKind.LOCATION_SHIFT, random.Random(1), cfg=ChunkingConfig(6, 15))
 
 
 class TestInjectCorpus:
@@ -203,13 +204,13 @@ class TestInjectCorpus:
 class TestInjectPreconditions:
     def test_attack_record_rejected(self):
         rec = gen_legit(GenSpec(Protocol.FTP, 1, seed=1))[0]
-        attacked = inject(rec, AnomalyKind.UNSEEN_GRAM, seed=1)
+        attacked = inject(rec, AnomalyKind.UNSEEN_GRAM, random.Random(1))
         with pytest.raises(InjectionError, match="already"):
-            inject(attacked, AnomalyKind.FREQ_SHIFT, seed=1)
+            inject(attacked, AnomalyKind.FREQ_SHIFT, random.Random(1))
 
     def test_unknown_port_rejected(self):
         from pckad import PacketRecord
 
         rec = PacketRecord(id=0, dst_port=25, payload=b"EHLO mail\r\n", label="legit")
         with pytest.raises(InjectionError, match="protocol"):
-            inject(rec, AnomalyKind.UNSEEN_GRAM, seed=1)
+            inject(rec, AnomalyKind.UNSEEN_GRAM, random.Random(1))

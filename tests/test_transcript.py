@@ -80,6 +80,9 @@ STEPS = [
                                   "--grid n=3,3;chunk=15;score=40;chunks=on,on", []),
     ("usage-inject-selects-none", "gen --protocol ftp --count 10 --out x.jsonl "
                                   "--inject unseen:0.01", []),
+    # the corpus is listed so that the digest shows it left as it was
+    ("usage-alerts-is-input", "detect --model ftp.model --in ftp-test.jsonl "
+                              "--alerts ftp-test.jsonl", ["ftp-test.jsonl"]),
 ]
 
 TRANSCRIPT = {
@@ -114,6 +117,7 @@ TRANSCRIPT = {
     "usage-repeated-pcap-filter-key": "894721d50a6808b844f74d2c74a6f019cadc3e9877e70472d7f4cc30014fc6c4",
     "usage-repeated-grid-value": "e676c74f91b59045adf2fd7dd4ddad2d33057e97f71b5f6dc40abae46c601fe9",
     "usage-inject-selects-none": "2047e3dc9ff6a216549dce8372dacd2d185a6e981c862b40062e6ccb7184fd2d",
+    "usage-alerts-is-input": "53be53c8188e418e61b8a59c529af0987b39d54968d1684f25647f9704b21458",
 }
 
 
