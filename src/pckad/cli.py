@@ -294,7 +294,7 @@ def _cmd_eval(args) -> int:
     fpr = "undefined" if report.fpr is None else f"{report.fpr:.3f}%"
     print(f"detection rate: {dr} ({report.instances_detected}/{report.instances_total} instances)")
     print(f"false-positive rate: {fpr} ({report.false_alerts}/{report.legit_packets} legit packets)")
-    print(f"unclassifiable packets excluded: {report.unclassifiable}")
+    print(f"unclassifiable legit packets excluded from the false-positive rate: {report.unclassifiable}")
     print(
         f"config: n={model.chunking.n} chunk_len={model.chunking.chunk_len} "
         f"alpha={model.alpha} th_s={model.th_s} score_threshold={cfg.score_threshold} "

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import COMPACT_JSON, PacketRecord
-from .model import (
-    ABSENT_CHUNK,
-    ClassKey,
-    NGramStats,
-    Skipped,
-    TrafficModel,
-    featurize,
-)
+from .model import ABSENT_CHUNK, NGramStats, TrafficModel, featurize
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -68,8 +61,6 @@ class Verdict:
     score: float | None = None
     a_seqs: int | None = None
     tot_seqs: int | None = None
-    reason: str | None = None
-    class_key: ClassKey | None = None
 
 
 def mahalanobis_term(mu: float, sigma: float, x: float, alpha: float) -> float:
@@ -118,8 +109,6 @@ class Outcome(NamedTuple):
     tot_seqs: int = 0
     a_on: int = 0  # anomalous occurrences under rules 1-3
     a_off: int = 0  # under rules 1-2 only
-    reason: str | None = None
-    class_key: ClassKey | None = None
 
     def a_seqs(self, cfg: DetectorConfig) -> int:
         return self.a_on if cfg.chunks_enabled else self.a_off
@@ -133,11 +122,10 @@ class Outcome(NamedTuple):
     def verdict(self, cfg: DetectorConfig) -> Verdict:
         """The verdict under cfg."""
         if self.kind is not None:
-            return Verdict(self.kind, reason=self.reason, class_key=self.class_key)
+            return Verdict(self.kind)
         a_seqs = self.a_seqs(cfg)
         kind = ANOMALOUS if self.is_alert(cfg) else LEGIT
-        return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs,
-                       class_key=self.class_key)
+        return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs)
 
 
 def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Outcome:
@@ -150,15 +138,16 @@ def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Ou
     caller that wants each n-gram's share asks `anomalous_occurrences`.
     """
     features = featurize(record, model.protocol, model.port, model.chunking)
-    if isinstance(features, Skipped):
-        if features.cause == "other_port":
-            raise ValueError(features.reason)
-        kind = MALFORMED if features.cause == "malformed" else UNCLASSIFIABLE
-        return Outcome(kind, reason=features.reason)
+    if isinstance(features, str):
+        if features == "other_port":
+            raise ValueError(
+                f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
+            )
+        return Outcome(MALFORMED if features == "malformed" else UNCLASSIFIABLE)
     key, counts = features
     cls = model.classes.get(key)
     if cls is None:
-        return Outcome(NO_MODEL, class_key=key)
+        return Outcome(NO_MODEL)
     stats_get, alpha, th_s = cls.stats.get, model.alpha, model.th_s
     usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
     a_off = 0
@@ -180,7 +169,7 @@ def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Ou
                 mean, std = chunks.get(j, ABSENT_CHUNK)
                 if abs(mean - x) / (std + alpha) > th_s:
                     a_on += x
-    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key)
+    return Outcome(None, counts.tot_seqs, a_on, a_off)
 
 
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:

@@ -60,36 +60,26 @@ class Features(NamedTuple):
     counts: WindowCounts
 
 
-class Skipped(NamedTuple):
-    """Why a record has no n-gram counts.
-
-    cause is "other_port", "empty", "malformed" or "short", and names the
-    TrainingSummary counter `skipped_<cause>`.
-    """
-
-    cause: str
-    reason: str
-
-
 def featurize(
     record: PacketRecord, protocol: Protocol, port: int, chunking: ChunkingConfig
-) -> Features | Skipped:
+) -> Features | str:
     """The one path from a record to its class key and n-gram counts.
 
-    Training, scoring and the sweep all featurize through here.
+    Training, scoring and the sweep all featurize through here. A record
+    with no n-gram counts gives its cause instead: "other_port", "empty",
+    "malformed" or "short", which names the TrainingSummary counter
+    `skipped_<cause>`.
     """
     if record.dst_port != port:
-        return Skipped(
-            "other_port", f"record {record.id} is for port {record.dst_port}, model is for {port}"
-        )
+        return "other_port"
     if not record.payload:
-        return Skipped("empty", "empty payload")
+        return "empty"
     relevant = extract_relevant(protocol, record.payload)
     if isinstance(relevant, Malformed):
-        return Skipped("malformed", relevant.reason)
+        return "malformed"
     counts = count_windows(relevant, chunking)
     if counts.tot_seqs == 0:
-        return Skipped("short", f"no component fits an n={chunking.n} window")
+        return "short"
     return Features(ClassKey(port, counts.nck_total), counts)
 
 
@@ -218,8 +208,8 @@ def train(
                 "must be attack-free (use ignore_labels to override)"
             )
         features = featurize(rec, protocol, port, chunking)
-        if isinstance(features, Skipped):
-            counter = "skipped_" + features.cause
+        if isinstance(features, str):
+            counter = "skipped_" + features
             setattr(summary, counter, getattr(summary, counter) + 1)
             continue
         acc = accumulators.get(features.key)

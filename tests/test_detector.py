@@ -24,6 +24,7 @@ from pckad import (
     verdict_line,
 )
 from pckad.detector import judge
+from pckad.model import featurize
 from pckad.synth import AnomalyKind, inject_corpus
 
 from helpers import reference_verdict
@@ -133,6 +134,13 @@ class TestScorePacket:
         with pytest.raises(ValueError):
             score_packet(model, PacketRecord(id=0, dst_port=80, payload=b"x"), DetectorConfig(40))
 
+    def test_off_port_refusal_names_both_ports(self):
+        model = ftp_model([b"USER alice\r\n"])
+        record = PacketRecord(id=7, dst_port=80, payload=b"USER bob\r\n")
+        with pytest.raises(ValueError, match="^record 7 is for port 80, model is for 21$"):
+            score_packet(model, record, DetectorConfig(40))
+        # train skips the same record: test_model.py's test_skips_are_counted
+
     def test_empty_payload_unclassifiable(self):
         model = ftp_model([b"USER alice\r\n"])
         verdict = score_packet(model, ftp_record(b""), DetectorConfig(40))
@@ -155,9 +163,11 @@ class TestScorePacket:
     def test_unknown_class_is_no_model_alert(self):
         model = ftp_model([b"USER alice\r\n"])  # one chunk
         long_payload = b"A" * 40  # three chunks at chunk_len=15
+        features = featurize(ftp_record(long_payload), Protocol.FTP, 21, model.chunking)
+        assert features.key == ClassKey(21, 3)
+        assert ClassKey(21, 3) not in model.classes
         verdict = score_packet(model, ftp_record(long_payload), DetectorConfig(40))
         assert verdict.kind == "no_model"
-        assert verdict.class_key == ClassKey(21, 3)
         assert verdict.kind in ALERT_KINDS
 
     def test_score_is_anomalous_fraction_times_100(self):

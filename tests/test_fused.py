@@ -102,19 +102,18 @@ def per_gram_judge(model, record, cfg):
     """judge as it was: featurize into NGramCounts, then anomalous_occurrences per n-gram."""
     payload = record.payload
     if not payload:
-        return Outcome(UNCLASSIFIABLE, reason="empty payload")
+        return Outcome(UNCLASSIFIABLE)
     relevant = pckad.model.extract_relevant(model.protocol, payload)
     if isinstance(relevant, Malformed):
-        return Outcome(MALFORMED, reason=relevant.reason)
-    n = model.chunking.n
+        return Outcome(MALFORMED)
     layout = split_chunks(relevant, model.chunking)
     counts = _per_gram_counts(relevant, layout, model.chunking)
     if counts.tot_seqs == 0:
-        return Outcome(UNCLASSIFIABLE, reason=f"no component fits an n={n} window")
+        return Outcome(UNCLASSIFIABLE)
     key = ClassKey(model.port, layout.nck_total)
     cls = model.classes.get(key)
     if cls is None:
-        return Outcome(NO_MODEL, class_key=key)
+        return Outcome(NO_MODEL)
     a_on = a_off = 0
     for gram, x in counts.payload_counts.items():
         on, off = anomalous_occurrences(
@@ -123,7 +122,7 @@ def per_gram_judge(model, record, cfg):
         )
         a_on += on
         a_off += off
-    return Outcome(None, counts.tot_seqs, a_on, a_off, class_key=key)
+    return Outcome(None, counts.tot_seqs, a_on, a_off)
 
 
 # --- randomized models with means on the rule edges --------------------------------

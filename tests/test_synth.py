@@ -214,3 +214,19 @@ class TestInjectPreconditions:
         rec = PacketRecord(id=0, dst_port=25, payload=b"EHLO mail\r\n", label="legit")
         with pytest.raises(InjectionError, match="protocol"):
             inject(rec, AnomalyKind.UNSEEN_GRAM, random.Random(1))
+
+    @pytest.mark.parametrize(
+        "port, payload, kind, message",
+        [
+            (80, b"GET ../..", AnomalyKind.FREQ_SHIFT, "no valid request line"),
+            (21, b"ab\r\n", AnomalyKind.UNSEEN_GRAM, "too short for an n=3"),
+            (21, b"", AnomalyKind.UNSEEN_GRAM, "empty payload"),
+        ],
+        ids=["no-request-line", "span-shorter-than-n", "empty-payload"],
+    )
+    def test_uneditable_payload_rejected(self, port, payload, kind, message):
+        from pckad import PacketRecord
+
+        rec = PacketRecord(id=0, dst_port=port, payload=payload, label="legit")
+        with pytest.raises(InjectionError, match=message):
+            inject(rec, kind, random.Random(1), CFG)

@@ -92,8 +92,8 @@ TRANSCRIPT = {
     "detect-ftp": "b576b5d34b097f5cbc32e19230354fd6ea61905522ebbfd5e778fc074d70cce3",
     "detect-ftp-no-chunks": "1aac1fdace8ad5894850fd6792cd8622fe9cb3da7768b46fdd87ff841f8395f9",
     "detect-ftp-th-s": "a0c5c08e3152555dbc16db0894e1e3290709177b16fa8ae790154f7f360e22aa",
-    "eval-ftp": "8584fa66ba0a0feea80fa5fa55bfc996300da47ded81efd5386c9386f0ae0eb5",
-    "eval-ftp-no-chunks": "e38333e5cd7721c911ca12e2cfdb1d4e80c1d8339b2aee9064891b6346ec07e8",
+    "eval-ftp": "59af65faa49569c5969b2144c46aa66626bd036ef6f8f170e2cba4398a59d0ba",
+    "eval-ftp-no-chunks": "26089b17860b80f70d4cca74512885d6c730aaf16846114a96dc9832c0d37859",
     "sweep-ftp": "f10eee0ec311172aa30eb9c0914705ce3eb279e5e97b9ef67609343ecc014857",
     "gen-http-train": "93e1bed9b6396a794fe2d41eeeb3fabd0e666b5f2de290421cc866774cd705da",
     "gen-http-test": "d1b80fca9068e0c671946caafe12bd51f6126f77b9098b80ade949ac8eece494",
@@ -103,8 +103,8 @@ TRANSCRIPT = {
     "detect-http-pcap": "ce133153ca74a6cb0e210b9a446ad3d36827fb75ab445b08615cff151c785035",
     "detect-http-pcap-no-chunks": "a9c0b7e318e415b9c961e66d717fe76d817ffd08bd44bdc38340f167035fe900",
     "detect-http-th-s": "de9f586d8c415bf4402d0b7336725650ed54f3985fa0c84027866b13a975413b",
-    "eval-http": "4a78f3edd5fdd3d3102cda895108c5fc495d8590d7085a951c60cc2365ef9221",
-    "eval-http-pcap": "4a78f3edd5fdd3d3102cda895108c5fc495d8590d7085a951c60cc2365ef9221",
+    "eval-http": "4bf3543288bade6a7f4be31e5cffc7d86856c2877eed874148e56fba1fcfd644",
+    "eval-http-pcap": "4bf3543288bade6a7f4be31e5cffc7d86856c2877eed874148e56fba1fcfd644",
     "sweep-http-off": "a9acee5c1ec6f78305a40b4f82eed5c31483f16bbd69e114486241462f635782",
     "sweep-http-mixed": "4e1a20373fefb17fd996d3f0e27aed5e2eb38f230ffdfa7079e514a4a58787b5",
     "usage-range-check": "fe730b10ee416187ccecd9323f9fcb31f35761fe81523edf00ce0ae0ac749036",
