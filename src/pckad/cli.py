@@ -1,7 +1,7 @@
 """Command-line front end: generate, train, detect, evaluate, sweep.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error, and 3 from `detect`
-when at least one alert was emitted.
+Exit codes: 0 success, 1 runtime error or a stdout closed early, 2 usage
+error, and 3 from `detect` when at least one alert was emitted.
 """
 
 from __future__ import annotations
@@ -212,6 +212,7 @@ def _training_settings(args) -> tuple[Protocol, int]:
 
 
 def _cmd_train(args) -> int:
+    _refuse_overwrite("--out", args.out, ("--in", args.infile))
     cfg = _checked(ChunkingConfig, args.n, args.chunk_len)
     protocol, port = _training_settings(args)
     records = _corpus(args.infile, args.pcap_filter)(port)
@@ -261,12 +262,16 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.abspath(a) == os.path.abspath(b)
 
 
+def _refuse_overwrite(out_flag: str, out: str | None, *inputs) -> None:
+    """Refuse, before anything is read, an output that names one of the (flag, path) inputs."""
+    if out:
+        for flag, path in inputs:
+            if path and _same_file(out, path):
+                raise _UsageError(f"{out_flag} names the same file as {flag}")
+
+
 def _cmd_detect(args) -> int:
-    # the alerts file is opened before the corpus is read, so it must not be an input
-    if args.alerts:
-        for flag, path in (("--in", args.infile), ("--model", args.model)):
-            if _same_file(args.alerts, path):
-                raise _UsageError(f"--alerts names the same file as {flag}")
+    _refuse_overwrite("--alerts", args.alerts, ("--in", args.infile), ("--model", args.model))
     model, cfg, records = _scoring_inputs(args)
     summary = DetectionSummary()
     out = open(args.alerts, "w", encoding="utf-8") if args.alerts else sys.stdout
@@ -304,6 +309,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _refuse_overwrite("--out", args.out, ("--train-in", args.train_in),
+                      ("--test-in", args.test_in), ("--labels", args.labels))
     protocol, port = _training_settings(args)
     grid = _parse_grid(args.grid)
     read_train = _corpus(args.train_in, args.pcap_filter)
@@ -329,13 +336,21 @@ def run(argv: list[str]) -> int:
             args.parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        return 1  # stdout's reader has gone, as under `| head`: nothing more to say
     except (PckadError, OSError) as exc:
         print(f"pckad: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter would flush stdout again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

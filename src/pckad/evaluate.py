@@ -115,15 +115,11 @@ def _fold(outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig) -> Ev
     false_alerts = 0
     unclassifiable = 0
     for instance, outcome in outcomes:
-        if outcome.kind == UNCLASSIFIABLE:
-            if instance is not None:
-                detected.setdefault(instance, False)
-            else:
-                unclassifiable += 1
-            continue
         alert = outcome.is_alert(cfg)
         if instance is not None:
             detected[instance] = detected.get(instance, False) or alert
+        elif outcome.kind == UNCLASSIFIABLE:
+            unclassifiable += 1
         else:
             legit_packets += 1
             false_alerts += alert

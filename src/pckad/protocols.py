@@ -34,18 +34,9 @@ class RelevantPayload:
 
     components: tuple[bytes, ...]
 
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("relevant payload needs at least one component")
-        if any(len(c) == 0 for c in self.components):
-            raise ValueError("relevant components must be non-empty")
 
-
-@dataclass(frozen=True)
 class Malformed:
-    """Protocol-violating payload; a first-class outcome, not an error."""
-
-    reason: str
+    """Marks a protocol-violating payload; a first-class outcome, not an error."""
 
 
 # method token, single spaces, non-empty target without SP/CR/LF, version, CRLF
@@ -57,18 +48,14 @@ _REQUEST_LINE_RE = re.compile(
 def extract_relevant(protocol: Protocol, payload: bytes) -> RelevantPayload | Malformed:
     """Select the relevant components of a payload, or flag it malformed.
 
-    The payload must be non-empty; callers route empty payloads to the
-    unclassifiable verdict before getting here.
+    `model.featurize` routes an empty payload to the unclassifiable verdict
+    before getting here.
     """
-    if not payload:
-        raise ValueError("payload must be non-empty")
     if protocol is Protocol.FTP:
         return RelevantPayload((payload,))
     m = _REQUEST_LINE_RE.match(payload)
     if m is None:
-        if b"\r\n" not in payload:
-            return Malformed("request line missing CRLF terminator")
-        return Malformed("invalid request line (expected '<method> <target> HTTP/x.y')")
+        return Malformed()
     return RelevantPayload((m.group(0),))
 
 

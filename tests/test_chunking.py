@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from pckad import ChunkingConfig, RelevantPayload, sliding_window_oracle
+from pckad import ChunkingConfig, RelevantPayload, count_windows, sliding_window_oracle
 from pckad.chunking import NGramCounts, extract_ngrams, split_chunks
 
 from helpers import window_loop_ngrams
@@ -65,34 +65,26 @@ class TestSplitChunks:
             assert 1 <= sizes[-1] <= chunk_len
 
 
-class TestExtractNgrams:
+class TestCountWindows:
     def test_ooddod_bigrams(self):
-        rel = RelevantPayload((b"ooddod",))
-        cfg = ChunkingConfig(2, 6)
-        counts = extract_ngrams(rel, split_chunks(rel, cfg), cfg)
-        assert counts.payload_counts == {b"oo": 1, b"od": 2, b"dd": 1, b"do": 1}
+        counts = count_windows(RelevantPayload((b"ooddod",)), ChunkingConfig(2, 6))
+        assert counts.totals == {b"oo": 1, b"od": 2, b"dd": 1, b"do": 1}
         assert counts.tot_seqs == 5
 
     def test_border_window_counts_toward_first_byte_chunk(self):
-        rel = RelevantPayload((GET_LINE,))
-        cfg = ChunkingConfig(3, 15)
-        counts = extract_ngrams(rel, split_chunks(rel, cfg), cfg)
+        counts = count_windows(RelevantPayload((GET_LINE,)), ChunkingConfig(3, 15))
         # "val" starts at offset 13, inside chunk 0, and spills into chunk 1
         assert GET_LINE[13:16] == b"val"
-        assert counts.chunk_counts[b"val"] == {0: 1}
+        assert {j: x for (gram, j), x in counts.pairs.items() if gram == b"val"} == {0: 1}
 
     def test_component_shorter_than_n(self):
-        rel = RelevantPayload((b"x", b"longenough"))
-        cfg = ChunkingConfig(3, 15)
-        counts = extract_ngrams(rel, split_chunks(rel, cfg), cfg)
+        counts = count_windows(RelevantPayload((b"x", b"longenough")), ChunkingConfig(3, 15))
         assert counts.tot_seqs == len(b"longenough") - 2
 
     def test_windows_do_not_span_components(self):
-        rel = RelevantPayload((b"ab", b"cd"))
-        cfg = ChunkingConfig(2, 10)
-        counts = extract_ngrams(rel, split_chunks(rel, cfg), cfg)
-        assert counts.payload_counts == {b"ab": 1, b"cd": 1}
-        assert b"bc" not in counts.payload_counts
+        counts = count_windows(RelevantPayload((b"ab", b"cd")), ChunkingConfig(2, 10))
+        assert counts.totals == {b"ab": 1, b"cd": 1}
+        assert b"bc" not in counts.totals
 
 
 class TestOracle:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,9 +182,16 @@ class TestExitCodes:
         # the alerts file would be created empty before the corpus is opened
         (["detect", "--model", "m", "--in", "x.jsonl", "--alerts", "x.jsonl"],
          "--alerts names the same file as --in"),
+        # the model or the CSV used to be written over the corpus, exit 0
+        (["train", "--protocol", "ftp", "--in", "x.jsonl", "--out", "x.jsonl"],
+         "--out names the same file as --in"),
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "b.jsonl", "--grid", "n=3;chunk=15;score=30"],
+         "--out names the same file as --test-in"),
     ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "extension",
             "repeated-grid-axis", "repeated-pcap-filter-key", "repeated-grid-value",
-            "inject-selects-none", "inject-bad-fraction", "alerts-is-input"])
+            "inject-selects-none", "inject-bad-fraction", "alerts-is-input",
+            "train-out-is-input", "sweep-out-is-input"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
@@ -241,6 +249,20 @@ class TestDetectOutput:
         out = capsys.readouterr().out
         assert len([line for line in out.splitlines() if line.startswith("{")]) == 5
 
+    def test_closed_stdout_ends_quietly(self, paths, monkeypatch, capsys):
+        gen_and_train(paths, count=300)
+        assert run(["gen", "--protocol", "ftp", "--count", "50", "--seed", "9",
+                    "--out", paths.test]) == 0
+        capsys.readouterr()
+
+        class ClosedPipe:  # stdout after its reader has gone, as under `pckad detect | head`
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["detect", "--model", paths.model, "--in", paths.test]) == 1
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag", ["--in", "--model"])
     def test_alerts_naming_an_input_is_usage_error(self, paths, tmp_path, capsys, flag):
         gen_and_train(paths, count=300)
@@ -255,6 +277,30 @@ class TestDetectOutput:
                         "--alerts", alerts])
             assert code == 2
             assert f"--alerts names the same file as {flag}" in capsys.readouterr().err
+        assert target.read_bytes() == before
+
+
+    @pytest.mark.parametrize("flag", ["--in", "--train-in", "--test-in", "--labels"])
+    def test_out_naming_an_input_is_usage_error(self, paths, tmp_path, capsys, flag):
+        for seed, out in ((7, paths.legit), (9, paths.test)):
+            assert run(["gen", "--protocol", "ftp", "--count", "50", "--seed", str(seed),
+                        "--out", out]) == 0
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(f"{i},legit\n" for i in range(50)))
+        target = Path({"--in": paths.legit, "--train-in": paths.legit,
+                       "--test-in": paths.test, "--labels": str(labels)}[flag])
+        before = target.read_bytes()
+        alias = tmp_path / "alias"  # another name for the same file
+        alias.symlink_to(target)
+        for out in (str(target), str(alias)):
+            if flag == "--in":
+                argv = ["train", "--protocol", "ftp", "--in", paths.legit, "--out", out]
+            else:
+                argv = ["sweep", "--protocol", "ftp", "--train-in", paths.legit,
+                        "--test-in", paths.test, "--labels", str(labels),
+                        "--grid", "n=3;chunk=15;score=30", "--out", out]
+            assert run(argv) == 2
+            assert f"--out names the same file as {flag}" in capsys.readouterr().err
         assert target.read_bytes() == before
 
 

@@ -147,6 +147,13 @@ class TestScorePacket:
         assert verdict.kind == "unclassifiable"
         assert verdict.kind not in ALERT_KINDS
 
+    def test_empty_http_payload_unclassifiable(self):
+        # the request-line grammar alone would call b"" malformed, which alerts
+        records = [PacketRecord(id=0, dst_port=80, payload=b"GET /x HTTP/1.0\r\n")]
+        model = train(iter(records), protocol=Protocol.HTTP, chunking=ChunkingConfig(3, 15))
+        empty = PacketRecord(id=1, dst_port=80, payload=b"")
+        assert score_packet(model, empty, DetectorConfig(30)).kind == "unclassifiable"
+
     def test_payload_shorter_than_n_unclassifiable(self):
         model = ftp_model([b"USER alice\r\n"], n=3)
         verdict = score_packet(model, ftp_record(b"a"), DetectorConfig(40))

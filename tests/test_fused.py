@@ -1,12 +1,11 @@
 """The one counting pass and the inlined rules, checked against plain references.
 
 `count_windows` is checked against `tests/helpers.py:reference_counts`,
-which counts with `sliding_window_oracle` alone. The fused
-`judge` is checked against a test-local copy of the per-gram judge it
-replaced (per-chunk Counters into a dict of dicts, then one
-`anomalous_occurrences` call per n-gram) and against
-`tests/helpers.py:reference_verdict`, on randomized models whose means sit
-at and next to the rule edges.
+which counts with `sliding_window_oracle` alone. The fused `judge` is
+checked against a test-local copy of the per-gram judge it replaced
+(`reference_counts`, then one `anomalous_occurrences` call per n-gram) and
+against `tests/helpers.py:reference_verdict`, on randomized models whose
+means sit at and next to the rule edges.
 """
 
 import math
@@ -32,7 +31,6 @@ from pckad import (
     count_windows,
     score_packet,
 )
-from pckad.chunking import NGramCounts, split_chunks
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.protocols import Malformed
 
@@ -78,51 +76,30 @@ def _split(payload: bytes) -> RelevantPayload:
     return RelevantPayload(tuple(c for c in payload.split(SEP) if c))
 
 
-def _per_gram_counts(relevant, layout, cfg) -> NGramCounts:
-    """extract_ngrams as it was: one Counter per chunk, folded into a dict of dicts."""
-    n, chunk_len = cfg.n, cfg.chunk_len
-    payload_counts = {}
-    chunk_counts = {}
-    tot = 0
-    for comp, base in zip(relevant.components, layout.component_base):
-        windows = len(comp) - n + 1
-        if windows <= 0:
-            continue
-        tot += windows
-        for j, start in enumerate(range(0, windows, chunk_len), base):
-            stop = min(start + chunk_len, windows)
-            grams = Counter(comp[i:i + n] for i in range(start, stop))
-            for gram, x in grams.items():
-                payload_counts[gram] = payload_counts.get(gram, 0) + x
-                chunk_counts.setdefault(gram, {})[j] = x
-    return NGramCounts(payload_counts, chunk_counts, tot)
-
-
 def per_gram_judge(model, record, cfg):
-    """judge as it was: featurize into NGramCounts, then anomalous_occurrences per n-gram."""
+    """judge as it was: per-n-gram counts, then one anomalous_occurrences call per n-gram."""
     payload = record.payload
     if not payload:
         return Outcome(UNCLASSIFIABLE)
     relevant = pckad.model.extract_relevant(model.protocol, payload)
     if isinstance(relevant, Malformed):
         return Outcome(MALFORMED)
-    layout = split_chunks(relevant, model.chunking)
-    counts = _per_gram_counts(relevant, layout, model.chunking)
-    if counts.tot_seqs == 0:
+    totals, per_chunk, nck = reference_counts(relevant.components, model.chunking)
+    tot_seqs = sum(totals.values())
+    if tot_seqs == 0:
         return Outcome(UNCLASSIFIABLE)
-    key = ClassKey(model.port, layout.nck_total)
-    cls = model.classes.get(key)
+    cls = model.classes.get(ClassKey(model.port, nck))
     if cls is None:
         return Outcome(NO_MODEL)
     a_on = a_off = 0
-    for gram, x in counts.payload_counts.items():
+    for gram, x in totals.items():
         on, off = anomalous_occurrences(
-            cls.stats.get(gram), x, counts.chunk_counts[gram],
+            cls.stats.get(gram), x, per_chunk[gram],
             model.alpha, model.th_s, cfg.chunks_enabled,
         )
         a_on += on
         a_off += off
-    return Outcome(None, counts.tot_seqs, a_on, a_off)
+    return Outcome(None, tot_seqs, a_on, a_off)
 
 
 # --- randomized models with means on the rule edges --------------------------------

@@ -25,6 +25,7 @@ from pckad import (
     train,
     write_jsonl,
 )
+from pckad.model import featurize
 
 from helpers import reference_counts
 
@@ -157,6 +158,22 @@ class TestTrainSkips:
         s = model.summary
         assert (s.trained, s.skipped_other_port, s.skipped_empty, s.skipped_short) == (1, 1, 1, 1)
         assert s.read == 4 and s.read - s.trained == 3
+
+    @pytest.mark.parametrize("protocol, dst_port, payload, cause", [
+        (Protocol.FTP, 80, b"USER alice\r\n", "other_port"),
+        (Protocol.HTTP, 21, b"GET / HTTP/1.0\r\n", "other_port"),
+        (Protocol.FTP, 21, b"", "empty"),
+        # featurize owns the empty-payload rule: the request-line grammar would say malformed
+        (Protocol.HTTP, 80, b"", "empty"),
+        (Protocol.HTTP, 80, b"GET ../..", "malformed"),
+        (Protocol.FTP, 21, b"USER\r\n", "short"),
+        (Protocol.HTTP, 80, b"GET / HTTP/1.0\r\n", "short"),
+    ], ids=["ftp-other-port", "http-other-port", "ftp-empty", "http-empty", "http-malformed",
+            "ftp-short", "http-short"])
+    def test_featurize_cause(self, protocol, dst_port, payload, cause):
+        record = PacketRecord(id=0, dst_port=dst_port, payload=payload)
+        # n=20 is longer than every payload above
+        assert featurize(record, protocol, protocol.default_port, ChunkingConfig(20, 20)) == cause
 
     def test_malformed_http_is_skipped(self):
         records = [

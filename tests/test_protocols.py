@@ -76,13 +76,6 @@ class TestFtp:
         assert rel.components == (payload,)
 
 
-def test_empty_payload_is_precondition_violation():
-    with pytest.raises(ValueError):
-        extract_relevant(Protocol.FTP, b"")
-    with pytest.raises(ValueError):
-        extract_relevant(Protocol.HTTP, b"")
-
-
 def test_components_are_contiguous_subsequences():
     for protocol in (Protocol.HTTP, Protocol.FTP):
         for rec in gen_legit(GenSpec(protocol, 100, seed=11)):
@@ -92,13 +85,6 @@ def test_components_are_contiguous_subsequences():
             for comp in rel.components:
                 assert comp
                 assert comp in rec.payload
-
-
-def test_relevant_payload_invariants():
-    with pytest.raises(ValueError):
-        RelevantPayload(())
-    with pytest.raises(ValueError):
-        RelevantPayload((b"ok", b""))
 
 
 class TestProtocolForPort:

@@ -9,12 +9,12 @@ from pckad import (
     InjectionError,
     Protocol,
     RelevantPayload,
+    count_windows,
     extract_relevant,
     gen_legit,
     inject_corpus,
     sliding_window_oracle,
 )
-from pckad.chunking import extract_ngrams, split_chunks
 from pckad.corpus import attack_instance_of
 from pckad.synth import AnomalyKind, inject
 
@@ -22,8 +22,7 @@ CFG = ChunkingConfig(n=3, chunk_len=15)
 
 
 def counts_for(payload: bytes, cfg: ChunkingConfig = CFG):
-    rel = RelevantPayload((payload,))
-    return extract_ngrams(rel, split_chunks(rel, cfg), cfg)
+    return count_windows(RelevantPayload((payload,)), cfg)
 
 
 def vocabulary_closure(protocol: Protocol, n: int) -> set[bytes]:
@@ -130,10 +129,8 @@ class TestInjectLocation:
         assert injected.payload != original.payload
         assert sliding_window_oracle(injected.payload, CFG.n) == \
             sliding_window_oracle(original.payload, CFG.n)
-        assert counts_for(injected.payload).payload_counts == \
-            counts_for(original.payload).payload_counts
-        assert counts_for(injected.payload).chunk_counts != \
-            counts_for(original.payload).chunk_counts
+        assert counts_for(injected.payload).totals == counts_for(original.payload).totals
+        assert counts_for(injected.payload).pairs != counts_for(original.payload).pairs
 
     def test_invariance_over_many_records(self):
         count = 0

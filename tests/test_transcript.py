@@ -83,6 +83,11 @@ STEPS = [
     # the corpus is listed so that the digest shows it left as it was
     ("usage-alerts-is-input", "detect --model ftp.model --in ftp-test.jsonl "
                               "--alerts ftp-test.jsonl", ["ftp-test.jsonl"]),
+    ("usage-train-out-is-input", "train --protocol ftp --in ftp-train.jsonl "
+                                 "--out ftp-train.jsonl", ["ftp-train.jsonl"]),
+    ("usage-sweep-out-is-input", "sweep --protocol ftp --train-in ftp-train.jsonl "
+                                 "--test-in ftp-test.jsonl --grid n=3;chunk=15;score=40 "
+                                 "--out ftp-test.jsonl", ["ftp-test.jsonl"]),
 ]
 
 TRANSCRIPT = {
@@ -118,6 +123,8 @@ TRANSCRIPT = {
     "usage-repeated-grid-value": "e676c74f91b59045adf2fd7dd4ddad2d33057e97f71b5f6dc40abae46c601fe9",
     "usage-inject-selects-none": "2047e3dc9ff6a216549dce8372dacd2d185a6e981c862b40062e6ccb7184fd2d",
     "usage-alerts-is-input": "53be53c8188e418e61b8a59c529af0987b39d54968d1684f25647f9704b21458",
+    "usage-train-out-is-input": "4c3b18597a8c2827f8823539fe4fe557933f7050e0e1ff9923163ecda705fc65",
+    "usage-sweep-out-is-input": "2c795fbd9465dff50ef46c4c69ef43a165a9c97ed0d2b6b611b2fe43919de260",
 }
 
 
