@@ -18,7 +18,15 @@ from .corpus import TrafficFilter, read_jsonl, read_pcap, write_jsonl
 from .detector import DetectionSummary, DetectorConfig, detect_stream, verdict_line
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
-from .model import DEFAULT_ALPHA, DEFAULT_TH_S, check_model_settings, load_model, save_model, train
+from .model import (
+    DEFAULT_ALPHA,
+    DEFAULT_TH_S,
+    check_model_settings,
+    check_th_s_override,
+    load_model,
+    save_model,
+    train,
+)
 from .protocols import Protocol
 from .synth import AnomalyKind, GenSpec, gen_legit, inject_corpus
 
@@ -237,13 +245,14 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(args):
-    """Check the scoring flags, then load the model (--th-s replaces its th_s) and the corpus."""
+    """Check the scoring flags, then load the model (--th-s lowers its th_s) and the corpus."""
     if args.score_threshold is not None:
         _checked(DetectorConfig, args.score_threshold)
     _checked(lambda: check_model_settings(th_s=args.th_s))
     read = _corpus(args.infile, args.pcap_filter)
     model = load_model(args.model)
     if args.th_s is not None:
+        _checked(check_th_s_override, model, args.th_s)
         model = dataclasses.replace(model, th_s=args.th_s)
     cfg = DetectorConfig.for_model(model, args.score_threshold, chunks_enabled=not args.no_chunks)
     return model, cfg, read(model.port)

@@ -1,10 +1,12 @@
 """Semi-supervised traffic model: training and persistence.
 
 Training packets are grouped into classes by (destination port, total chunk
-count). For every n-gram ever observed in a class, the mean and population
+count). For every n-gram observed in a class, the mean and population
 standard deviation of its occurrence count are recorded, both for the whole
 relevant payload and per chunk position; samples where the n-gram is absent
-contribute a count of zero.
+contribute a count of zero. An n-gram so rare that a single occurrence
+already deviates beyond th_s gets no entry: the detector marks it exactly as
+it marks an n-gram never seen (see `_ClassAccumulator.finalize`).
 
 Model files are a single JSON document with sorted classes/n-grams so that
 identical models serialize to identical bytes.
@@ -51,6 +53,7 @@ class NGramStats(NamedTuple):
 class ClassModel:
     sample_count: int
     stats: dict[bytes, NGramStats]
+    pruned: int = 0  # n-grams observed in training but left out of stats
 
 
 class Features(NamedTuple):
@@ -128,11 +131,26 @@ def check_model_settings(
         raise ValueError("th_s must be > 0")
 
 
+def check_th_s_override(model: TrafficModel, th_s: float) -> None:
+    """Refuse to judge a model at a th_s above the one it was trained at.
+
+    Training leaves out the entries that rule 2 flags at any count, which is
+    sound only at or below the trained th_s. Raises ValueError.
+    """
+    if th_s > model.th_s:
+        raise ValueError(
+            f"th_s {th_s} is above the model's th_s {model.th_s}; "
+            f"retrain the model at th_s {th_s} to judge at it"
+        )
+
+
 def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
-    """Mean and population std of k samples from their sum and sum of squares."""
-    mean = s1 / k
-    var = s2 / k - mean * mean
-    return mean, math.sqrt(var) if var > 0 else 0.0
+    """Mean and population std of k samples from their sum and sum of squares.
+
+    The variance is one correctly rounded division of exact integers, so the
+    std is 0 exactly when every sample has the same count.
+    """
+    return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))
 
 
 class _ClassAccumulator:
@@ -167,14 +185,26 @@ class _ClassAccumulator:
                 slot[0] += c
                 slot[1] += c * c
 
-    def finalize(self) -> ClassModel:
+    def finalize(self, alpha: float, th_s: float) -> ClassModel:
+        """The class's statistics, leaving out the entries that can change no verdict.
+
+        An n-gram with mean <= 1 whose deviation at one occurrence exceeds
+        th_s deviates further at any count x >= 1 (x - mean cannot fall as x
+        grows, in floats too). So rule 2 marks all its occurrences, exactly as
+        rule 1 marks an n-gram with no entry, at th_s and at any lower th_s.
+        The test is the detector's, in its float operation order.
+        """
         k = self.count
         stats: dict[bytes, NGramStats] = {}
+        pruned = 0
         for gram, (s1, s2, slots) in self.sums.items():
             mean, std = _mean_std(s1, s2, k)
+            if mean <= 1 and abs(mean - 1) / (std + alpha) > th_s:
+                pruned += 1
+                continue
             chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in slots.items()}
             stats[gram] = NGramStats(mean, std, chunks)
-        return ClassModel(sample_count=k, stats=stats)
+        return ClassModel(sample_count=k, stats=stats, pruned=pruned)
 
 
 def train(
@@ -226,7 +256,7 @@ def train(
         chunking=chunking,
         alpha=alpha,
         th_s=th_s,
-        classes={key: acc.finalize() for key, acc in accumulators.items()},
+        classes={key: acc.finalize(alpha, th_s) for key, acc in accumulators.items()},
         summary=summary,
     )
 
@@ -251,6 +281,7 @@ def _model_to_doc(model: TrafficModel) -> dict:
             "port": key.port,
             "nck_total": key.chunk_count,
             "sample_count": cls.sample_count,
+            "pruned": cls.pruned,
             "ngrams": ngrams,
         })
     return {
@@ -345,6 +376,9 @@ def load_model(path) -> TrafficModel:
         _expect(_is_int(nck_total) and nck_total >= 1, "bad nck_total")
         sample_count = rc.get("sample_count")
         _expect(_is_int(sample_count) and sample_count >= 1, "sample_count must be >= 1")
+        # absent in files written before training left entries out
+        pruned = rc.get("pruned", 0)
+        _expect(_is_int(pruned) and pruned >= 0, "pruned must be >= 0")
         key = ClassKey(port, nck_total)
         _expect(key not in classes, f"duplicate class {key}")
         raw_ngrams = rc.get("ngrams")
@@ -396,7 +430,7 @@ def load_model(path) -> TrafficModel:
             if not abs(chunk_mean_sum - mean) <= tolerance:
                 _expect(False, f"chunk means sum to {chunk_mean_sum!r}, payload mean is {mean!r}")
             stats[gram] = NGramStats(float(mean), float(std), chunk_stats)
-        classes[key] = ClassModel(sample_count=sample_count, stats=stats)
+        classes[key] = ClassModel(sample_count=sample_count, stats=stats, pruned=pruned)
 
     return TrafficModel(
         protocol=protocol,

@@ -145,3 +145,49 @@ def reference_verdict(model, payload, cfg):
                     a_seqs += xj
     score = a_seqs / tot * 100.0
     return ("anomalous" if score > cfg.score_threshold else "legit", score, a_seqs, tot)
+
+
+def unpruned_model(records, protocol, chunking):
+    """The model `train` builds at its defaults, with every observed n-gram kept.
+
+    Built from reference_counts and `statistics` alone. Records on another
+    port, empty, malformed or with no n-gram are left out, as in training.
+    Every mean and variance is the exact rational rounded once to a float,
+    and each std is the square root of that float, so each value equals
+    train's bit for bit.
+    """
+    import math
+    from statistics import mean, pvariance
+
+    from pckad import ClassKey, ClassModel, Malformed, NGramStats, TrafficModel, extract_relevant
+    from pckad.model import DEFAULT_ALPHA, DEFAULT_TH_S
+
+    port = protocol.default_port
+    per_class = {}
+    for rec in records:
+        if rec.dst_port != port or not rec.payload:
+            continue
+        relevant = extract_relevant(protocol, rec.payload)
+        if isinstance(relevant, Malformed):
+            continue
+        totals, per_chunk, nck = reference_counts(relevant.components, chunking)
+        if totals:
+            per_class.setdefault(nck, []).append((totals, per_chunk))
+
+    def mean_std(xs):
+        return float(mean(xs)), math.sqrt(pvariance(xs))
+
+    classes = {}
+    for nck, samples in per_class.items():
+        stats = {}
+        for gram in set().union(*(totals for totals, _ in samples)):
+            chunk_counts = [per_chunk.get(gram, {}) for _, per_chunk in samples]
+            chunks = {
+                j: mean_std([counts.get(j, 0) for counts in chunk_counts])
+                for j in sorted(set().union(*chunk_counts))
+            }
+            stats[gram] = NGramStats(
+                *mean_std([totals.get(gram, 0) for totals, _ in samples]), chunks
+            )
+        classes[ClassKey(port, nck)] = ClassModel(len(samples), stats)
+    return TrafficModel(protocol, port, chunking, DEFAULT_ALPHA, DEFAULT_TH_S, classes)

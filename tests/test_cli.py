@@ -327,6 +327,21 @@ class TestThSOverride:
         assert run(["eval", "--model", paths.model, "--in", paths.test, "--th-s", "1.5"]) == 0
         assert " th_s=1.5 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_th_s_above_the_models_is_usage_error(self, paths, capsys, command):
+        gen_and_train(paths, count=300)
+        capsys.readouterr()
+        extra = ["--alerts", paths.alerts] if command == "detect" else []
+        assert run([command, "--model", paths.model, "--in", paths.legit, "--th-s", "5.5",
+                    *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"pckad {command}: error: th_s 5.5 is above the model's th_s 5.0; "
+            "retrain the model at th_s 5.5 to judge at it"
+        )
+        assert captured.out == ""
+        assert not Path(paths.alerts).exists()
+
 
 class TestReproducibility:
     def test_identical_runs_are_byte_identical(self, tmp_path):

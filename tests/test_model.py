@@ -80,10 +80,12 @@ class TestTrainingStats:
             assert cls.sample_count == len(samples)
             grams = set().union(*(totals for totals, _ in samples))
             assert grams == set(cls.stats)
+            # each statistic is the exact rational rounded once, and each std the
+            # square root of that rounded variance: equal bit for bit, no tolerance
             for gram in grams:
                 xs = [totals.get(gram, 0) for totals, _ in samples]
-                assert cls.stats[gram].mean == pytest.approx(statistics.mean(xs), abs=1e-12)
-                assert cls.stats[gram].std == pytest.approx(statistics.pstdev(xs), abs=1e-12)
+                assert cls.stats[gram].mean == statistics.mean(xs)
+                assert cls.stats[gram].std == math.sqrt(statistics.pvariance(xs))
                 observed_chunks = set().union(
                     *(per_chunk.get(gram, {}) for _, per_chunk in samples)
                 )
@@ -91,8 +93,8 @@ class TestTrainingStats:
                 for j in observed_chunks:
                     cxs = [per_chunk.get(gram, {}).get(j, 0) for _, per_chunk in samples]
                     cm, cs = cls.stats[gram].chunks[j]
-                    assert cm == pytest.approx(statistics.mean(cxs), abs=1e-12)
-                    assert cs == pytest.approx(statistics.pstdev(cxs), abs=1e-12)
+                    assert cm == statistics.mean(cxs)
+                    assert cs == math.sqrt(statistics.pvariance(cxs))
 
     def test_zero_std_iff_constant(self):
         records = gen_legit(GenSpec(Protocol.FTP, 300, seed=31))
@@ -130,6 +132,8 @@ class TestTrainingStats:
         records = gen_legit(GenSpec(Protocol.FTP, 120, seed=61))
         small = train(iter(records[:-1]), protocol=Protocol.FTP, chunking=CFG)
         big = train(iter(records), protocol=Protocol.FTP, chunking=CFG)
+        # too few samples for any entry to be left out, which would break monotony
+        assert not any(cls.pruned for model in (small, big) for cls in model.classes.values())
         for key, cls in small.classes.items():
             assert set(cls.stats) <= set(big.classes[key].stats)
 
@@ -314,9 +318,9 @@ def _valid_doc():
 # generation, training or serialization shows up here first
 GOLDEN = {
     Protocol.FTP: ("fcd8187b3e86d04715fc77f29add71a27fb274975d927eafabe8d9ae88aa35b4",
-                   "2d48c7a555912d0dfd305070c40c6928d5eef04ac97f768836424bb05339c3ba"),
+                   "0ed9f2681c1d9166b38ffc0a930f78a87bf429b76ccc5c424116b1a5c47144a4"),
     Protocol.HTTP: ("d890f9544965b056035c565b01c919df5cf8f19331c2ae03c54612b6f07708ce",
-                    "799eb9bdd98f23a353ea11627a117a4354b7daa551686dc1ffe5edf044ba1f43"),
+                    "01629f44082012dbc17cb95e039f13e3a16b59f2367f63f5a2c6833c1e4eded2"),
 }
 
 
@@ -397,6 +401,26 @@ class TestLoadValidation:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.model")
+
+    def test_absent_pruned_count_loads_as_zero(self, tmp_path):
+        assert "pruned" not in _cls(_valid_doc())
+        assert load_model(self.write(tmp_path, _valid_doc())).classes[ClassKey(21, 1)].pruned == 0
+
+    def test_pruned_count_round_trips(self, tmp_path):
+        doc = _valid_doc()
+        _cls(doc)["pruned"] = 3
+        model = load_model(self.write(tmp_path, doc))
+        assert model.classes[ClassKey(21, 1)].pruned == 3
+        path = tmp_path / "again.model"
+        save_model(model, path)
+        assert _cls(json.loads(path.read_text()))["pruned"] == 3
+
+    @pytest.mark.parametrize("pruned", [True, -1, 1.5, "3"], ids=repr)
+    def test_bad_pruned_count_rejected(self, tmp_path, pruned):
+        doc = _valid_doc()
+        _cls(doc)["pruned"] = pruned
+        with pytest.raises(ModelFormatError, match="pruned must be >= 0"):
+            load_model(self.write(tmp_path, doc))
 
     def test_chunks_enabled_not_persisted(self, tmp_path):
         model = train_ftp([b"USER alice\r\n"])

@@ -1,0 +1,166 @@
+"""The entries that training leaves out change no verdict, checked against plain references.
+
+`train` keeps no entry for an n-gram with mean <= 1 whose deviation at one
+occurrence exceeds th_s: rule 2 flags it at any count, as rule 1 flags an
+n-gram never seen. `tests/helpers.py:unpruned_model` keeps every entry; both
+models must give equal outcomes at the trained th_s and at any lower th_s.
+"""
+
+import dataclasses
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pckad import (
+    AnomalyKind,
+    ChunkingConfig,
+    ClassKey,
+    ClassModel,
+    DetectorConfig,
+    GenSpec,
+    PacketRecord,
+    Protocol,
+    gen_legit,
+    inject_corpus,
+    load_model,
+    mahalanobis_term,
+    save_model,
+    score_packet,
+    train,
+)
+from pckad.detector import ANOMALOUS, judge
+from pckad.model import check_th_s_override, featurize
+
+from helpers import reference_verdict, unpruned_model
+
+PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
+CHUNKINGS = [ChunkingConfig(3, 15), ChunkingConfig(2, 7)]
+INJECTED = {Protocol.FTP: list(AnomalyKind),
+            Protocol.HTTP: [AnomalyKind.UNSEEN_GRAM, AnomalyKind.LOCATION_SHIFT]}
+
+
+@functools.cache
+def corpora(protocol, chunking):
+    """(training records, scored records, the unpruned model of the training records).
+
+    The scored records lead with training packets, which hold every n-gram
+    that training can leave out, and go on with fresh and injected ones.
+    """
+    training = gen_legit(GenSpec(protocol, 300, seed=5))
+    fresh = gen_legit(GenSpec(protocol, 120, seed=6))
+    for offset, kind in enumerate(INJECTED[protocol]):
+        fresh = inject_corpus(fresh, kind, 8, seed=7 + offset, cfg=chunking)
+    return training, training[:150] + fresh, unpruned_model(training, protocol, chunking)
+
+
+def prunable(st_, alpha, th_s):
+    """Whether rule 2 flags an entry at every count x >= 1, from its one-occurrence deviation."""
+    return st_.mean <= 1 and mahalanobis_term(st_.mean, st_.std, 1, alpha) > th_s
+
+
+class TestAgainstUnprunedModel:
+    @pytest.mark.parametrize("chunking", CHUNKINGS, ids=str)
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("th_s", [5.0, 2.5, 1.0])
+    def test_kept_entries_are_exact_and_the_rest_prunable(self, protocol, chunking, th_s):
+        training, _, full = corpora(protocol, chunking)
+        model = train(training, protocol=protocol, chunking=chunking, th_s=th_s)
+        assert model.classes.keys() == full.classes.keys()
+        for key, cls in model.classes.items():
+            ref = full.classes[key]
+            assert cls.sample_count == ref.sample_count
+            left_out = ref.stats.keys() - cls.stats.keys()
+            assert cls.pruned == len(left_out)
+            assert {g: ref.stats[g] for g in cls.stats} == cls.stats
+            for gram, st_ in ref.stats.items():
+                assert prunable(st_, model.alpha, th_s) == (gram in left_out), gram
+
+    @settings(max_examples=40)
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        chunking=st.sampled_from(CHUNKINGS),
+        alpha=st.sampled_from([0.1, 0.05, 0.5]),
+        th_s=st.floats(0.2, 6.0),
+        lower=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    )
+    def test_equal_outcomes_at_or_below_the_trained_th_s(
+        self, protocol, chunking, alpha, th_s, lower
+    ):
+        training, scored, full = corpora(protocol, chunking)
+        model = train(training, protocol=protocol, chunking=chunking, alpha=alpha, th_s=th_s)
+        judged_at = th_s * lower
+        pruned = dataclasses.replace(model, th_s=judged_at)
+        unpruned = dataclasses.replace(full, alpha=alpha, th_s=judged_at)
+        for chunks_enabled in (True, False):
+            for rec in scored:
+                assert judge(pruned, rec, chunks_enabled) == judge(unpruned, rec, chunks_enabled)
+
+    def test_scored_packets_hold_left_out_ngrams(self):
+        """The corpora reach what the property is about: packets whose n-grams were left out."""
+        for protocol in PROTOCOLS:
+            training, scored, full = corpora(protocol, CHUNKINGS[0])
+            model = train(training, protocol=protocol, chunking=CHUNKINGS[0], th_s=1.0)
+            left_out = {
+                gram for key, cls in model.classes.items()
+                for gram in full.classes[key].stats.keys() - cls.stats.keys()
+            }
+            features = [featurize(rec, protocol, model.port, model.chunking) for rec in scored]
+            hits = sum(not left_out.isdisjoint(f.counts.totals) for f in features
+                       if not isinstance(f, str))
+            assert hits >= 10, protocol
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
+def test_judge_on_pruned_model_matches_reference_verdict(protocol):
+    chunking = CHUNKINGS[0]
+    training, scored, _ = corpora(protocol, chunking)
+    model = train(training, protocol=protocol, chunking=chunking, th_s=1.5)
+    assert sum(cls.pruned for cls in model.classes.values()) > 0
+    for threshold in (protocol.default_score_threshold, 10.0):
+        for chunks_enabled in (True, False):
+            cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+            for rec in scored:
+                got = score_packet(model, rec, cfg)
+                assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
+                    reference_verdict(model, rec.payload, cfg), rec
+
+
+# every 2-gram of these payloads occurs once, in one of two packets: mean 0.5, std 0.5
+FULLY_PRUNED = [b"abc", b"xyz"]
+
+
+def fully_pruned_model():
+    """A model whose one class has every entry left out: deviation 0.5 / 0.6 > th_s 0.5."""
+    records = [PacketRecord(id=i, dst_port=21, payload=p) for i, p in enumerate(FULLY_PRUNED)]
+    return train(records, protocol=Protocol.FTP, chunking=ChunkingConfig(2, 15), th_s=0.5)
+
+
+class TestFullyPrunedClass:
+    def test_class_keeps_its_sample_count_and_no_entry(self):
+        assert fully_pruned_model().classes == {ClassKey(21, 1): ClassModel(2, {}, pruned=4)}
+
+    def test_loads_with_empty_ngrams(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fully_pruned_model(), path)
+        assert b'"pruned":4,"ngrams":[]' in path.read_bytes()
+        assert load_model(path) == fully_pruned_model()
+
+    def test_every_ngram_is_rule_1(self):
+        model = fully_pruned_model()
+        for payload in FULLY_PRUNED + [b"ab!"]:
+            rec = PacketRecord(id=0, dst_port=21, payload=payload)
+            assert judge(model, rec, True) == (None, 2, 2, 2)
+            assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
+
+
+class TestThSOverride:
+    def test_at_or_below_the_trained_th_s_is_accepted(self):
+        for th_s in (0.5, 0.25, 1e-9):
+            check_th_s_override(fully_pruned_model(), th_s)
+
+    @pytest.mark.parametrize("th_s", [0.75, 5.0])
+    def test_above_the_trained_th_s_is_refused(self, th_s):
+        with pytest.raises(ValueError, match=f"retrain the model at th_s {th_s}"):
+            check_th_s_override(fully_pruned_model(), th_s)

@@ -70,6 +70,7 @@ STEPS = [
     ("usage-pcap-filter", "detect --model m --in x.pcap --pcap-filter color=red", []),
     ("usage-inject", "gen --protocol ftp --count 10 --out x.jsonl --inject weird:0.5", []),
     ("usage-extension", "detect --model m --in x.txt", []),
+    ("usage-th-s-above-model", "detect --model ftp.model --in ftp-test.jsonl --th-s 4", []),
     ("usage-repeated-grid-axis", "sweep --protocol ftp --train-in ftp-train.jsonl "
                                  "--test-in ftp-test.jsonl --out r.csv "
                                  "--grid n=2;chunk=15;score=30;n=3", []),
@@ -93,7 +94,7 @@ STEPS = [
 TRANSCRIPT = {
     "gen-ftp-train": "7dfd82ef553e1f896aaa9426595d57a6b9b88fcb85a5e21446f297f4b3a2a781",
     "gen-ftp-test": "321b1af1b5d1d94434aafec8eb181c004292bd2fb2d96d06d72fbe699a26d90e",
-    "train-ftp": "892b0bc2b5b50c138c92cd663e2383e36b90e558b4b85822b84e5cad983d8ae7",
+    "train-ftp": "23517e453f1aee524661f257d23e9a51a416da51929afcab91159f5846522051",
     "detect-ftp": "b576b5d34b097f5cbc32e19230354fd6ea61905522ebbfd5e778fc074d70cce3",
     "detect-ftp-no-chunks": "1aac1fdace8ad5894850fd6792cd8622fe9cb3da7768b46fdd87ff841f8395f9",
     "detect-ftp-th-s": "a0c5c08e3152555dbc16db0894e1e3290709177b16fa8ae790154f7f360e22aa",
@@ -102,8 +103,8 @@ TRANSCRIPT = {
     "sweep-ftp": "f10eee0ec311172aa30eb9c0914705ce3eb279e5e97b9ef67609343ecc014857",
     "gen-http-train": "93e1bed9b6396a794fe2d41eeeb3fabd0e666b5f2de290421cc866774cd705da",
     "gen-http-test": "d1b80fca9068e0c671946caafe12bd51f6126f77b9098b80ade949ac8eece494",
-    "train-http": "b08efe9a3142b4df3fe2cad5ed48854a878ca8d112a098cec4979a97005f7b6b",
-    "train-http-pcap": "b3e6509f1ff8425531169e7401da00d448a90ea2357178dafafe4a59aacfa9f2",
+    "train-http": "5c220e8c9b1137e4fda3f4d3295e63e591f5b54b6f7bf2bf301f9e17e1bbc917",
+    "train-http-pcap": "6216e1c9a0879fb5438d9cb64b27282809d7f0009aa11292ece91d4821da9d88",
     "detect-http": "76bebccc652eeeb51a1ec17d1b24ef9f7153e84397144a950fc99a493eafe36b",
     "detect-http-pcap": "ce133153ca74a6cb0e210b9a446ad3d36827fb75ab445b08615cff151c785035",
     "detect-http-pcap-no-chunks": "a9c0b7e318e415b9c961e66d717fe76d817ffd08bd44bdc38340f167035fe900",
@@ -118,6 +119,7 @@ TRANSCRIPT = {
     "usage-pcap-filter": "b1a2cf7d34b3400d2cc39c905cdb2de2e7d4a46e23afaee772c663645d6006b4",
     "usage-inject": "4c53ea934969ccf59793f002658c0dc7505513cd5e2938f21b314567229bd5c7",
     "usage-extension": "f370c0182f569476ee2e1b172461fcca5846493c99748ea234687d8ac2073ec7",
+    "usage-th-s-above-model": "a314e47ba098ad386bc62375b5da68adc37595e69aaa3faec9bcc3e6837fecd9",
     "usage-repeated-grid-axis": "f1b75c33809e5edb5eefe932cd0adea3decc0a571de467e37d2c1333c5c1c077",
     "usage-repeated-pcap-filter-key": "894721d50a6808b844f74d2c74a6f019cadc3e9877e70472d7f4cc30014fc6c4",
     "usage-repeated-grid-value": "e676c74f91b59045adf2fd7dd4ddad2d33057e97f71b5f6dc40abae46c601fe9",
