@@ -17,10 +17,17 @@ has no model alert too: traffic unlike anything seen in training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import COMPACT_JSON, PacketRecord
-from .model import ABSENT_CHUNK, NGramStats, TrafficModel, featurize
+from .model import (
+    ABSENT_CHUNK,
+    MEMO_BYTES,
+    MEMO_ENTRY_BYTES,
+    NGramStats,
+    TrafficModel,
+    featurize,
+)
 
 LEGIT = "legit"
 ANOMALOUS = "anomalous"
@@ -177,6 +184,39 @@ def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig)
     return judge(model, record, cfg.chunks_enabled).verdict(cfg)
 
 
+class PayloadMemo:
+    """One call's judgement of each distinct payload, within MEMO_BYTES.
+
+    For one model and chunk mode, a record on the model's port is judged by
+    its payload alone, so callers check the port first and then ask the memo.
+    On a miss it calls judge_record. An entry is charged its payload's length
+    plus MEMO_ENTRY_BYTES; the memo empties when the next one would pass
+    MEMO_BYTES, and keeps no entry that alone would.
+    """
+
+    __slots__ = ("judge_record", "judged", "size")
+
+    def __init__(self, judge_record: Callable[[PacketRecord], Outcome | Verdict]):
+        self.judge_record = judge_record
+        self.judged: dict[bytes, Outcome | Verdict] = {}
+        self.size = 0
+
+    def judge(self, record: PacketRecord) -> Outcome | Verdict:
+        """The record's judgement, from the memo when its payload was judged before."""
+        payload = record.payload
+        judgement = self.judged.get(payload)
+        if judgement is None:
+            judgement = self.judge_record(record)
+            cost = len(payload) + MEMO_ENTRY_BYTES
+            if self.size + cost > MEMO_BYTES:
+                self.judged.clear()
+                self.size = 0
+            if cost <= MEMO_BYTES:
+                self.judged[payload] = judgement
+                self.size += cost
+        return judgement
+
+
 @dataclass
 class DetectionSummary:
     """Verdict tallies over one detection run."""
@@ -205,14 +245,17 @@ def detect_stream(
 ) -> Iterator[tuple[int, Verdict]]:
     """Score every record on the model's port, in input order.
 
-    The summary tallies the verdicts, and the records for other ports as
-    skipped, while the stream is consumed.
+    Each distinct payload is scored once per call, through a PayloadMemo;
+    its repeats get the same verdict. The summary tallies the verdicts of
+    every record, and the records for other ports as skipped, while the
+    stream is consumed.
     """
+    memo = PayloadMemo(lambda rec: score_packet(model, rec, cfg))
     for rec in records:
         if rec.dst_port != model.port:
             summary.skipped_other_port += 1
             continue
-        verdict = score_packet(model, rec, cfg)
+        verdict = memo.judge(rec)
         setattr(summary, verdict.kind, getattr(summary, verdict.kind) + 1)
         yield rec.id, verdict
 

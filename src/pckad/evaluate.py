@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
 from .corpus import PacketRecord, attack_instance_of, validate_label
-from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
+from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, PayloadMemo, judge
 from .errors import EvaluationError
 from .model import DEFAULT_ALPHA, DEFAULT_TH_S, TrafficModel, check_model_settings, train
 from .protocols import Protocol
@@ -96,7 +96,11 @@ def _outcomes(
     labels: LabelSet,
     chunks_enabled: bool,
 ) -> list[tuple[str | None, Outcome]]:
-    """(attack instance or None for legit, outcome) of every on-port record, in order."""
+    """(attack instance or None for legit, outcome) of every on-port record, in order.
+
+    Each distinct payload is judged once, through a PayloadMemo.
+    """
+    memo = PayloadMemo(lambda rec: judge(model, rec, chunks_enabled))
     out = []
     for rec in records:
         if rec.dst_port != model.port:
@@ -104,7 +108,7 @@ def _outcomes(
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        out.append((attack_instance_of(label), judge(model, rec, chunks_enabled)))
+        out.append((attack_instance_of(label), memo.judge(rec)))
     return out
 
 
@@ -207,8 +211,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Train one model per (n, chunk_len) and evaluate every grid cell.
 
-    Each test packet is featurized and judged once per (n, chunk_len); the
-    score thresholds and chunk modes are folds over those outcomes. Invalid
+    Each distinct training payload is featurized once per model, and each
+    distinct test payload is judged once per (n, chunk_len); the score
+    thresholds and chunk modes are folds over those outcomes. Invalid
     cells (n > chunk_len) produce a row without a report and a warning on
     stderr. Rows come out in deterministic grid order.
     """

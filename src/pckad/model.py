@@ -118,6 +118,14 @@ _FLOAT_MAX = sys.float_info.max
 DEFAULT_ALPHA = 0.1
 DEFAULT_TH_S = 5.0
 
+# Bytes that each per-call memo of distinct payloads may hold: the table of
+# records that training has not yet counted, and the detector's judgements.
+# An entry is charged its payload's length plus MEMO_ENTRY_BYTES, about what
+# CPython spends on the entry beside the payload, so neither many tiny
+# payloads nor a few huge ones can grow a memo past it.
+MEMO_BYTES = 1 << 16
+MEMO_ENTRY_BYTES = 256
+
 
 def check_model_settings(
     port: int | None = None, alpha: float | None = None, th_s: float | None = None
@@ -165,25 +173,28 @@ class _ClassAccumulator:
         self.count = 0
         self.sums: dict[bytes, list] = {}
 
-    def add(self, counts: WindowCounts) -> None:
-        self.count += 1
+    def add(self, counts: WindowCounts, w: int) -> None:
+        """Count w samples with these counts: w*x into s1, w*x*x into s2."""
+        self.count += w
         sums = self.sums
         for gram, x in counts.totals.items():
+            wx = w * x
             cell = sums.get(gram)
             if cell is None:
-                sums[gram] = [x, x * x, {}]
+                sums[gram] = [wx, wx * x, {}]
             else:
-                cell[0] += x
-                cell[1] += x * x
+                cell[0] += wx
+                cell[1] += wx * x
         # every gram of a pair has its cell now
         for (gram, j), c in counts.pairs.items():
+            wc = w * c
             slots = sums[gram][2]
             slot = slots.get(j)
             if slot is None:
-                slots[j] = [c, c * c]
+                slots[j] = [wc, wc * c]
             else:
-                slot[0] += c
-                slot[1] += c * c
+                slot[0] += wc
+                slot[1] += wc * c
 
     def finalize(self, alpha: float, th_s: float) -> ClassModel:
         """The class's statistics, leaving out the entries that can change no verdict.
@@ -223,12 +234,36 @@ def train(
     (then the labels are disregarded and the packets are used). Chunk
     statistics are always recorded; disabling the chunk rules is a
     detection-time choice.
+
+    Repeats of one (destination port, payload) are featurized once and
+    counted as one weighted sample. They are grouped in a table of at most
+    MEMO_BYTES, counted whenever it fills and at the end; the sums are exact
+    integers, so the model is the one that record-by-record counting builds.
+    The label check and the summary still count every record.
     """
     if port is None:
         port = protocol.default_port
     check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
     accumulators: dict[ClassKey, _ClassAccumulator] = {}
+    # (dst_port, payload) -> [first record, repeats], not yet counted;
+    # featurize reads only those two fields, so one call serves every repeat
+    pending: dict[tuple[int, bytes], list] = {}
+    pending_bytes = 0
+
+    def count_pending() -> None:
+        for rec, w in pending.values():
+            features = featurize(rec, protocol, port, chunking)
+            if isinstance(features, str):
+                counter = "skipped_" + features
+                setattr(summary, counter, getattr(summary, counter) + w)
+                continue
+            acc = accumulators.get(features.key)
+            if acc is None:
+                acc = accumulators[features.key] = _ClassAccumulator()
+            acc.add(features.counts, w)
+            summary.trained += w
+        pending.clear()
 
     for rec in records:
         summary.read += 1
@@ -237,16 +272,18 @@ def train(
                 f"record {rec.id} is labeled {rec.label!r}; the training corpus "
                 "must be attack-free (use ignore_labels to override)"
             )
-        features = featurize(rec, protocol, port, chunking)
-        if isinstance(features, str):
-            counter = "skipped_" + features
-            setattr(summary, counter, getattr(summary, counter) + 1)
+        key = (rec.dst_port, rec.payload)
+        entry = pending.get(key)
+        if entry is not None:
+            entry[1] += 1
             continue
-        acc = accumulators.get(features.key)
-        if acc is None:
-            acc = accumulators[features.key] = _ClassAccumulator()
-        acc.add(features.counts)
-        summary.trained += 1
+        cost = len(rec.payload) + MEMO_ENTRY_BYTES
+        if pending_bytes + cost > MEMO_BYTES:
+            count_pending()
+            pending_bytes = 0
+        pending[key] = [rec, 1]
+        pending_bytes += cost
+    count_pending()
 
     if summary.trained == 0:
         raise CorpusError("no trainable packets in corpus")

@@ -1,0 +1,303 @@
+"""Each distinct payload is counted and judged once per call, with the same results.
+
+`train` groups repeats of one (port, payload) into one weighted sample, and
+`detect_stream`, `evaluate` and `sweep` judge each distinct on-port payload
+once through `detector.PayloadMemo`. Both memos hold at most
+`model.MEMO_BYTES`. Every output must equal the record-by-record one: the
+model with its entry order and file bytes, the training summary, every
+verdict and tally, every report and sweep row. The budget is also squeezed
+until the memos keep one entry or none.
+"""
+
+import importlib
+import random
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+
+from pckad import (
+    AnomalyKind,
+    ChunkingConfig,
+    CorpusError,
+    DetectionSummary,
+    DetectorConfig,
+    GenSpec,
+    GridSpec,
+    LabelSet,
+    PacketRecord,
+    Protocol,
+    TrainingSummary,
+    detect_stream,
+    evaluate,
+    gen_legit,
+    inject_corpus,
+    save_model,
+    score_packet,
+    sweep,
+    train,
+)
+from pckad import detector, model as model_module
+from pckad.corpus import attack_instance_of
+from pckad.detector import PayloadMemo, judge
+from pckad.evaluate import _fold, _outcomes
+from pckad.model import MEMO_ENTRY_BYTES, featurize
+
+PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
+CHUNKING = ChunkingConfig(3, 15)
+OTHER_PORT = 8080
+# the package's `evaluate` attribute is the function of that name
+evaluate_module = importlib.import_module("pckad.evaluate")
+
+
+def skipped_payloads(protocol):
+    """Payloads that training skips: empty, and short on FTP or malformed on HTTP."""
+    return [b"", b"a"] + ([b"GET /x\r\n"] if protocol is Protocol.HTTP else [])
+
+
+def no_model_payload(protocol):
+    """A payload too long for any trained class."""
+    if protocol is Protocol.HTTP:
+        return b"GET /" + b"a" * 300 + b" HTTP/1.1\r\nHost: h\r\n\r\n"
+    return b"RETR " + b"z" * 300 + b"\r\n"
+
+
+def corpora(protocol):
+    """(training records, test records) drawn with heavy repeats from small pools.
+
+    Both hold repeated empty payloads, short ones on FTP, malformed ones on
+    HTTP, and records for another port whose payloads also come on the
+    model's port. The test records hold injected attacks and no-model
+    payloads too.
+    """
+    port = protocol.default_port
+    legit = gen_legit(GenSpec(protocol, 30, seed=21))
+    attacks = inject_corpus(gen_legit(GenSpec(protocol, 12, seed=22)),
+                            AnomalyKind.UNSEEN_GRAM, 6, seed=23, cfg=CHUNKING)
+    skipped = skipped_payloads(protocol)
+    rng = random.Random(24)
+
+    train_pool = [r.payload for r in legit] + skipped
+    training = []
+    for i in range(400):
+        payload = rng.choice(train_pool)
+        dst_port = OTHER_PORT if i % 17 == 0 else port
+        training.append(PacketRecord(id=i, dst_port=dst_port, payload=payload, label="legit"))
+
+    test_pool = ([(r.payload, "legit") for r in legit]
+                 + [(r.payload, r.label) for r in attacks]
+                 + [(p, "legit") for p in skipped + [no_model_payload(protocol)]])
+    test = []
+    for i in range(400):
+        payload, label = rng.choice(test_pool)
+        dst_port = OTHER_PORT if i % 13 == 0 else port
+        test.append(PacketRecord(id=i, dst_port=dst_port, payload=payload, label=label))
+    return training, test
+
+
+def trained(protocol, training, chunking=CHUNKING):
+    return train(iter(training), protocol=protocol, chunking=chunking)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """`budget.set(b)` sets MEMO_BYTES for both memos; `budget.held` is the
+    judgement memo's entry count after each call, checked against the budget."""
+    held = []
+
+    def set_budget(value):
+        monkeypatch.setattr(model_module, "MEMO_BYTES", value)
+        monkeypatch.setattr(detector, "MEMO_BYTES", value)
+
+    original = PayloadMemo.judge
+
+    def checked(self, record):
+        judgement = original(self, record)
+        assert self.size == sum(len(p) + MEMO_ENTRY_BYTES for p in self.judged)
+        assert self.size <= detector.MEMO_BYTES
+        held.append(len(self.judged))
+        return judgement
+
+    monkeypatch.setattr(PayloadMemo, "judge", checked)
+    return SimpleNamespace(set=set_budget, held=held)
+
+
+# "default" keeps the library's budget; "one" holds one entry at a time (any
+# two entries pass it, and payloads of MEMO_ENTRY_BYTES or more are not
+# kept), so the memo empties at every miss; "none" holds no entry
+BUDGETS = ["default", "one", "none"]
+
+
+def apply(budget, which):
+    if which == "one":
+        budget.set(2 * MEMO_ENTRY_BYTES - 1)
+    elif which == "none":
+        budget.set(0)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_corpus_has_every_odd_kind(protocol):
+    """The corpora reach every verdict kind and skip cause that the memos must keep apart."""
+    training, test = corpora(protocol)
+    model = trained(protocol, training)
+    kinds = Counter(score_packet(model, r, DetectorConfig.for_model(model)).kind
+                    for r in test if r.dst_port == model.port)
+    want = {"legit", "anomalous", "unclassifiable", "no_model"}
+    if protocol is Protocol.HTTP:
+        want.add("malformed")
+    assert want <= set(kinds)
+    assert min(kinds[k] for k in want) >= 2
+    shared = {r.payload for r in test if r.dst_port == OTHER_PORT}
+    assert shared & {r.payload for r in test if r.dst_port == model.port}
+    assert len({r.payload for r in test}) < len(test) / 4
+
+
+class TestJudgementMemo:
+    @pytest.mark.parametrize("which", BUDGETS)
+    @pytest.mark.parametrize("chunks_enabled", [True, False])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_detect_stream_equals_per_record_scoring(self, protocol, chunks_enabled, which,
+                                                     budget, monkeypatch):
+        training, test = corpora(protocol)
+        model = trained(protocol, training)
+        cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
+        on_port = [r for r in test if r.dst_port == model.port]
+        want = [(r.id, score_packet(model, r, cfg)) for r in on_port]
+        apply(budget, which)
+        scored = counting(monkeypatch, detector, "score_packet")
+
+        summary = DetectionSummary()
+        assert list(detect_stream(model, test, cfg, summary)) == want
+        tally = Counter(v.kind for _, v in want)
+        assert summary == DetectionSummary(**tally, skipped_other_port=len(test) - len(on_port))
+        distinct = len({r.payload for r in on_port})
+        if which == "default":
+            assert len(scored) == distinct
+        else:
+            assert len(scored) > distinct
+        if which == "one":
+            assert max(budget.held) == 1
+        elif which == "none":
+            assert max(budget.held) == 0
+
+    @pytest.mark.parametrize("which", BUDGETS)
+    @pytest.mark.parametrize("chunks_enabled", [True, False])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_evaluate_equals_per_record_judging(self, protocol, chunks_enabled, which,
+                                                budget, monkeypatch):
+        training, test = corpora(protocol)
+        model = trained(protocol, training)
+        labels = LabelSet.from_records(test)
+        cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
+        on_port = [r for r in test if r.dst_port == model.port]
+        want = [(attack_instance_of(r.label), judge(model, r, chunks_enabled)) for r in on_port]
+        apply(budget, which)
+        judged = counting(monkeypatch, evaluate_module, "judge")
+
+        assert _outcomes(model, test, labels, chunks_enabled) == want
+        assert evaluate(model, test, labels, cfg) == _fold(want, cfg)
+        if which == "default":
+            # one judgement per distinct payload in each of the two calls
+            assert len(judged) == 2 * len({r.payload for r in on_port})
+
+    @pytest.mark.parametrize("which", BUDGETS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_sweep_equals_per_record_folds(self, protocol, which, budget):
+        training, test = corpora(protocol)
+        labels = LabelSet.from_records(test)
+        grid = GridSpec((2, 3), (7, 15), (30.0, 40.0), (True, False))
+        want = []
+        for n in grid.ns:
+            for chunk_len in grid.chunk_lens:
+                model = trained(protocol, training, ChunkingConfig(n, chunk_len))
+                outcomes = [(attack_instance_of(r.label), judge(model, r, True))
+                            for r in test if r.dst_port == model.port]
+                for threshold in grid.score_thresholds:
+                    for chunks_enabled in grid.chunk_modes:
+                        cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+                        want.append((n, chunk_len, threshold, chunks_enabled, _fold(outcomes, cfg)))
+        apply(budget, which)
+
+        rows = sweep(training, test, labels, grid, protocol=protocol)
+        assert [(r.n, r.chunk_len, r.score_threshold, r.chunks_enabled, r.report)
+                for r in rows] == want
+
+    def test_payload_too_large_for_the_budget_is_judged_and_not_kept(self, budget):
+        budget.set(MEMO_ENTRY_BYTES + 4)
+        memo = PayloadMemo(lambda rec: len(rec.payload))
+        small, large = (PacketRecord(id=0, dst_port=21, payload=p) for p in (b"abcd", b"abcde"))
+        assert memo.judge(small) == 4
+        assert memo.judged == {b"abcd": 4}
+        assert memo.judge(large) == 5
+        assert memo.judged == {} and memo.size == 0
+
+
+def per_record_summary(records, protocol, chunking):
+    """The TrainingSummary of record-by-record featurizing."""
+    summary = TrainingSummary(read=len(records))
+    for rec in records:
+        features = featurize(rec, protocol, protocol.default_port, chunking)
+        if isinstance(features, str):
+            counter = "skipped_" + features
+            setattr(summary, counter, getattr(summary, counter) + 1)
+        else:
+            summary.trained += 1
+    return summary
+
+
+def layout(model):
+    """Class order and each class's entry order, which equality of dicts leaves out."""
+    return [(key, list(cls.stats)) for key, cls in model.classes.items()]
+
+
+class TestGroupedTraining:
+    @pytest.mark.parametrize("chunking", [CHUNKING, ChunkingConfig(2, 7)])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_one_entry_budget_builds_the_same_model(self, protocol, chunking, budget,
+                                                    tmp_path, monkeypatch):
+        training, _ = corpora(protocol)
+        featurized = counting(monkeypatch, model_module, "featurize")
+        at_default = trained(protocol, training, chunking)
+        # the whole corpus fits the default budget: one featurize per distinct record
+        assert len(featurized) == len({(r.dst_port, r.payload) for r in training})
+        budget.set(0)
+        one_entry = trained(protocol, training, chunking)
+
+        assert one_entry == at_default
+        assert layout(one_entry) == layout(at_default)
+        assert save_model(one_entry, tmp_path / "a") == save_model(at_default, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        want = per_record_summary(training, protocol, chunking)
+        assert at_default.summary == one_entry.summary == want
+        # a request line is never shorter than n
+        causes = ["other_port", "empty", "malformed" if protocol is Protocol.HTTP else "short"]
+        for cause in causes:
+            assert getattr(want, "skipped_" + cause) >= 2
+
+    @pytest.mark.parametrize("which", ["default", "none"])
+    def test_attack_repeating_a_legit_payload_is_fatal(self, which, budget):
+        if which == "none":
+            budget.set(0)
+        records = [
+            PacketRecord(id=0, dst_port=21, payload=b"USER alice\r\n", label="legit"),
+            PacketRecord(id=1, dst_port=21, payload=b"PASS x\r\n", label="legit"),
+            PacketRecord(id=2, dst_port=21, payload=b"USER alice\r\n", label="attack:a1"),
+        ]
+        with pytest.raises(CorpusError, match=r"record 2 is labeled 'attack:a1'"):
+            trained(Protocol.FTP, records)
+        model = train(iter(records), protocol=Protocol.FTP, chunking=CHUNKING, ignore_labels=True)
+        assert model.summary == TrainingSummary(read=3, trained=3)
+        assert model.classes[(21, 1)].sample_count == 3
