@@ -1,11 +1,10 @@
 """Chunk splitting and n-gram occurrence counting.
 
-Each relevant component is cut into consecutive non-overlapping chunks of a
-fixed byte length (the last chunk of a component may be shorter). N-grams
-are every length-n window sliding by one byte within a component; windows
-never span component boundaries. A window that straddles the border between
-two consecutive chunks counts toward the chunk holding its first byte, so
-every occurrence lands in exactly one chunk.
+The relevant payload is cut into consecutive non-overlapping chunks of a
+fixed byte length (the last chunk may be shorter). N-grams are every
+length-n window sliding by one byte. A window that straddles the border
+between two consecutive chunks counts toward the chunk holding its first
+byte, so every occurrence lands in exactly one chunk.
 
 `count_windows` is the one counting pass, shared by training, scoring and
 the sweep. `split_chunks` (chunk spans) and `extract_ngrams` (the same counts
@@ -40,35 +39,16 @@ DEFAULT_CHUNKING = ChunkingConfig(3, 15)
 
 @dataclass(frozen=True)
 class ChunkLayout:
-    """Chunk byte-ranges per component plus global chunk numbering."""
+    """Byte range of each chunk of a payload; chunk j is chunks[j]."""
 
-    component_chunks: tuple[tuple[tuple[int, int], ...], ...]
-    component_base: tuple[int, ...]  # global index of each component's first chunk
-    nck_per_component: tuple[int, ...]
-    nck_total: int
+    chunks: tuple[tuple[int, int], ...]
 
 
-def split_chunks(relevant, cfg: ChunkingConfig) -> ChunkLayout:
-    """Cut every component into ceil(len/chunk_len) chunks.
-
-    Global chunk indices run in component order, then chunk order.
-    """
-    spans_per_component = []
-    bases = []
-    total = 0
-    for comp in relevant.components:
-        bases.append(total)
-        spans = tuple(
-            (start, min(start + cfg.chunk_len, len(comp)))
-            for start in range(0, len(comp), cfg.chunk_len)
-        )
-        spans_per_component.append(spans)
-        total += len(spans)
+def split_chunks(payload: bytes, cfg: ChunkingConfig) -> ChunkLayout:
+    """Cut the payload into ceil(len/chunk_len) chunks."""
+    size, chunk_len = len(payload), cfg.chunk_len
     return ChunkLayout(
-        component_chunks=tuple(spans_per_component),
-        component_base=tuple(bases),
-        nck_per_component=tuple(len(s) for s in spans_per_component),
-        nck_total=total,
+        tuple((start, min(start + chunk_len, size)) for start in range(0, size, chunk_len))
     )
 
 
@@ -77,7 +57,7 @@ class NGramCounts:
     """Occurrence counts for one payload.
 
     payload_counts maps n-gram -> occurrences over the whole relevant
-    payload; chunk_counts maps n-gram -> {global chunk index -> occurrences}.
+    payload; chunk_counts maps n-gram -> {chunk index -> occurrences}.
     Absent keys mean zero.
     """
 
@@ -90,7 +70,7 @@ class WindowCounts(NamedTuple):
     """Occurrence counts for one payload, as `count_windows` returns them.
 
     totals maps n-gram -> occurrences over the whole relevant payload; pairs
-    maps (n-gram, global chunk index) -> occurrences in that chunk. Both keep
+    maps (n-gram, chunk index) -> occurrences in that chunk. Both keep
     first-occurrence order. nck_total is the class's chunk count.
     """
 
@@ -100,40 +80,28 @@ class WindowCounts(NamedTuple):
     nck_total: int
 
 
-def count_windows(relevant, cfg: ChunkingConfig) -> WindowCounts:
+def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
     """Count every sliding-window occurrence, attributed to one chunk each.
 
-    Each component's windows are sliced once and counted by two C-level
-    Counters; each window's chunk index comes from a stream that repeats
-    every chunk index chunk_len times. Chunk indices run in component order,
-    then chunk order, and each component holds ceil(len / chunk_len) chunks.
+    The windows are sliced once and counted by two C-level Counters; each
+    window's chunk index comes from a stream that repeats every chunk index
+    chunk_len times. The payload holds ceil(len / chunk_len) chunks.
     """
     n, chunk_len = cfg.n, cfg.chunk_len
-    totals: Counter = Counter()
-    pairs: Counter = Counter()
-    tot = 0
-    base = 0
-    for comp in relevant.components:
-        size = len(comp)
-        nck = -(-size // chunk_len)
-        windows = size - n + 1
-        if windows > 0:
-            tot += windows
-            grams = list(map(comp.__getitem__, map(slice, range(windows), range(n, windows + n))))
-            totals.update(grams)
-            chunk_ids = chain.from_iterable(map(repeat, range(base, base + nck), repeat(chunk_len)))
-            pairs.update(zip(grams, chunk_ids))
-        base += nck
-    return WindowCounts(totals, pairs, tot, base)
+    nck = -(-len(payload) // chunk_len)
+    windows = max(len(payload) - n + 1, 0)
+    grams = list(map(payload.__getitem__, map(slice, range(windows), range(n, windows + n))))
+    chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))
+    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)), windows, nck)
 
 
-def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
+def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
     """`count_windows`'s counts grouped per n-gram, for the tests and the benchmark.
 
     layout is not read: `count_windows` numbers the chunks as `split_chunks`
     does. n-grams and each n-gram's chunk indices keep first-occurrence order.
     """
-    counts = count_windows(relevant, cfg)
+    counts = count_windows(payload, cfg)
     chunk_counts: dict[bytes, dict[int, int]] = {}
     for (gram, j), x in counts.pairs.items():
         per_chunk = chunk_counts.get(gram)
@@ -146,12 +114,12 @@ def extract_ngrams(relevant, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramC
     )
 
 
-def sliding_window_oracle(component: bytes, n: int) -> Counter:
-    """Brute-force multiset of all length-n windows of one component.
+def sliding_window_oracle(payload: bytes, n: int) -> Counter:
+    """Brute-force multiset of all length-n windows of one payload.
 
     Independent reference for property tests; deliberately knows nothing
     about chunks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Counter(component[i:i + n] for i in range(len(component) - n + 1))
+    return Counter(payload[i:i + n] for i in range(len(payload) - n + 1))

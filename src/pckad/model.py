@@ -1,6 +1,6 @@
 """Semi-supervised traffic model: training and persistence.
 
-Training packets are grouped into classes by (destination port, total chunk
+Training packets are grouped into classes by (destination port, chunk
 count). For every n-gram observed in a class, the mean and population
 standard deviation of its occurrence count are recorded, both for the whole
 relevant payload and per chunk position; samples where the n-gram is absent
@@ -80,7 +80,8 @@ def featurize(
     relevant = extract_relevant(protocol, record.payload)
     if isinstance(relevant, Malformed):
         return "malformed"
-    counts = count_windows(relevant, chunking)
+    (payload,) = relevant.components
+    counts = count_windows(payload, chunking)
     if counts.tot_seqs == 0:
         return "short"
     return Features(ClassKey(port, counts.nck_total), counts)

@@ -1,10 +1,11 @@
 """Protocol knowledge: which part of a payload is worth modeling.
 
-Only the structured, attacker-controlled parts of a payload are analyzed.
-For HTTP that is the request line (method, target, version, CRLF included);
-header lines and body are discarded. For FTP the whole control-channel
-payload is one relevant component. Payloads that violate the protocol
-grammar are reported as malformed, which the detector treats as an alert.
+Only the structured, attacker-controlled part of a payload is analyzed, and
+each protocol selects exactly one contiguous part. For HTTP that is the
+request line (method, target, version, CRLF included); header lines and
+body are discarded. For FTP it is the whole control-channel payload.
+Payloads that violate the protocol grammar are reported as malformed, which
+the detector treats as an alert.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ class Protocol(enum.Enum):
 
 @dataclass(frozen=True)
 class RelevantPayload:
-    """Ordered protocol-relevant components selected from one payload."""
+    """The protocol-relevant part of one payload, as a 1-tuple.
+
+    Every rule selects exactly one part, and `featurize` counts that one.
+    The tuple stays because the benchmark's reference scorer reads
+    `components`.
+    """
 
     components: tuple[bytes, ...]
 
@@ -46,7 +52,7 @@ _REQUEST_LINE_RE = re.compile(
 
 
 def extract_relevant(protocol: Protocol, payload: bytes) -> RelevantPayload | Malformed:
-    """Select the relevant components of a payload, or flag it malformed.
+    """Select the relevant part of a payload, or flag it malformed.
 
     `model.featurize` routes an empty payload to the unclassifiable verdict
     before getting here.

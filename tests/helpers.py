@@ -53,64 +53,25 @@ def pcap_bytes(
     return out
 
 
-def window_loop_ngrams(relevant, layout, cfg):
-    """Reference extract_ngrams: one window at a time, each into its first byte's chunk.
+def reference_counts(payload, cfg):
+    """(totals, per_chunk, nck) of one payload, counted with sliding_window_oracle alone.
 
-    The plain loop that extract_ngrams replaced; the differential test
-    checks the fast path against it, key order included.
-    """
-    from collections import Counter
-
-    from pckad.chunking import NGramCounts
-
-    payload_counts = Counter()
-    chunk_counts = {}
-    tot = 0
-    n = cfg.n
-    for comp, base in zip(relevant.components, layout.component_base):
-        windows = len(comp) - n + 1
-        if windows <= 0:
-            continue
-        tot += windows
-        for start in range(windows):
-            gram = comp[start:start + n]
-            payload_counts[gram] += 1
-            j = base + start // cfg.chunk_len
-            per_chunk = chunk_counts.get(gram)
-            if per_chunk is None:
-                per_chunk = chunk_counts[gram] = Counter()
-            per_chunk[j] += 1
-    return NGramCounts(
-        payload_counts=dict(payload_counts),
-        chunk_counts={g: dict(c) for g, c in chunk_counts.items()},
-        tot_seqs=tot,
-    )
-
-
-def reference_counts(components, cfg):
-    """(totals, per_chunk, nck) of the components, counted with sliding_window_oracle alone.
-
-    totals maps n-gram -> occurrences over all components; per_chunk maps
-    n-gram -> {global chunk index -> occurrences}. Chunk counts are
-    ceil(len / chunk_len) per component, and each window belongs to the chunk
-    of its first byte.
+    totals maps n-gram -> occurrences; per_chunk maps n-gram -> {chunk index
+    -> occurrences}. Both keep first-occurrence order. The payload holds
+    ceil(len / chunk_len) chunks, and each window belongs to the chunk of its
+    first byte.
     """
     from collections import Counter
 
     from pckad import sliding_window_oracle
 
     n, chunk_len = cfg.n, cfg.chunk_len
-    totals = Counter()
     per_chunk = {}
-    nck = 0
-    for comp in components:
-        totals += sliding_window_oracle(comp, n)
-        for k, start in enumerate(range(0, len(comp), chunk_len)):
-            # the windows starting in chunk k may run n - 1 bytes past its end
-            for gram, x in sliding_window_oracle(comp[start:start + chunk_len + n - 1], n).items():
-                per_chunk.setdefault(gram, Counter())[nck + k] += x
-        nck += -(-len(comp) // chunk_len)
-    return totals, per_chunk, nck
+    for k, start in enumerate(range(0, len(payload), chunk_len)):
+        # the windows starting in chunk k may run n - 1 bytes past its end
+        for gram, x in sliding_window_oracle(payload[start:start + chunk_len + n - 1], n).items():
+            per_chunk.setdefault(gram, Counter())[k] += x
+    return sliding_window_oracle(payload, n), per_chunk, -(-len(payload) // chunk_len)
 
 
 def reference_verdict(model, payload, cfg):
@@ -126,7 +87,8 @@ def reference_verdict(model, payload, cfg):
     relevant = extract_relevant(model.protocol, payload)
     if isinstance(relevant, Malformed):
         return ("malformed", None, None, None)
-    totals, per_chunk, nck = reference_counts(relevant.components, model.chunking)
+    (part,) = relevant.components
+    totals, per_chunk, nck = reference_counts(part, model.chunking)
     tot = sum(totals.values())
     if tot == 0:
         return ("unclassifiable", None, None, None)
@@ -170,7 +132,8 @@ def unpruned_model(records, protocol, chunking):
         relevant = extract_relevant(protocol, rec.payload)
         if isinstance(relevant, Malformed):
             continue
-        totals, per_chunk, nck = reference_counts(relevant.components, chunking)
+        (part,) = relevant.components
+        totals, per_chunk, nck = reference_counts(part, chunking)
         if totals:
             per_class.setdefault(nck, []).append((totals, per_chunk))
 

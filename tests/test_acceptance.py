@@ -20,7 +20,6 @@ from pckad import (
     GridSpec,
     LabelSet,
     Protocol,
-    RelevantPayload,
     TrafficFilter,
     count_windows,
     evaluate,
@@ -67,31 +66,22 @@ def ftp_heldout_corpus():
 
 
 def test_criterion_1_oracle_equivalence(criterion):
-    with criterion("1", "oracle equivalence on 1000 randomized (component, n, chunk_len) triples"):
+    with criterion("1", "oracle equivalence on 1000 randomized (payload, n, chunk_len) triples"):
         rng = random.Random(90125)
         started = time.monotonic()
         for _ in range(1000):
-            components = tuple(
-                bytes(rng.randrange(256) for _ in range(rng.randrange(1, 150)))
-                for _ in range(rng.randrange(1, 4))
-            )
+            payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 150)))
             n = rng.randrange(1, 9)
             cfg = ChunkingConfig(n=n, chunk_len=rng.randrange(n, 48))
-            counts = count_windows(RelevantPayload(components), cfg)
-            # chunks are numbered across components, so each window's chunk
-            # is its component's first chunk plus start // chunk_len
-            expected = Counter()
-            expected_pairs = Counter()
-            base = 0
-            for comp in components:
-                expected += sliding_window_oracle(comp, n)
-                for start in range(len(comp) - n + 1):
-                    expected_pairs[comp[start:start + n], base + start // cfg.chunk_len] += 1
-                base += -(-len(comp) // cfg.chunk_len)
+            counts = count_windows(payload, cfg)
+            expected = sliding_window_oracle(payload, n)
             assert counts.totals == expected
-            assert counts.pairs == expected_pairs
+            assert counts.pairs == Counter(
+                (payload[start:start + n], start // cfg.chunk_len)
+                for start in range(len(payload) - n + 1)
+            )
             assert counts.tot_seqs == sum(expected.values())
-            assert counts.nck_total == base
+            assert counts.nck_total == -(-len(payload) // cfg.chunk_len)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -100,20 +90,21 @@ def test_criterion_2_layout_properties(criterion):
     with criterion("2", "ceiling chunk counts, each window in its first byte's chunk, "
                         "worked 50-byte split"):
         # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
-        counts = count_windows(RelevantPayload((GET_LINE,)), ChunkingConfig(3, 15))
+        counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
         assert counts.nck_total == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
         assert counts.pairs[b"val", 0] == 1 and counts.pairs[b"val", 1] == 0
         assert counts.pairs[b"0\r\n", 3] == 1
         rng = random.Random(2)
         for _ in range(500):
-            comp = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
+            payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
             chunk_len = rng.randrange(1, 40)
             n = rng.randrange(1, chunk_len + 1)
-            counts = count_windows(RelevantPayload((comp,)), ChunkingConfig(n, chunk_len))
-            assert counts.nck_total == -(-len(comp) // chunk_len)
+            counts = count_windows(payload, ChunkingConfig(n, chunk_len))
+            assert counts.nck_total == -(-len(payload) // chunk_len)
             assert counts.pairs == Counter(
-                (comp[start:start + n], start // chunk_len) for start in range(len(comp) - n + 1)
+                (payload[start:start + n], start // chunk_len)
+                for start in range(len(payload) - n + 1)
             )
 
 

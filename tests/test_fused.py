@@ -12,11 +12,9 @@ import math
 import random
 from collections import Counter
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pckad
 from pckad import (
     ChunkingConfig,
     ClassKey,
@@ -25,10 +23,10 @@ from pckad import (
     NGramStats,
     PacketRecord,
     Protocol,
-    RelevantPayload,
     TrafficModel,
     anomalous_occurrences,
     count_windows,
+    extract_relevant,
     score_packet,
 )
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
@@ -37,15 +35,11 @@ from pckad.protocols import Malformed
 from helpers import reference_counts, reference_verdict
 
 ALPHABET = b"ab\x00"  # few symbols, so n-grams repeat within and across chunks
-SEP = b"|"  # splits a test payload into relevant components
 
 
 # --- count_windows ------------------------------------------------------------
 
-_COMPONENTS = st.lists(
-    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=60).map(bytes),
-    min_size=1, max_size=3,
-)
+_PAYLOADS = st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=120).map(bytes)
 
 
 @st.composite
@@ -54,10 +48,10 @@ def _chunking(draw):
     return ChunkingConfig(n, draw(st.integers(n, 20)))
 
 
-@given(components=_COMPONENTS, cfg=_chunking())
-def test_count_windows_matches_oracle(components, cfg):
-    counts = count_windows(RelevantPayload(tuple(components)), cfg)
-    totals, per_chunk, nck = reference_counts(components, cfg)
+@given(payload=_PAYLOADS, cfg=_chunking())
+def test_count_windows_matches_oracle(payload, cfg):
+    counts = count_windows(payload, cfg)
+    totals, per_chunk, nck = reference_counts(payload, cfg)
     pairs = {(gram, j): x for gram, xs in per_chunk.items() for j, x in xs.items()}
     assert counts.totals == totals
     assert counts.pairs == pairs
@@ -72,19 +66,16 @@ def test_count_windows_matches_oracle(components, cfg):
 # --- the per-gram judge that the fused pass replaced ------------------------------
 
 
-def _split(payload: bytes) -> RelevantPayload:
-    return RelevantPayload(tuple(c for c in payload.split(SEP) if c))
-
-
 def per_gram_judge(model, record, cfg):
     """judge as it was: per-n-gram counts, then one anomalous_occurrences call per n-gram."""
     payload = record.payload
     if not payload:
         return Outcome(UNCLASSIFIABLE)
-    relevant = pckad.model.extract_relevant(model.protocol, payload)
+    relevant = extract_relevant(model.protocol, payload)
     if isinstance(relevant, Malformed):
         return Outcome(MALFORMED)
-    totals, per_chunk, nck = reference_counts(relevant.components, model.chunking)
+    (part,) = relevant.components
+    totals, per_chunk, nck = reference_counts(part, model.chunking)
     tot_seqs = sum(totals.values())
     if tot_seqs == 0:
         return Outcome(UNCLASSIFIABLE)
@@ -147,17 +138,9 @@ def random_model(rng, cfg, nck_values):
 
 
 def random_payload(rng, cfg) -> bytes:
-    lengths = [rng.randrange(1, 3 * cfg.chunk_len + 2) for _ in range(rng.randrange(1, 4))]
     if rng.random() < 0.05:
         return b""
-    return SEP.join(bytes(rng.choices(ALPHABET, k=k)) for k in lengths)
-
-
-@pytest.fixture
-def components(monkeypatch):
-    """FTP payloads split on SEP into 1-3 relevant components, for the package and the reference."""
-    monkeypatch.setattr(pckad.model, "extract_relevant", lambda protocol, payload: _split(payload))
-    monkeypatch.setattr(pckad, "extract_relevant", lambda protocol, payload: _split(payload))
+    return bytes(rng.choices(ALPHABET, k=rng.randrange(1, 6 * cfg.chunk_len + 2)))
 
 
 def _cases(seed, count=150):
@@ -175,7 +158,6 @@ def _cfgs(model, threshold):
     return [DetectorConfig(threshold, chunks_enabled=chunks) for chunks in (True, False)]
 
 
-@pytest.mark.usefixtures("components")
 class TestFusedJudge:
     def test_judge_matches_per_gram_judge(self):
         kinds = Counter()

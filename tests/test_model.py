@@ -73,7 +73,7 @@ class TestTrainingStats:
         per_class: dict = {}
         for rec in records:
             rel = extract_relevant(Protocol.FTP, rec.payload)
-            totals, per_chunk, nck = reference_counts(rel.components, cfg)
+            totals, per_chunk, nck = reference_counts(rel.components[0], cfg)
             per_class.setdefault(nck, []).append((totals, per_chunk))
         for chunk_count, samples in per_class.items():
             cls = model.classes[ClassKey(21, chunk_count)]
@@ -103,7 +103,7 @@ class TestTrainingStats:
         per_class: dict = {}
         for rec in records:
             rel = extract_relevant(Protocol.FTP, rec.payload)
-            totals, _, nck = reference_counts(rel.components, cfg)
+            totals, _, nck = reference_counts(rel.components[0], cfg)
             per_class.setdefault(nck, []).append(totals)
         for key, cls in model.classes.items():
             samples = per_class[key.chunk_count]

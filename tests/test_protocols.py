@@ -7,9 +7,11 @@ from pckad import (
     RelevantPayload,
     extract_relevant,
     gen_legit,
+    inject_corpus,
     protocol_for_port,
 )
 from pckad.protocols import request_target_span
+from pckad.synth import AnomalyKind
 
 GET_LINE = b"GET /people/svalente/gif/poker.dogs.jpg HTTP/1.0\r\n"
 
@@ -76,15 +78,38 @@ class TestFtp:
         assert rel.components == (payload,)
 
 
-def test_components_are_contiguous_subsequences():
-    for protocol in (Protocol.HTTP, Protocol.FTP):
-        for rec in gen_legit(GenSpec(protocol, 100, seed=11)):
-            rel = extract_relevant(protocol, rec.payload)
-            assert isinstance(rel, RelevantPayload)
-            assert rel.components
-            for comp in rel.components:
-                assert comp
-                assert comp in rec.payload
+# featurize unpacks exactly one relevant part; a rule that selects more must fail here
+ONE_PART_CASES = [
+    pytest.param(Protocol.HTTP, GET_LINE + b"Host: web.example.org\r\n\r\n", id="http-headers"),
+    pytest.param(Protocol.HTTP, GET_LINE, id="http-line"),
+    pytest.param(Protocol.HTTP, b"OPTIONS /x HTTP/1.1\r\n\r\n", id="http-options"),
+    pytest.param(Protocol.HTTP, b"GET /\xde\xad\xbe\xef HTTP/1.0\r\n", id="http-high-bytes"),
+    pytest.param(Protocol.FTP, b"RETR file.txt\r\n", id="ftp-command"),
+    pytest.param(Protocol.FTP, bytes(range(1, 256)), id="ftp-any-bytes"),
+    pytest.param(Protocol.FTP, b"x", id="ftp-one-byte"),
+]
+
+
+@pytest.mark.parametrize("protocol,payload", ONE_PART_CASES)
+def test_hand_cases_select_exactly_one_part(protocol, payload):
+    rel = extract_relevant(protocol, payload)
+    assert isinstance(rel, RelevantPayload)
+    assert len(rel.components) == 1
+    assert rel.components[0] in payload
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_corpora_select_exactly_one_contiguous_part(protocol):
+    """Every legit and injected record of the generator yields one non-empty part of its payload."""
+    records = gen_legit(GenSpec(protocol, 400, seed=11))
+    for seed, kind in enumerate(AnomalyKind):
+        records = inject_corpus(records, kind, 20, seed=seed)
+    assert sum(rec.is_attack for rec in records) == 20 * len(AnomalyKind)
+    for rec in records:
+        rel = extract_relevant(protocol, rec.payload)
+        assert isinstance(rel, RelevantPayload), rec
+        (part,) = rel.components
+        assert part and part in rec.payload
 
 
 class TestProtocolForPort:

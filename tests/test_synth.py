@@ -22,7 +22,7 @@ CFG = ChunkingConfig(n=3, chunk_len=15)
 
 
 def counts_for(payload: bytes, cfg: ChunkingConfig = CFG):
-    return count_windows(RelevantPayload((payload,)), cfg)
+    return count_windows(payload, cfg)
 
 
 def vocabulary_closure(protocol: Protocol, n: int) -> set[bytes]:
