@@ -51,13 +51,13 @@ class DetectorConfig:
 
     @classmethod
     def for_model(
-        cls, model: TrafficModel, score_threshold: float | None = None, **settings
+        cls, model: TrafficModel, score_threshold: float | None = None,
+        *, chunks_enabled: bool = True,
     ) -> "DetectorConfig":
-        """The score threshold defaults to the model's protocol's; other settings pass through."""
-        return cls(
-            model.protocol.default_score_threshold if score_threshold is None else score_threshold,
-            **settings,
-        )
+        """The score threshold defaults to the model's protocol's."""
+        if score_threshold is None:
+            score_threshold = model.protocol.default_score_threshold
+        return cls(score_threshold, chunks_enabled=chunks_enabled)
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,13 @@ def mahalanobis_term(mu: float, sigma: float, x: float, alpha: float) -> float:
 
 
 def anomalous_occurrences(
-    stats: NGramStats | None,
-    x_total: int,
-    x_chunks: dict[int, int],
-    alpha: float,
-    th_s: float,
-    chunks_enabled: bool,
+    stats: NGramStats | None, x_total: int, x_chunks: dict[int, int], alpha: float, th_s: float
 ) -> tuple[int, int]:
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
-    Rules 1-2 mark all occurrences in both modes; rule 3 marks occurrences in
-    chunk mode only, and runs only when chunks_enabled is set. `judge`
-    applies the same rules inline; this per-gram form is the plain one that
-    the tests check it against.
+    Rules 1-2 mark all occurrences in both sums; rule 3 marks occurrences in
+    a_on only. `judge` applies the same rules inline; this per-gram form is
+    the plain one that the tests check it against.
     """
     if stats is None:
         return x_total, x_total
@@ -97,11 +91,10 @@ def anomalous_occurrences(
     if mahalanobis_term(mean, std, x_total, alpha) > th_s:
         return x_total, x_total
     anomalous = 0
-    if chunks_enabled:
-        for j, x in x_chunks.items():
-            mean, std = chunks.get(j, ABSENT_CHUNK)
-            if mahalanobis_term(mean, std, x, alpha) > th_s:
-                anomalous += x
+    for j, x in x_chunks.items():
+        mean, std = chunks.get(j, ABSENT_CHUNK)
+        if mahalanobis_term(mean, std, x, alpha) > th_s:
+            anomalous += x
     return anomalous, 0
 
 
@@ -135,21 +128,17 @@ class Outcome(NamedTuple):
         return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs)
 
 
-def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Outcome:
-    """Featurize one on-port packet and apply the per-gram rules once, at model.th_s.
+def judge(model: TrafficModel, payload: bytes) -> Outcome:
+    """Featurize one on-port payload and apply the per-gram rules once, at model.th_s.
 
-    With chunks_enabled the outcome serves both chunk modes, else a_on is
-    a_off. The rules are `anomalous_occurrences` written out inline and summed
-    over the packet's n-grams, with the deviation computed in
-    `mahalanobis_term`'s float operation order. Only the sums are kept: a
-    caller that wants each n-gram's share asks `anomalous_occurrences`.
+    The outcome serves both chunk modes. The rules are `anomalous_occurrences`
+    written out inline and summed over the packet's n-grams, with the
+    deviation computed in `mahalanobis_term`'s float operation order. Only
+    the sums are kept: a caller that wants each n-gram's share asks
+    `anomalous_occurrences`.
     """
-    features = featurize(record, model.protocol, model.port, model.chunking)
+    features = featurize(payload, model.protocol, model.port, model.chunking)
     if isinstance(features, str):
-        if features == "other_port":
-            raise ValueError(
-                f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
-            )
         return Outcome(MALFORMED if features == "malformed" else UNCLASSIFIABLE)
     key, counts = features
     cls = model.classes.get(key)
@@ -163,8 +152,7 @@ def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Ou
         if stats is not None:
             mean, std, chunks = stats
             if not abs(mean - x) / (std + alpha) > th_s:
-                if chunks_enabled:
-                    usual[gram] = chunks
+                usual[gram] = chunks
                 continue
         a_off += x
     a_on = a_off
@@ -180,8 +168,12 @@ def judge(model: TrafficModel, record: PacketRecord, chunks_enabled: bool) -> Ou
 
 
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
-    """Classify one packet whose destination port matches the model's."""
-    return judge(model, record, cfg.chunks_enabled).verdict(cfg)
+    """Classify one packet; a record for another port than the model's is a ValueError."""
+    if record.dst_port != model.port:
+        raise ValueError(
+            f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
+        )
+    return judge(model, record.payload).verdict(cfg)
 
 
 class PayloadMemo:

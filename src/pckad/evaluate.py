@@ -91,16 +91,13 @@ class EvalReport:
 
 
 def _outcomes(
-    model: TrafficModel,
-    records: Iterable[PacketRecord],
-    labels: LabelSet,
-    chunks_enabled: bool,
+    model: TrafficModel, records: Iterable[PacketRecord], labels: LabelSet
 ) -> list[tuple[str | None, Outcome]]:
     """(attack instance or None for legit, outcome) of every on-port record, in order.
 
     Each distinct payload is judged once, through a PayloadMemo.
     """
-    memo = PayloadMemo(lambda rec: judge(model, rec, chunks_enabled))
+    memo = PayloadMemo(lambda rec: judge(model, rec.payload))
     out = []
     for rec in records:
         if rec.dst_port != model.port:
@@ -152,7 +149,7 @@ def evaluate(
 
     This is the one-cell case of `sweep`: the same outcomes, the same fold.
     """
-    return _fold(_outcomes(model, records, labels, cfg.chunks_enabled), cfg)
+    return _fold(_outcomes(model, records, labels), cfg)
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ def sweep(
                     alpha=alpha,
                     th_s=th_s,
                 )
-                # one judgement per test packet serves every cell; rule 3 runs if a cell reads it
-                outcomes = _outcomes(model, test_records, labels, True in grid.chunk_modes)
+                outcomes = _outcomes(model, test_records, labels)
             for threshold in grid.score_thresholds:
                 for chunks_enabled in grid.chunk_modes:
                     report = None if outcomes is None else _fold(

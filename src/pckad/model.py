@@ -57,31 +57,29 @@ class ClassModel:
 
 
 class Features(NamedTuple):
-    """Class key and n-gram counts of one classifiable record."""
+    """Class key and n-gram counts of one classifiable payload."""
 
     key: ClassKey
     counts: WindowCounts
 
 
 def featurize(
-    record: PacketRecord, protocol: Protocol, port: int, chunking: ChunkingConfig
+    payload: bytes, protocol: Protocol, port: int, chunking: ChunkingConfig
 ) -> Features | str:
-    """The one path from a record to its class key and n-gram counts.
+    """The one path from an on-port payload to its class key and n-gram counts.
 
-    Training, scoring and the sweep all featurize through here. A record
-    with no n-gram counts gives its cause instead: "other_port", "empty",
-    "malformed" or "short", which names the TrainingSummary counter
-    `skipped_<cause>`.
+    Training, scoring and the sweep all featurize through here, once each
+    has set aside the records for other ports. A payload with no n-gram
+    counts gives its cause instead: "empty", "malformed" or "short", which
+    names the TrainingSummary counter `skipped_<cause>`.
     """
-    if record.dst_port != port:
-        return "other_port"
-    if not record.payload:
+    if not payload:
         return "empty"
-    relevant = extract_relevant(protocol, record.payload)
+    relevant = extract_relevant(protocol, payload)
     if isinstance(relevant, Malformed):
         return "malformed"
-    (payload,) = relevant.components
-    counts = count_windows(payload, chunking)
+    (part,) = relevant.components
+    counts = count_windows(part, chunking)
     if counts.tot_seqs == 0:
         return "short"
     return Features(ClassKey(port, counts.nck_total), counts)
@@ -236,25 +234,25 @@ def train(
     statistics are always recorded; disabling the chunk rules is a
     detection-time choice.
 
-    Repeats of one (destination port, payload) are featurized once and
-    counted as one weighted sample. They are grouped in a table of at most
-    MEMO_BYTES, counted whenever it fills and at the end; the sums are exact
-    integers, so the model is the one that record-by-record counting builds.
-    The label check and the summary still count every record.
+    Records for other ports are counted as skipped and go no further.
+    Repeats of one payload are featurized once and counted as one weighted
+    sample. They are grouped in a table of at most MEMO_BYTES, counted
+    whenever it fills and at the end; the sums are exact integers, so the
+    model is the one that record-by-record counting builds. The label check
+    and the summary still count every record.
     """
     if port is None:
         port = protocol.default_port
     check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
     accumulators: dict[ClassKey, _ClassAccumulator] = {}
-    # (dst_port, payload) -> [first record, repeats], not yet counted;
-    # featurize reads only those two fields, so one call serves every repeat
-    pending: dict[tuple[int, bytes], list] = {}
+    # on-port payload -> its repeats, not yet counted
+    pending: dict[bytes, int] = {}
     pending_bytes = 0
 
     def count_pending() -> None:
-        for rec, w in pending.values():
-            features = featurize(rec, protocol, port, chunking)
+        for payload, w in pending.items():
+            features = featurize(payload, protocol, port, chunking)
             if isinstance(features, str):
                 counter = "skipped_" + features
                 setattr(summary, counter, getattr(summary, counter) + w)
@@ -273,16 +271,19 @@ def train(
                 f"record {rec.id} is labeled {rec.label!r}; the training corpus "
                 "must be attack-free (use ignore_labels to override)"
             )
-        key = (rec.dst_port, rec.payload)
-        entry = pending.get(key)
-        if entry is not None:
-            entry[1] += 1
+        if rec.dst_port != port:
+            summary.skipped_other_port += 1
             continue
-        cost = len(rec.payload) + MEMO_ENTRY_BYTES
+        payload = rec.payload
+        w = pending.get(payload)
+        if w is not None:
+            pending[payload] = w + 1
+            continue
+        cost = len(payload) + MEMO_ENTRY_BYTES
         if pending_bytes + cost > MEMO_BYTES:
             count_pending()
             pending_bytes = 0
-        pending[key] = [rec, 1]
+        pending[payload] = 1
         pending_bytes += cost
     count_pending()
 

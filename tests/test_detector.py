@@ -71,7 +71,7 @@ class TestMahalanobisTerm:
 
 
 class TestAnomalousOccurrences:
-    SETTINGS = dict(alpha=0.1, th_s=5.0, chunks_enabled=True)
+    SETTINGS = dict(alpha=0.1, th_s=5.0)
 
     def test_never_seen_counts_everything(self):
         assert anomalous_occurrences(None, 7, {}, **self.SETTINGS) == (7, 7)
@@ -91,11 +91,6 @@ class TestAnomalousOccurrences:
         stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
         got = anomalous_occurrences(stats, 2, {0: 0, 1: 2}, **self.SETTINGS)
         assert got == (2, 0)
-
-    def test_chunks_disabled_skips_rule_three(self):
-        stats = NGramStats(mean=2.0, std=0.0, chunks={0: (2.0, 0.0), 1: (0.0, 0.0)})
-        settings = {**self.SETTINGS, "chunks_enabled": False}
-        assert anomalous_occurrences(stats, 2, {0: 0, 1: 2}, **settings) == (0, 0)
 
     def test_partial_chunk_anomaly_counts_only_those_occurrences(self):
         stats = NGramStats(mean=3.0, std=0.0, chunks={0: (2.0, 0.0), 1: (1.0, 0.0)})
@@ -119,9 +114,7 @@ class TestAnomalousOccurrences:
                 continue
             previous = None
             for th_s in (0.5, 1, 2, 5, 10, 50):
-                a_on, a_off = anomalous_occurrences(
-                    stats, x_total, x_chunks, alpha=0.1, th_s=th_s, chunks_enabled=True
-                )
+                a_on, a_off = anomalous_occurrences(stats, x_total, x_chunks, alpha=0.1, th_s=th_s)
                 assert a_off <= a_on
                 if previous is not None:
                     assert a_on <= previous[0] and a_off <= previous[1]
@@ -170,7 +163,7 @@ class TestScorePacket:
     def test_unknown_class_is_no_model_alert(self):
         model = ftp_model([b"USER alice\r\n"])  # one chunk
         long_payload = b"A" * 40  # three chunks at chunk_len=15
-        features = featurize(ftp_record(long_payload), Protocol.FTP, 21, model.chunking)
+        features = featurize(long_payload, Protocol.FTP, 21, model.chunking)
         assert features.key == ClassKey(21, 3)
         assert ClassKey(21, 3) not in model.classes
         verdict = score_packet(model, ftp_record(long_payload), DetectorConfig(40))
@@ -281,8 +274,8 @@ class TestReferenceScorer:
                 chunking=ChunkingConfig(n, chunk_len),
                 th_s=3.0,
             )
-            # the sweep's path: one judgement with every rule on serves every cell
-            judged = [judge(model, rec, True) for rec in test]
+            # the sweep's path: one judgement serves every cell
+            judged = [judge(model, rec.payload) for rec in test]
             for threshold in (0, 40, 100):
                 for chunks_enabled in (True, False):
                     cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
@@ -375,6 +368,9 @@ class TestDetectorConfig:
         assert cfg.chunks_enabled
         override = DetectorConfig.for_model(model, score_threshold=10, chunks_enabled=False)
         assert (override.score_threshold, override.chunks_enabled) == (10, False)
+        # the chunk mode is keyword-only here too: a stale positional th_s is refused
+        with pytest.raises(TypeError):
+            DetectorConfig.for_model(model, 10, 3.0)
 
     def test_holds_only_the_verdict_settings(self):
         assert [f.name for f in dataclasses.fields(DetectorConfig)] == [

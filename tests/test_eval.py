@@ -248,7 +248,7 @@ class TestSweep:
         assert fprs == sorted(fprs, reverse=True)
 
     def test_chunks_off_only_grid_matches_both_mode_grid(self, sweep_setup):
-        # a chunks=off grid judges without rule 3; its rows must not change
+        # a chunks=off grid reads the rules 1-2 sum of the same judgement as a both-mode grid
         train_records, test_records, labels = sweep_setup
         axes = dict(ns=(2, 3), chunk_lens=(7, 15), score_thresholds=(0.0, 30.0, 40.0))
         off = sweep(train_records, test_records, labels,

@@ -66,9 +66,8 @@ def test_count_windows_matches_oracle(payload, cfg):
 # --- the per-gram judge that the fused pass replaced ------------------------------
 
 
-def per_gram_judge(model, record, cfg):
+def per_gram_judge(model, payload):
     """judge as it was: per-n-gram counts, then one anomalous_occurrences call per n-gram."""
-    payload = record.payload
     if not payload:
         return Outcome(UNCLASSIFIABLE)
     relevant = extract_relevant(model.protocol, payload)
@@ -85,8 +84,7 @@ def per_gram_judge(model, record, cfg):
     a_on = a_off = 0
     for gram, x in totals.items():
         on, off = anomalous_occurrences(
-            cls.stats.get(gram), x, per_chunk[gram],
-            model.alpha, model.th_s, cfg.chunks_enabled,
+            cls.stats.get(gram), x, per_chunk[gram], model.alpha, model.th_s
         )
         a_on += on
         a_off += off
@@ -162,13 +160,12 @@ class TestFusedJudge:
     def test_judge_matches_per_gram_judge(self):
         kinds = Counter()
         for model, records in _cases(71):
-            for cfg in _cfgs(model, 0.0):
-                for rec in records:
-                    outcome = judge(model, rec, cfg.chunks_enabled)
-                    assert outcome == per_gram_judge(model, rec, cfg), (rec, cfg)
-                    kinds[outcome.kind] += 1
-                    if outcome.kind is None:
-                        kinds["rule 3", bool(outcome.a_on - outcome.a_off)] += 1
+            for rec in records:
+                outcome = judge(model, rec.payload)
+                assert outcome == per_gram_judge(model, rec.payload), rec
+                kinds[outcome.kind] += 1
+                if outcome.kind is None:
+                    kinds["rule 3", bool(outcome.a_on - outcome.a_off)] += 1
         assert kinds[NO_MODEL] and kinds[UNCLASSIFIABLE]
         assert kinds["rule 3", True] and kinds["rule 3", False]
 
@@ -178,7 +175,7 @@ class TestFusedJudge:
             for cfg in _cfgs(model, (0.0, 20.0, 50.0)[i % 3]):
                 for rec in records:
                     got = score_packet(model, rec, cfg)
-                    assert got == per_gram_judge(model, rec, cfg).verdict(cfg), (rec, cfg)
+                    assert got == per_gram_judge(model, rec.payload).verdict(cfg), (rec, cfg)
                     assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
                         reference_verdict(model, rec.payload, cfg), (rec, cfg)
                     alerts[got.kind] += 1
@@ -190,7 +187,7 @@ class TestFusedJudge:
         for model, records in _cases(73):
             on, off = _cfgs(model, 0.0)
             for rec in records:
-                outcome = judge(model, rec, on.chunks_enabled)
+                outcome = judge(model, rec.payload)
                 assert outcome.verdict(off) == score_packet(model, rec, off), rec
                 assert outcome.verdict(on) == score_packet(model, rec, on), rec
                 differ += outcome.a_on != outcome.a_off

@@ -1,12 +1,14 @@
 """Each distinct payload is counted and judged once per call, with the same results.
 
-`train` groups repeats of one (port, payload) into one weighted sample, and
+`train` groups repeats of one on-port payload into one weighted sample, and
 `detect_stream`, `evaluate` and `sweep` judge each distinct on-port payload
-once through `detector.PayloadMemo`. Both memos hold at most
-`model.MEMO_BYTES`. Every output must equal the record-by-record one: the
-model with its entry order and file bytes, the training summary, every
-verdict and tally, every report and sweep row. The budget is also squeezed
-until the memos keep one entry or none.
+once through `detector.PayloadMemo`. Both memos are keyed by the payload
+alone, hold at most `model.MEMO_BYTES`, and never hold a record for another
+port: those are counted as skipped before a memo sees them. Every output
+must equal the record-by-record one: the model with its entry order and
+file bytes, the training summary, every verdict and tally, every report and
+sweep row. The budget is also squeezed until the memos keep one entry or
+none.
 """
 
 import importlib
@@ -203,11 +205,11 @@ class TestJudgementMemo:
         labels = LabelSet.from_records(test)
         cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
         on_port = [r for r in test if r.dst_port == model.port]
-        want = [(attack_instance_of(r.label), judge(model, r, chunks_enabled)) for r in on_port]
+        want = [(attack_instance_of(r.label), judge(model, r.payload)) for r in on_port]
         apply(budget, which)
         judged = counting(monkeypatch, evaluate_module, "judge")
 
-        assert _outcomes(model, test, labels, chunks_enabled) == want
+        assert _outcomes(model, test, labels) == want
         assert evaluate(model, test, labels, cfg) == _fold(want, cfg)
         if which == "default":
             # one judgement per distinct payload in each of the two calls
@@ -223,7 +225,7 @@ class TestJudgementMemo:
         for n in grid.ns:
             for chunk_len in grid.chunk_lens:
                 model = trained(protocol, training, ChunkingConfig(n, chunk_len))
-                outcomes = [(attack_instance_of(r.label), judge(model, r, True))
+                outcomes = [(attack_instance_of(r.label), judge(model, r.payload))
                             for r in test if r.dst_port == model.port]
                 for threshold in grid.score_thresholds:
                     for chunks_enabled in grid.chunk_modes:
@@ -249,7 +251,10 @@ def per_record_summary(records, protocol, chunking):
     """The TrainingSummary of record-by-record featurizing."""
     summary = TrainingSummary(read=len(records))
     for rec in records:
-        features = featurize(rec, protocol, protocol.default_port, chunking)
+        if rec.dst_port != protocol.default_port:
+            summary.skipped_other_port += 1
+            continue
+        features = featurize(rec.payload, protocol, protocol.default_port, chunking)
         if isinstance(features, str):
             counter = "skipped_" + features
             setattr(summary, counter, getattr(summary, counter) + 1)
@@ -271,8 +276,9 @@ class TestGroupedTraining:
         training, _ = corpora(protocol)
         featurized = counting(monkeypatch, model_module, "featurize")
         at_default = trained(protocol, training, chunking)
-        # the whole corpus fits the default budget: one featurize per distinct record
-        assert len(featurized) == len({(r.dst_port, r.payload) for r in training})
+        # the whole corpus fits the default budget: one featurize per distinct on-port payload
+        on_port = {r.payload for r in training if r.dst_port == protocol.default_port}
+        assert len(featurized) == len(on_port)
         budget.set(0)
         one_entry = trained(protocol, training, chunking)
 
@@ -286,6 +292,30 @@ class TestGroupedTraining:
         causes = ["other_port", "empty", "malformed" if protocol is Protocol.HTTP else "short"]
         for cause in causes:
             assert getattr(want, "skipped_" + cause) >= 2
+
+    def test_off_port_records_are_neither_featurized_nor_kept(self, budget, monkeypatch):
+        on_port = {r.payload for r in gen_legit(GenSpec(Protocol.FTP, 6, seed=25))}
+        off_port = [b"SITE off-port %d\r\n" % i for i in range(200)]
+        assert not on_port & set(off_port)
+        repeats = sorted(on_port)
+        records = []
+        for i, payload in enumerate(off_port):
+            records.append(PacketRecord(id=2 * i, dst_port=OTHER_PORT, payload=payload))
+            records.append(PacketRecord(id=2 * i + 1, dst_port=21,
+                                        payload=repeats[i % len(repeats)]))
+        at_default = trained(Protocol.FTP, records)
+        # room for the on-port payloads and nothing more
+        budget.set(sum(len(p) + MEMO_ENTRY_BYTES for p in on_port))
+        featurized = counting(monkeypatch, model_module, "featurize")
+        squeezed = trained(Protocol.FTP, records)
+
+        assert len(featurized) == len(on_port)
+        assert sorted(args[0] for args in featurized) == sorted(on_port)
+        assert squeezed == at_default
+        assert layout(squeezed) == layout(at_default)
+        assert squeezed.summary == at_default.summary == TrainingSummary(
+            read=400, trained=200, skipped_other_port=200
+        )
 
     @pytest.mark.parametrize("which", ["default", "none"])
     def test_attack_repeating_a_legit_payload_is_fatal(self, which, budget):

@@ -93,9 +93,8 @@ class TestAgainstUnprunedModel:
         judged_at = th_s * lower
         pruned = dataclasses.replace(model, th_s=judged_at)
         unpruned = dataclasses.replace(full, alpha=alpha, th_s=judged_at)
-        for chunks_enabled in (True, False):
-            for rec in scored:
-                assert judge(pruned, rec, chunks_enabled) == judge(unpruned, rec, chunks_enabled)
+        for rec in scored:
+            assert judge(pruned, rec.payload) == judge(unpruned, rec.payload)
 
     def test_scored_packets_hold_left_out_ngrams(self):
         """The corpora reach what the property is about: packets whose n-grams were left out."""
@@ -106,7 +105,8 @@ class TestAgainstUnprunedModel:
                 gram for key, cls in model.classes.items()
                 for gram in full.classes[key].stats.keys() - cls.stats.keys()
             }
-            features = [featurize(rec, protocol, model.port, model.chunking) for rec in scored]
+            features = [featurize(rec.payload, protocol, model.port, model.chunking)
+                        for rec in scored]
             hits = sum(not left_out.isdisjoint(f.counts.totals) for f in features
                        if not isinstance(f, str))
             assert hits >= 10, protocol
@@ -151,7 +151,7 @@ class TestFullyPrunedClass:
         model = fully_pruned_model()
         for payload in FULLY_PRUNED + [b"ab!"]:
             rec = PacketRecord(id=0, dst_port=21, payload=payload)
-            assert judge(model, rec, True) == (None, 2, 2, 2)
+            assert judge(model, payload) == (None, 2, 2, 2)
             assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
 
 
