@@ -163,17 +163,37 @@ class TestTrainSkips:
         assert (s.trained, s.skipped_other_port, s.skipped_empty, s.skipped_short) == (1, 1, 1, 1)
         assert s.read == 4 and s.read - s.trained == 3
 
-    @pytest.mark.parametrize("protocol, payload, cause", [
-        (Protocol.FTP, b"", "empty"),
+    @pytest.mark.parametrize("protocol, dst_port, payload, cause", [
+        (Protocol.FTP, 80, b"USER alice\r\n", "other_port"),
+        (Protocol.HTTP, 21, b"GET / HTTP/1.0\r\n", "other_port"),
+        (Protocol.FTP, 21, b"", "empty"),
         # featurize owns the empty-payload rule: the request-line grammar would say malformed
-        (Protocol.HTTP, b"", "empty"),
-        (Protocol.HTTP, b"GET ../..", "malformed"),
-        (Protocol.FTP, b"USER\r\n", "short"),
-        (Protocol.HTTP, b"GET / HTTP/1.0\r\n", "short"),
-    ], ids=["ftp-empty", "http-empty", "http-malformed", "ftp-short", "http-short"])
-    def test_featurize_cause(self, protocol, payload, cause):
+        (Protocol.HTTP, 80, b"", "empty"),
+        (Protocol.HTTP, 80, b"GET ../..", "malformed"),
+        (Protocol.FTP, 21, b"USER\r\n", "short"),
+        (Protocol.HTTP, 80, b"GET / HTTP/1.0\r\n", "short"),
+    ], ids=["ftp-other-port", "http-other-port", "ftp-empty", "http-empty", "http-malformed",
+            "ftp-short", "http-short"])
+    def test_featurize_cause(self, protocol, dst_port, payload, cause):
         # n=20 is longer than every payload above
-        assert featurize(payload, protocol, protocol.default_port, ChunkingConfig(20, 20)) == cause
+        chunking = ChunkingConfig(20, 20)
+        port = protocol.default_port
+        if dst_port == port:
+            assert featurize(payload, protocol, port, chunking) == cause
+        # train sets an off-port record aside before featurize; each record is
+        # skipped for exactly its cause, next to one trainable record
+        trainable = {
+            Protocol.FTP: b"USER alice-in-wonderland\r\n",
+            Protocol.HTTP: b"GET /a/rather/long/path/index.html HTTP/1.0\r\n",
+        }[protocol]
+        records = [
+            PacketRecord(id=0, dst_port=dst_port, payload=payload),
+            PacketRecord(id=1, dst_port=port, payload=trainable),
+        ]
+        s = train(iter(records), protocol=protocol, chunking=chunking).summary
+        causes = ("other_port", "empty", "malformed", "short")
+        assert {c: getattr(s, "skipped_" + c) for c in causes} == {c: int(c == cause) for c in causes}
+        assert (s.read, s.trained) == (2, 1)
 
     def test_malformed_http_is_skipped(self):
         records = [
