@@ -8,7 +8,14 @@ byte, so every occurrence lands in exactly one chunk.
 
 `count_windows` is the one counting pass, shared by training, scoring and
 the sweep. `split_chunks` (chunk spans) and `extract_ngrams` (the same counts
-grouped per n-gram) restate its result for the tests and the benchmark.
+grouped per n-gram) restate its result, and nothing in the package calls
+them. They stay because the benchmark's tracer (`bench/tracing.py`, `TRACED`)
+binds both by name, though it never calls them: without either one, the
+first traced round of `bench/run.py --trace 1` raises AttributeError, and the
+run exits 1 with no result (`bench: no complete round`). The tests run such a
+round (`bench/test_smoke.py`), and so does CI's full-scale benchmark step.
+They can go once the tracer binds the stages that run instead (see
+ROADMAP.md).
 """
 
 from __future__ import annotations

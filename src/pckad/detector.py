@@ -81,8 +81,12 @@ def anomalous_occurrences(
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
     Rules 1-2 mark all occurrences in both sums; rule 3 marks occurrences in
-    a_on only. `judge` applies the same rules inline; this per-gram form is
-    the plain one that the tests check it against.
+    a_on only. `judge` applies the same rules inline, so nothing in the
+    package calls this per-gram form. It stays as the plain form of the
+    rules: `tests/test_fused.py` checks `judge` against it, and the
+    benchmark's tracer (`bench/tracing.py`, `TRACED`) binds it by name, so
+    without it the first traced round of `bench/run.py --trace 1` raises
+    AttributeError and the run exits 1 with no result.
     """
     if stats is None:
         return x_total, x_total

@@ -117,11 +117,15 @@ _FLOAT_MAX = sys.float_info.max
 DEFAULT_ALPHA = 0.1
 DEFAULT_TH_S = 5.0
 
-# Bytes that each per-call memo of distinct payloads may hold: the table of
-# records that training has not yet counted, and the detector's judgements.
-# An entry is charged its payload's length plus MEMO_ENTRY_BYTES, about what
-# CPython spends on the entry beside the payload, so neither many tiny
-# payloads nor a few huge ones can grow a memo past it.
+# Bytes that each per-call memo of distinct payloads may hold: training's
+# table of on-port payloads and their repeat counts, not yet counted, and the
+# detector's PayloadMemo of judgements. An entry is charged its payload's
+# length plus MEMO_ENTRY_BYTES, about what CPython spends on the entry beside
+# the payload, so many tiny payloads cannot grow a memo past it. When the
+# next entry would pass it, a memo empties (training counts its table first).
+# The two differ on a payload whose entry alone passes MEMO_BYTES: training
+# holds it, with its repeats, until the next distinct payload empties the
+# table again; PayloadMemo never keeps it.
 MEMO_BYTES = 1 << 16
 MEMO_ENTRY_BYTES = 256
 
@@ -236,10 +240,10 @@ def train(
 
     Records for other ports are counted as skipped and go no further.
     Repeats of one payload are featurized once and counted as one weighted
-    sample. They are grouped in a table of at most MEMO_BYTES, counted
-    whenever it fills and at the end; the sums are exact integers, so the
-    model is the one that record-by-record counting builds. The label check
-    and the summary still count every record.
+    sample. They are grouped in a table bounded by MEMO_BYTES (see there),
+    counted whenever it fills and at the end; the sums are exact integers,
+    so the model is the one that record-by-record counting builds. The label
+    check and the summary still count every record.
     """
     if port is None:
         port = protocol.default_port

@@ -1,4 +1,4 @@
-"""Synthetic pcap fixtures and plain reference counters used across the test suite."""
+"""Synthetic pcap fixtures, small FTP models and plain reference counters for the tests."""
 
 import struct
 
@@ -51,6 +51,22 @@ def pcap_bytes(
         out += struct.pack(endian + "IIII", ts[0] + i, ts[1], len(frame), len(frame))
         out += frame
     return out
+
+
+def ftp_records(payloads, label="legit"):
+    """One port-21 record per payload, with ids from 0."""
+    from pckad import PacketRecord
+
+    return [PacketRecord(id=i, dst_port=21, payload=p, label=label)
+            for i, p in enumerate(payloads)]
+
+
+def ftp_model(payloads, n=2, **settings):
+    """An FTP model of ftp_records(payloads) at chunk_len 15; settings go to `train`."""
+    from pckad import ChunkingConfig, Protocol, train
+
+    return train(iter(ftp_records(payloads)), protocol=Protocol.FTP,
+                 chunking=ChunkingConfig(n, 15), **settings)
 
 
 def reference_counts(payload, cfg):

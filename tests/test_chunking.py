@@ -61,12 +61,6 @@ class TestCountWindows:
         assert counts.totals == {b"oo": 1, b"od": 2, b"dd": 1, b"do": 1}
         assert counts.tot_seqs == 5
 
-    def test_border_window_counts_toward_first_byte_chunk(self):
-        counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
-        # "val" starts at offset 13, inside chunk 0, and spills into chunk 1
-        assert GET_LINE[13:16] == b"val"
-        assert {j: x for (gram, j), x in counts.pairs.items() if gram == b"val"} == {0: 1}
-
     def test_payload_shorter_than_n(self):
         counts = count_windows(b"xy", ChunkingConfig(3, 15))
         assert counts == (Counter(), Counter(), 0, 1)

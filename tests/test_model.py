@@ -27,39 +27,27 @@ from pckad import (
 )
 from pckad.model import featurize
 
-from helpers import reference_counts
+from helpers import ftp_model, ftp_records, reference_counts
 
 CFG = ChunkingConfig(n=2, chunk_len=15)
 
 
-def ftp_records(payloads, label="legit"):
-    return [
-        PacketRecord(id=i, dst_port=21, payload=p, label=label)
-        for i, p in enumerate(payloads)
-    ]
-
-
-def train_ftp(payloads, **kwargs):
-    kwargs.setdefault("chunking", CFG)
-    return train(iter(ftp_records(payloads)), protocol=Protocol.FTP, **kwargs)
-
-
 class TestTrainingStats:
     def test_constant_counts_give_zero_std(self):
-        model = train_ftp([b"abab"] * 3)
+        model = ftp_model([b"abab"] * 3)
         stats = model.classes[ClassKey(21, 1)].stats
         assert stats[b"ab"].mean == 2.0
         assert stats[b"ab"].std == 0.0
 
     def test_absent_counts_as_zero(self):
         # one sample with 4 occurrences of "ab", one with none
-        model = train_ftp([b"ababababa", b"ccccccccc"])
+        model = ftp_model([b"ababababa", b"ccccccccc"])
         stats = model.classes[ClassKey(21, 1)].stats
         assert stats[b"ab"].mean == statistics.mean([0, 4]) == 2.0
         assert stats[b"ab"].std == statistics.pstdev([0, 4]) == 2.0
 
     def test_one_class_per_chunk_count(self):
-        model = train_ftp([b"x" * 10, b"y" * 20])
+        model = ftp_model([b"x" * 10, b"y" * 20])
         assert set(model.classes) == {ClassKey(21, 1), ClassKey(21, 2)}
         assert model.classes[ClassKey(21, 1)].sample_count == 1
         assert model.classes[ClassKey(21, 2)].sample_count == 1
@@ -96,21 +84,6 @@ class TestTrainingStats:
                     assert cm == statistics.mean(cxs)
                     assert cs == math.sqrt(statistics.pvariance(cxs))
 
-    def test_zero_std_iff_constant(self):
-        records = gen_legit(GenSpec(Protocol.FTP, 300, seed=31))
-        cfg = ChunkingConfig(3, 15)
-        model = train(iter(records), protocol=Protocol.FTP, chunking=cfg)
-        per_class: dict = {}
-        for rec in records:
-            rel = extract_relevant(Protocol.FTP, rec.payload)
-            totals, _, nck = reference_counts(rel.components[0], cfg)
-            per_class.setdefault(nck, []).append(totals)
-        for key, cls in model.classes.items():
-            samples = per_class[key.chunk_count]
-            for gram, st in cls.stats.items():
-                xs = [s.get(gram, 0) for s in samples]
-                assert (st.std == 0.0) == (len(set(xs)) == 1)
-
     def test_chunk_means_sum_to_payload_mean(self):
         model = train(
             iter(gen_legit(GenSpec(Protocol.FTP, 500, seed=41))),
@@ -121,12 +94,6 @@ class TestTrainingStats:
             for st in cls.stats.values():
                 total = sum(m for m, _ in st.chunks.values())
                 assert abs(total - st.mean) <= 1e-9 * key.chunk_count
-
-    def test_training_is_deterministic(self):
-        records = gen_legit(GenSpec(Protocol.FTP, 200, seed=51))
-        a = train(iter(records), protocol=Protocol.FTP, chunking=CFG)
-        b = train(iter(records), protocol=Protocol.FTP, chunking=CFG)
-        assert a == b
 
     def test_coverage_is_monotone(self):
         records = gen_legit(GenSpec(Protocol.FTP, 120, seed=61))
@@ -150,18 +117,6 @@ class TestTrainSkips:
         records = ftp_records([b"USER x\r\n"], label="attack:a1")
         model = train(iter(records), protocol=Protocol.FTP, chunking=CFG, ignore_labels=True)
         assert model.summary.trained == 1
-
-    def test_skips_are_counted(self):
-        records = [
-            PacketRecord(id=0, dst_port=21, payload=b"USER alice\r\n"),
-            PacketRecord(id=1, dst_port=80, payload=b"GET / HTTP/1.0\r\n"),  # other port
-            PacketRecord(id=2, dst_port=21, payload=b""),                    # empty
-            PacketRecord(id=3, dst_port=21, payload=b"x"),                   # shorter than n
-        ]
-        model = train(iter(records), protocol=Protocol.FTP, chunking=CFG)
-        s = model.summary
-        assert (s.trained, s.skipped_other_port, s.skipped_empty, s.skipped_short) == (1, 1, 1, 1)
-        assert s.read == 4 and s.read - s.trained == 3
 
     @pytest.mark.parametrize("protocol, dst_port, payload, cause", [
         (Protocol.FTP, 80, b"USER alice\r\n", "other_port"),
@@ -195,18 +150,9 @@ class TestTrainSkips:
         assert {c: getattr(s, "skipped_" + c) for c in causes} == {c: int(c == cause) for c in causes}
         assert (s.read, s.trained) == (2, 1)
 
-    def test_malformed_http_is_skipped(self):
-        records = [
-            PacketRecord(id=0, dst_port=80, payload=b"GET /x HTTP/1.0\r\n"),
-            PacketRecord(id=1, dst_port=80, payload=b"GET ../.."),
-        ]
-        model = train(iter(records), protocol=Protocol.HTTP, chunking=CFG)
-        assert model.summary.skipped_malformed == 1
-        assert model.summary.trained == 1
-
     def test_empty_usable_corpus_is_fatal(self):
         with pytest.raises(CorpusError, match="no trainable packets"):
-            train_ftp([b"x"])  # single too-short packet
+            ftp_model([b"x"])  # single too-short packet
 
     def test_no_records_at_all_is_fatal(self):
         with pytest.raises(CorpusError, match="no trainable packets"):
@@ -214,12 +160,6 @@ class TestTrainSkips:
 
     @pytest.mark.parametrize("setting", ["alpha", "th_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_setting_rejected(self, setting, value):
-        with pytest.raises(ValueError, match=f"{setting} must be > 0"):
-            train(iter(ftp_records([b"USER x\r\n"])), protocol=Protocol.FTP, chunking=CFG,
-                  **{setting: value})
-
-    @pytest.mark.parametrize("setting, value", [("alpha", math.inf), ("th_s", math.nan)])
     def test_bad_setting_rejected_before_any_record_is_read(self, setting, value):
         read = []
 
@@ -234,29 +174,6 @@ class TestTrainSkips:
 
 
 class TestPersistence:
-    def test_round_trip_small(self, tmp_path):
-        model = train_ftp([b"USER alice\r\n", b"USER brutus\r\n", b"QUIT\r\n"])
-        path = tmp_path / "m.model"
-        size = save_model(model, path)
-        assert size == path.stat().st_size > 0
-        assert load_model(path) == model
-
-    def test_round_trip_large_synthetic(self, tmp_path):
-        model = train(
-            iter(gen_legit(GenSpec(Protocol.FTP, 1000, seed=71))),
-            protocol=Protocol.FTP,
-            chunking=ChunkingConfig(3, 15),
-        )
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        back = load_model(path)
-        assert back == model
-        for key, cls in model.classes.items():
-            for gram, st in cls.stats.items():
-                got = back.classes[key].stats[gram]
-                assert got.mean == st.mean and got.std == st.std
-                assert got.chunks == st.chunks
-
     def test_empty_class_map_round_trips(self, tmp_path):
         model = TrafficModel(
             protocol=Protocol.HTTP, port=80, chunking=ChunkingConfig(3, 15),
@@ -266,13 +183,6 @@ class TestPersistence:
         save_model(model, path)
         assert load_model(path).classes == {}
 
-    def test_serialization_is_byte_stable(self, tmp_path):
-        model = train_ftp([b"USER alice\r\n", b"PASS b0b\r\n"])
-        p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
-        save_model(model, p1)
-        save_model(model, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     @pytest.mark.parametrize("protocol", [Protocol.FTP, Protocol.HTTP])
     def test_trained_model_loads_equal_with_float_stats(self, tmp_path, protocol):
         model = train(
@@ -281,8 +191,9 @@ class TestPersistence:
             chunking=ChunkingConfig(3, 15),
         )
         path = tmp_path / "m.model"
-        save_model(model, path)
+        assert save_model(model, path) == path.stat().st_size
         back = load_model(path)
+        # every mean, std and chunk pair compares exactly
         assert back == model
         for key, cls in back.classes.items():
             assert cls.sample_count == model.classes[key].sample_count
@@ -296,15 +207,12 @@ class TestPersistence:
         save_model(back, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_http_model_round_trips(self, tmp_path):
-        model = train(
-            iter(gen_legit(GenSpec(Protocol.HTTP, 300, seed=81))),
-            protocol=Protocol.HTTP,
-            chunking=ChunkingConfig(3, 15),
-        )
+    def test_chunks_enabled_not_persisted(self, tmp_path):
+        model = ftp_model([b"USER alice\r\n"])
         path = tmp_path / "m.model"
         save_model(model, path)
-        assert load_model(path) == model
+        assert "chunks_enabled" not in json.loads(path.read_text())
+        assert load_model(path).chunking == model.chunking
 
 
 def _valid_doc():
@@ -348,102 +256,6 @@ def test_corpus_and_model_bytes_are_pinned(tmp_path, protocol):
     save_model(train(records, protocol=protocol, chunking=ChunkingConfig(3, 15)), model)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (corpus, model))
     assert digests == GOLDEN[protocol]
-
-
-class TestLoadValidation:
-    def write(self, tmp_path, doc):
-        path = tmp_path / "m.model"
-        path.write_text(json.dumps(doc))
-        return path
-
-    def test_valid_doc_loads(self, tmp_path):
-        model = load_model(self.write(tmp_path, _valid_doc()))
-        assert model.classes[ClassKey(21, 1)].stats[b"US"].mean == 1.0
-
-    def test_negative_std_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["ngrams"][0]["std"] = -0.5
-        with pytest.raises(ModelFormatError, match="std"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "m.model"
-        path.write_text(json.dumps(_valid_doc())[:40])
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["format_version"] = 2
-        with pytest.raises(ModelFormatError, match="version"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_class_port_mismatch_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["port"] = 2121
-        with pytest.raises(ModelFormatError, match="port"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_chunk_index_out_of_range_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["ngrams"][0]["chunks"][0]["j"] = 1
-        with pytest.raises(ModelFormatError, match="chunk index"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_chunk_mean_inconsistency_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["ngrams"][0]["chunks"][0]["mean"] = 0.25
-        with pytest.raises(ModelFormatError, match="chunk means"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_wrong_gram_length_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["ngrams"][0]["gram_hex"] = "555344"
-        with pytest.raises(ModelFormatError, match="gram_hex"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_duplicate_class_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"].append(doc["classes"][0])
-        with pytest.raises(ModelFormatError, match="duplicate class"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_zero_sample_count_rejected(self, tmp_path):
-        doc = _valid_doc()
-        doc["classes"][0]["sample_count"] = 0
-        with pytest.raises(ModelFormatError, match="sample_count"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ModelFormatError):
-            load_model(tmp_path / "absent.model")
-
-    def test_absent_pruned_count_loads_as_zero(self, tmp_path):
-        assert "pruned" not in _cls(_valid_doc())
-        assert load_model(self.write(tmp_path, _valid_doc())).classes[ClassKey(21, 1)].pruned == 0
-
-    def test_pruned_count_round_trips(self, tmp_path):
-        doc = _valid_doc()
-        _cls(doc)["pruned"] = 3
-        model = load_model(self.write(tmp_path, doc))
-        assert model.classes[ClassKey(21, 1)].pruned == 3
-        path = tmp_path / "again.model"
-        save_model(model, path)
-        assert _cls(json.loads(path.read_text()))["pruned"] == 3
-
-    @pytest.mark.parametrize("pruned", [True, -1, 1.5, "3"], ids=repr)
-    def test_bad_pruned_count_rejected(self, tmp_path, pruned):
-        doc = _valid_doc()
-        _cls(doc)["pruned"] = pruned
-        with pytest.raises(ModelFormatError, match="pruned must be >= 0"):
-            load_model(self.write(tmp_path, doc))
-
-    def test_chunks_enabled_not_persisted(self, tmp_path):
-        model = train_ftp([b"USER alice\r\n"])
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        assert "chunks_enabled" not in json.loads(path.read_text())
-        assert load_model(path).chunking == model.chunking
 
 
 def _cls(doc):
@@ -536,6 +348,10 @@ REJECTIONS = [
          "sample-count-zero"),
     _bad(_set(_cls, "sample_count", True), _INVALID + "sample_count must be >= 1",
          "sample-count-bool"),
+    _bad(_set(_cls, "pruned", True), _INVALID + "pruned must be >= 0", "pruned-bool"),
+    _bad(_set(_cls, "pruned", -1), _INVALID + "pruned must be >= 0", "pruned-negative"),
+    _bad(_set(_cls, "pruned", 1.5), _INVALID + "pruned must be >= 0", "pruned-float"),
+    _bad(_set(_cls, "pruned", "3"), _INVALID + "pruned must be >= 0", "pruned-string"),
     _bad(_append_copy(lambda doc: doc["classes"]),
          _INVALID + "duplicate class ClassKey(port=21, chunk_count=1)", "class-duplicate"),
     _bad(_set(_cls, "ngrams", {}), _INVALID + "ngrams must be a list", "ngrams-object"),
@@ -605,6 +421,7 @@ REJECTIONS = [
 
 # files that must keep loading, with the value they load to
 ACCEPTED = [
+    pytest.param(lambda doc: None, (1.0, 0.0, {0: (1.0, 0.0)}), id="as-written"),
     pytest.param(_set(_gram, "mean", 1), (1.0, 0.0, {0: (1.0, 0.0)}), id="int-mean"),
     pytest.param(_both(_set(_gram, "std", 0), _set(_chunk, "std", 0)),
                  (1.0, 0.0, {0: (1.0, 0.0)}), id="int-stds"),
@@ -642,6 +459,29 @@ class TestLoadRejections:
             assert (got.mean, got.std, got.chunks) == stats
         assert type(got.mean) is float and type(got.std) is float
         assert all(type(v) is float for pair in got.chunks.values() for v in pair)
+
+    def test_absent_pruned_count_loads_as_zero(self, tmp_path):
+        assert "pruned" not in _cls(_valid_doc())
+        assert load_model(self.write(tmp_path, _valid_doc())).classes[ClassKey(21, 1)].pruned == 0
+
+    def test_pruned_count_round_trips(self, tmp_path):
+        doc = _valid_doc()
+        _cls(doc)["pruned"] = 3
+        model = load_model(self.write(tmp_path, doc))
+        assert model.classes[ClassKey(21, 1)].pruned == 3
+        path = tmp_path / "again.model"
+        save_model(model, path)
+        assert _cls(json.loads(path.read_text()))["pruned"] == 3
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(_valid_doc())[:40])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ModelFormatError):
+            load_model(tmp_path / "absent.model")
 
     # a number a float cannot hold is rejected like any other bad number
     @pytest.mark.parametrize("where, key, message", [
@@ -685,7 +525,7 @@ class TestLoadRejections:
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
     """A small trained FTP model: its path and its bytes."""
-    model = train_ftp([b"USER alice\r\n", b"USER bob\r\n", b"PASS x1\r\n", b"QUIT\r\n"] * 2)
+    model = ftp_model([b"USER alice\r\n", b"USER bob\r\n", b"PASS x1\r\n", b"QUIT\r\n"] * 2)
     path = tmp_path_factory.mktemp("fuzz") / "m.model"
     save_model(model, path)
     return path, path.read_bytes()

@@ -17,23 +17,6 @@ GET_LINE = b"GET /people/svalente/gif/poker.dogs.jpg HTTP/1.0\r\n"
 
 
 class TestHttp:
-    def test_request_line_is_the_only_component(self):
-        payload = GET_LINE + b"Host: web.example.org\r\nAccept: */*\r\n\r\n"
-        rel = extract_relevant(Protocol.HTTP, payload)
-        assert isinstance(rel, RelevantPayload)
-        assert rel.components == (GET_LINE,)
-        assert len(rel.components[0]) == 50
-
-    def test_request_line_without_headers(self):
-        rel = extract_relevant(Protocol.HTTP, GET_LINE)
-        assert rel.components == (GET_LINE,)
-
-    @pytest.mark.parametrize("method", [b"GET", b"POST", b"HEAD", b"OPTIONS", b"DELETE"])
-    def test_other_methods_accepted(self, method):
-        line = method + b" /x HTTP/1.1\r\n"
-        rel = extract_relevant(Protocol.HTTP, line + b"\r\n")
-        assert rel.components == (line,)
-
     @pytest.mark.parametrize(
         "payload",
         [
@@ -52,11 +35,6 @@ class TestHttp:
     def test_malformed_request_lines(self, payload):
         assert isinstance(extract_relevant(Protocol.HTTP, payload), Malformed)
 
-    def test_high_bytes_allowed_in_target(self):
-        line = b"GET /\xde\xad\xbe\xef HTTP/1.0\r\n"
-        rel = extract_relevant(Protocol.HTTP, line)
-        assert rel.components == (line,)
-
     def test_request_target_span(self):
         span = request_target_span(GET_LINE)
         assert span is not None
@@ -65,37 +43,29 @@ class TestHttp:
         assert request_target_span(b"junk") is None
 
 
-class TestFtp:
-    def test_passthrough(self):
-        payload = b"RETR file.txt\r\n"
-        rel = extract_relevant(Protocol.FTP, payload)
-        assert rel.components == (payload,)
-        assert len(rel.components[0]) == 15
-
-    def test_any_bytes_pass(self):
-        payload = bytes(range(1, 256))
-        rel = extract_relevant(Protocol.FTP, payload)
-        assert rel.components == (payload,)
-
-
-# featurize unpacks exactly one relevant part; a rule that selects more must fail here
+# (protocol, payload, the one relevant part): HTTP keeps the request line with
+# its CRLF, FTP the whole payload; featurize unpacks exactly one part, so a
+# rule that selects more must fail here
 ONE_PART_CASES = [
-    pytest.param(Protocol.HTTP, GET_LINE + b"Host: web.example.org\r\n\r\n", id="http-headers"),
-    pytest.param(Protocol.HTTP, GET_LINE, id="http-line"),
-    pytest.param(Protocol.HTTP, b"OPTIONS /x HTTP/1.1\r\n\r\n", id="http-options"),
-    pytest.param(Protocol.HTTP, b"GET /\xde\xad\xbe\xef HTTP/1.0\r\n", id="http-high-bytes"),
-    pytest.param(Protocol.FTP, b"RETR file.txt\r\n", id="ftp-command"),
-    pytest.param(Protocol.FTP, bytes(range(1, 256)), id="ftp-any-bytes"),
-    pytest.param(Protocol.FTP, b"x", id="ftp-one-byte"),
+    pytest.param(Protocol.HTTP, GET_LINE + b"Host: web.example.org\r\nAccept: */*\r\n\r\n",
+                 GET_LINE, id="http-headers"),
+    pytest.param(Protocol.HTTP, GET_LINE, GET_LINE, id="http-line"),
+    *[pytest.param(Protocol.HTTP, method + b" /x HTTP/1.1\r\n\r\n", method + b" /x HTTP/1.1\r\n",
+                   id="http-" + method.decode().lower())
+      for method in (b"GET", b"POST", b"HEAD", b"OPTIONS", b"DELETE")],
+    pytest.param(Protocol.HTTP, b"GET /\xde\xad\xbe\xef HTTP/1.0\r\n",
+                 b"GET /\xde\xad\xbe\xef HTTP/1.0\r\n", id="http-high-bytes"),
+    pytest.param(Protocol.FTP, b"RETR file.txt\r\n", b"RETR file.txt\r\n", id="ftp-command"),
+    pytest.param(Protocol.FTP, bytes(range(1, 256)), bytes(range(1, 256)), id="ftp-any-bytes"),
+    pytest.param(Protocol.FTP, b"x", b"x", id="ftp-one-byte"),
 ]
 
 
-@pytest.mark.parametrize("protocol,payload", ONE_PART_CASES)
-def test_hand_cases_select_exactly_one_part(protocol, payload):
+@pytest.mark.parametrize("protocol, payload, part", ONE_PART_CASES)
+def test_hand_cases_select_exactly_one_part(protocol, payload, part):
     rel = extract_relevant(protocol, payload)
     assert isinstance(rel, RelevantPayload)
-    assert len(rel.components) == 1
-    assert rel.components[0] in payload
+    assert rel.components == (part,)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

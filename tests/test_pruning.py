@@ -33,7 +33,7 @@ from pckad import (
 from pckad.detector import ANOMALOUS, judge
 from pckad.model import check_th_s_override, featurize
 
-from helpers import reference_verdict, unpruned_model
+from helpers import ftp_model, reference_verdict, unpruned_model
 
 PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
 CHUNKINGS = [ChunkingConfig(3, 15), ChunkingConfig(2, 7)]
@@ -96,35 +96,37 @@ class TestAgainstUnprunedModel:
         for rec in scored:
             assert judge(pruned, rec.payload) == judge(unpruned, rec.payload)
 
-    def test_scored_packets_hold_left_out_ngrams(self):
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
+    def test_scored_packets_hold_left_out_ngrams(self, protocol):
         """The corpora reach what the property is about: packets whose n-grams were left out."""
-        for protocol in PROTOCOLS:
-            training, scored, full = corpora(protocol, CHUNKINGS[0])
-            model = train(training, protocol=protocol, chunking=CHUNKINGS[0], th_s=1.0)
-            left_out = {
-                gram for key, cls in model.classes.items()
-                for gram in full.classes[key].stats.keys() - cls.stats.keys()
-            }
-            features = [featurize(rec.payload, protocol, model.port, model.chunking)
-                        for rec in scored]
-            hits = sum(not left_out.isdisjoint(f.counts.totals) for f in features
-                       if not isinstance(f, str))
-            assert hits >= 10, protocol
+        training, scored, full = corpora(protocol, CHUNKINGS[0])
+        model = train(training, protocol=protocol, chunking=CHUNKINGS[0], th_s=1.0)
+        left_out = {
+            gram for key, cls in model.classes.items()
+            for gram in full.classes[key].stats.keys() - cls.stats.keys()
+        }
+        features = [featurize(rec.payload, protocol, model.port, model.chunking)
+                    for rec in scored]
+        hits = sum(not left_out.isdisjoint(f.counts.totals) for f in features
+                   if not isinstance(f, str))
+        assert hits >= 10, protocol
 
 
+@pytest.mark.parametrize("chunks_enabled", [True, False], ids=["chunks-on", "chunks-off"])
+@pytest.mark.parametrize("threshold", [None, 10.0], ids=["default-threshold", "threshold-10"])
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
-def test_judge_on_pruned_model_matches_reference_verdict(protocol):
+def test_judge_on_pruned_model_matches_reference_verdict(protocol, threshold, chunks_enabled):
     chunking = CHUNKINGS[0]
     training, scored, _ = corpora(protocol, chunking)
     model = train(training, protocol=protocol, chunking=chunking, th_s=1.5)
     assert sum(cls.pruned for cls in model.classes.values()) > 0
-    for threshold in (protocol.default_score_threshold, 10.0):
-        for chunks_enabled in (True, False):
-            cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
-            for rec in scored:
-                got = score_packet(model, rec, cfg)
-                assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
-                    reference_verdict(model, rec.payload, cfg), rec
+    if threshold is None:
+        threshold = protocol.default_score_threshold
+    cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+    for rec in scored:
+        got = score_packet(model, rec, cfg)
+        assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
+            reference_verdict(model, rec.payload, cfg), rec
 
 
 # every 2-gram of these payloads occurs once, in one of two packets: mean 0.5, std 0.5
@@ -133,8 +135,7 @@ FULLY_PRUNED = [b"abc", b"xyz"]
 
 def fully_pruned_model():
     """A model whose one class has every entry left out: deviation 0.5 / 0.6 > th_s 0.5."""
-    records = [PacketRecord(id=i, dst_port=21, payload=p) for i, p in enumerate(FULLY_PRUNED)]
-    return train(records, protocol=Protocol.FTP, chunking=ChunkingConfig(2, 15), th_s=0.5)
+    return ftp_model(FULLY_PRUNED, th_s=0.5)
 
 
 class TestFullyPrunedClass:
@@ -147,18 +148,18 @@ class TestFullyPrunedClass:
         assert b'"pruned":4,"ngrams":[]' in path.read_bytes()
         assert load_model(path) == fully_pruned_model()
 
-    def test_every_ngram_is_rule_1(self):
+    @pytest.mark.parametrize("payload", FULLY_PRUNED + [b"ab!"])
+    def test_every_ngram_is_rule_1(self, payload):
         model = fully_pruned_model()
-        for payload in FULLY_PRUNED + [b"ab!"]:
-            rec = PacketRecord(id=0, dst_port=21, payload=payload)
-            assert judge(model, payload) == (None, 2, 2, 2)
-            assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
+        rec = PacketRecord(id=0, dst_port=21, payload=payload)
+        assert judge(model, payload) == (None, 2, 2, 2)
+        assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
 
 
 class TestThSOverride:
-    def test_at_or_below_the_trained_th_s_is_accepted(self):
-        for th_s in (0.5, 0.25, 1e-9):
-            check_th_s_override(fully_pruned_model(), th_s)
+    @pytest.mark.parametrize("th_s", [0.5, 0.25, 1e-9])
+    def test_at_or_below_the_trained_th_s_is_accepted(self, th_s):
+        check_th_s_override(fully_pruned_model(), th_s)
 
     @pytest.mark.parametrize("th_s", [0.75, 5.0])
     def test_above_the_trained_th_s_is_refused(self, th_s):
