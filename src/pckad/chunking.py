@@ -97,7 +97,7 @@ def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
     n, chunk_len = cfg.n, cfg.chunk_len
     nck = -(-len(payload) // chunk_len)
     windows = max(len(payload) - n + 1, 0)
-    grams = list(map(payload.__getitem__, map(slice, range(windows), range(n, windows + n))))
+    grams = [payload[i:i + n] for i in range(windows)]
     chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))
     return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)), windows, nck)
 

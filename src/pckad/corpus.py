@@ -26,14 +26,13 @@ from typing import Iterable, Iterator
 
 from .errors import CorpusError
 
-_HEX_RE = re.compile(r"\A[0-9a-fA-F]*\Z")
 # what the surrogateescape error handler makes of bytes that are not UTF-8
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
 _LINKTYPE_ETHERNET = 1
 
-# one compact encoder for every corpus record and verdict line: json.dumps
+# one compact encoder for every corpus record that write_jsonl writes: json.dumps
 # with separators builds a new encoder per call
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -223,12 +222,7 @@ def read_pcap(
                 summary.filtered_out += 1
                 continue
             summary.yielded += 1
-            yield PacketRecord(
-                id=next_id,
-                dst_port=dst_port,
-                payload=payload,
-                ts=ts_sec * 1_000_000 + ts_usec,
-            )
+            yield PacketRecord(next_id, dst_port, payload, None, ts_sec * 1_000_000 + ts_usec)
             next_id += 1
 
 
@@ -257,7 +251,8 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     The JSON types are checked here, their values by PacketRecord.
     """
     line = line.rstrip("\r\n")
-    if _UNDECODABLE_RE.search(line):
+    # a lone surrogate is not ASCII, so an ASCII line needs no scan
+    if not line.isascii() and _UNDECODABLE_RE.search(line):
         raise ValueError("invalid UTF-8")
     try:
         obj = json.loads(line)
@@ -275,9 +270,14 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     payload_hex = obj.get("payload_hex")
     if not isinstance(payload_hex, str):
         raise ValueError("missing or invalid 'payload_hex'")
-    if len(payload_hex) % 2 != 0:
-        raise ValueError("odd-length payload_hex")
-    if not _HEX_RE.match(payload_hex):
+    try:
+        payload = bytes.fromhex(payload_hex)
+    except ValueError:
+        payload = None
+    # fromhex skips ASCII whitespace, which leaves fewer than two digits per byte
+    if payload is None or 2 * len(payload) != len(payload_hex):
+        if len(payload_hex) % 2 != 0:
+            raise ValueError("odd-length payload_hex")
         raise ValueError("payload_hex is not hexadecimal")
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
@@ -285,8 +285,8 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     ts = obj.get("ts")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
         raise ValueError("ts must be an integer")
-    return PacketRecord(id=rec_id, dst_port=port, payload=bytes.fromhex(payload_hex),
-                        label=label, ts=ts)
+    # positional: a keyword call costs more per record
+    return PacketRecord(rec_id, port, payload, label, ts)
 
 
 def write_jsonl(records: Iterable[PacketRecord], path) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .corpus import COMPACT_JSON, PacketRecord
+from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
     MEMO_BYTES,
@@ -257,13 +257,14 @@ def detect_stream(
 
 
 def verdict_line(record_id: int, verdict: Verdict) -> str:
-    """One JSON line per verdict, for alert files and stdout."""
-    return COMPACT_JSON.encode(
-        {
-            "id": record_id,
-            "verdict": verdict.kind,
-            "score": verdict.score,
-            "a_seqs": verdict.a_seqs,
-            "tot_seqs": verdict.tot_seqs,
-        }
-    )
+    """One compact JSON line per verdict, for alert files and stdout.
+
+    The bytes are `corpus.COMPACT_JSON`'s for the same five keys: a kind
+    needs no escaping, and JSON writes an int as its str and a float as its
+    repr. Malformed, no_model and unclassifiable verdicts have null counts.
+    """
+    if verdict.score is None:
+        return (f'{{"id":{record_id},"verdict":"{verdict.kind}",'
+                '"score":null,"a_seqs":null,"tot_seqs":null}')
+    return (f'{{"id":{record_id},"verdict":"{verdict.kind}","score":{verdict.score!r},'
+            f'"a_seqs":{verdict.a_seqs},"tot_seqs":{verdict.tot_seqs}}}')

@@ -2,6 +2,7 @@ import ipaddress
 import json
 import os
 import random
+import re
 import struct
 import threading
 import tracemalloc
@@ -19,7 +20,7 @@ from pckad import (
     read_pcap,
     write_jsonl,
 )
-from pckad.corpus import attack_instance_of
+from pckad.corpus import _record_from_line, attack_instance_of
 
 from helpers import pcap_bytes, tcp_frame, udp_frame
 
@@ -65,17 +66,63 @@ class TestJsonl:
         path.write_text("")
         assert list(read_jsonl(path)) == []
 
-    def test_odd_length_hex_names_line(self, tmp_path):
+    # (payload_hex as it stands in the JSON line, the payload or the exact message)
+    @pytest.mark.parametrize("payload_hex, outcome", [
+        ("5553A", "odd-length payload_hex"),
+        ("zz", "payload_hex is not hexadecimal"),
+        # ASCII whitespace, which bytes.fromhex would skip
+        ("55 53", "odd-length payload_hex"),
+        (" 5553", "odd-length payload_hex"),
+        ("55\\t53", "odd-length payload_hex"),
+        ("5553\\n", "odd-length payload_hex"),
+        ("55  53", "payload_hex is not hexadecimal"),
+        ("\\t5553\\n", "payload_hex is not hexadecimal"),
+        ("\u0665\u0665", "payload_hex is not hexadecimal"),  # Arabic-Indic digits
+        ("\uff15\uff15", "payload_hex is not hexadecimal"),  # full-width digits
+        ("\\udcff\\udcff", "payload_hex is not hexadecimal"),
+        ("4A4b", b"JK"),
+        ("", b""),
+    ], ids=["odd", "zz", "inner-space", "leading-space", "tab", "newline", "even-spaces",
+            "even-tab-newline", "arabic-indic", "full-width", "surrogates", "mixed-case",
+            "empty"])
+    def test_payload_hex_rule(self, tmp_path, payload_hex, outcome):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"port":21,"payload_hex":"5553A"}\n')
-        with pytest.raises(CorpusError, match="line 1:"):
-            list(read_jsonl(path))
+        path.write_text('{"port":21,"payload_hex":"' + payload_hex + '"}\n', encoding="utf-8")
+        if isinstance(outcome, bytes):
+            (rec,) = read_jsonl(path)
+            assert rec.payload == outcome
+        else:
+            with pytest.raises(CorpusError) as err:
+                list(read_jsonl(path))
+            assert str(err.value) == f"{path}: line 1: {outcome}"
 
-    def test_non_hex_payload(self, tmp_path):
+    @given(
+        payload_hex=st.text(alphabet="0123456789abcdefABCDEFgGzZ \t\n\r\x0b\x0c\x1c\x85"
+                                     "\xa0\u0665\uff15\u00e9", max_size=10),
+        ensure_ascii=st.booleans(),
+    )
+    def test_payload_hex_rule_matches_parity_then_regex(self, payload_hex, ensure_ascii):
+        """The fromhex check accepts and rejects as the parity check and regex it replaced."""
+        if len(payload_hex) % 2 != 0:
+            want = "odd-length payload_hex"
+        elif not re.match(r"\A[0-9a-fA-F]*\Z", payload_hex):
+            want = "payload_hex is not hexadecimal"
+        else:
+            want = bytes.fromhex(payload_hex)
+        line = json.dumps({"port": 21, "payload_hex": payload_hex}, ensure_ascii=ensure_ascii)
+        try:
+            got = _record_from_line(line, 0).payload
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+
+    def test_non_ascii_label_accepted(self, tmp_path):
+        # a non-ASCII line is scanned for undecodable bytes, and valid UTF-8 passes
         path = tmp_path / "c.jsonl"
-        path.write_text('{"port":21,"payload_hex":"zz"}\n')
-        with pytest.raises(CorpusError, match="line 1:"):
-            list(read_jsonl(path))
+        path.write_text('{"port":21,"payload_hex":"00","label":"attack:\u00e9"}\n',
+                        encoding="utf-8")
+        (rec,) = read_jsonl(path)
+        assert rec.label == "attack:\u00e9"
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

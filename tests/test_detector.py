@@ -1,20 +1,24 @@
 import dataclasses
-import json
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pckad import (
     ALERT_KINDS,
     ChunkingConfig,
     ClassKey,
+    ClassModel,
     DetectionSummary,
     DetectorConfig,
     GenSpec,
     NGramStats,
     PacketRecord,
     Protocol,
+    TrafficModel,
+    Verdict,
     anomalous_occurrences,
     detect_stream,
     gen_legit,
@@ -23,7 +27,8 @@ from pckad import (
     train,
     verdict_line,
 )
-from pckad.detector import judge
+from pckad.corpus import COMPACT_JSON
+from pckad.detector import Outcome, judge
 from pckad.model import featurize
 from pckad.synth import AnomalyKind, inject_corpus
 
@@ -148,10 +153,22 @@ class TestScorePacket:
 
     def test_alert_threshold_is_strict(self):
         model = ftp_model([b"abcdef"])
+        # ab bc cd seen; dz zz never seen: 2 of 5 occurrences => 40.0, not above 40
         at_threshold = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(40))
-        assert at_threshold.kind == "legit"
+        assert (at_threshold.kind, at_threshold.score) == ("legit", 40.0)
         above = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(39.9))
         assert above.kind == "anomalous"
+
+    # |mean - x| / (std + alpha) = 1 / 0.5 = 2.0 = th_s exactly: a tie is usual, not anomalous
+    @pytest.mark.parametrize("stats", [
+        NGramStats(2.0, 0.0, {0: (1.0, 0.0)}),  # rule 2 ties
+        NGramStats(1.0, 0.0, {0: (2.0, 0.0)}),  # only rule 3's chunk deviation ties
+    ], ids=["payload-tie", "chunk-tie"])
+    def test_deviation_equal_to_th_s_is_not_anomalous(self, stats):
+        classes = {ClassKey(21, 1): ClassModel(1, {b"ab": stats})}
+        model = TrafficModel(Protocol.FTP, 21, ChunkingConfig(2, 15), 0.5, 2.0, classes)
+        assert judge(model, b"ab") == Outcome(None, 1, 0, 0)
+        assert anomalous_occurrences(stats, 1, {0: 1}, model.alpha, model.th_s) == (0, 0)
 
     def test_all_unseen_scores_exactly_100(self):
         model = ftp_model([b"abcdef"])
@@ -277,22 +294,37 @@ class TestDetectStream:
         assert ids == list(range(20))
 
 
-class TestVerdictLine:
-    def test_scored_verdict_line(self):
-        model = ftp_model([b"abcdef"])
-        # ab bc cd seen; dz zz never seen: 2 of 5 occurrences => 40.0, not above 40
-        verdict = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(40))
-        obj = json.loads(verdict_line(9, verdict))
-        assert obj == {"id": 9, "verdict": "legit", "score": 40.0, "a_seqs": 2, "tot_seqs": 5}
+def _compact(record_id, verdict):
+    return COMPACT_JSON.encode({
+        "id": record_id, "verdict": verdict.kind,
+        "score": verdict.score, "a_seqs": verdict.a_seqs, "tot_seqs": verdict.tot_seqs,
+    })
 
-    def test_nulls_where_not_applicable(self):
-        model = ftp_model([b"abcdef"])
-        verdict = score_packet(model, ftp_record(b""), DetectorConfig(40))
-        obj = json.loads(verdict_line(0, verdict))
-        assert obj == {
-            "id": 0, "verdict": "unclassifiable",
-            "score": None, "a_seqs": None, "tot_seqs": None,
-        }
+
+_SCORED = [(0.0, 0, 5), (40.0, 2, 5), (100.0, 5, 5), (100 / 3, 1, 3)]
+
+
+class TestVerdictLine:
+    """verdict_line writes the bytes of the compact encoder, whatever the kind."""
+
+    @pytest.mark.parametrize("verdict", [
+        *(Verdict(kind) for kind in ("malformed", "no_model", "unclassifiable")),
+        *(Verdict(kind, *counts) for kind in ("legit", "anomalous") for counts in _SCORED),
+    ], ids=lambda v: f"{v.kind}-{v.score}")
+    @pytest.mark.parametrize("record_id", [0, 2**63])
+    def test_line_is_compact_json(self, record_id, verdict):
+        assert verdict_line(record_id, verdict) == _compact(record_id, verdict)
+
+    @given(
+        record_id=st.integers(min_value=0),
+        kind=st.sampled_from(["legit", "anomalous"]),
+        score=st.floats(0, 100),
+        a_seqs=st.integers(0, 10**6),
+        tot_seqs=st.integers(1, 10**6),
+    )
+    def test_any_scored_line_is_compact_json(self, record_id, kind, score, a_seqs, tot_seqs):
+        verdict = Verdict(kind, score, a_seqs, tot_seqs)
+        assert verdict_line(record_id, verdict) == _compact(record_id, verdict)
 
 
 class TestDetectorConfig:
