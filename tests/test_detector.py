@@ -155,7 +155,8 @@ class TestScorePacket:
         model = ftp_model([b"abcdef"])
         # ab bc cd seen; dz zz never seen: 2 of 5 occurrences => 40.0, not above 40
         at_threshold = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(40))
-        assert (at_threshold.kind, at_threshold.score) == ("legit", 40.0)
+        assert (at_threshold.kind, at_threshold.score, at_threshold.a_seqs,
+                at_threshold.tot_seqs) == ("legit", 40.0, 2, 5)
         above = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(39.9))
         assert above.kind == "anomalous"
 
