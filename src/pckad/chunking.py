@@ -6,16 +6,19 @@ length-n window sliding by one byte. A window that straddles the border
 between two consecutive chunks counts toward the chunk holding its first
 byte, so every occurrence lands in exactly one chunk.
 
-`count_windows` is the one counting pass, shared by training, scoring and
-the sweep. `split_chunks` (chunk spans) and `extract_ngrams` (the same counts
-grouped per n-gram) restate its result, and nothing in the package calls
-them. They stay because the benchmark's tracer (`bench/tracing.py`, `TRACED`)
-binds both by name, though it never calls them: without either one, the
-first traced round of `bench/run.py --trace 1` raises AttributeError, and the
-run exits 1 with no result (`bench: no complete round`). The tests run such a
-round (`bench/test_smoke.py`), and so does CI's full-scale benchmark step.
-They can go once the tracer binds the stages that run instead (see
-ROADMAP.md).
+`slice_windows` cuts a payload into its windows once, and `tally_windows`
+counts them in one pass; `count_windows` does both. Training, scoring and
+the sweep all slice through `slice_windows` (in `model.featurize`).
+Training counts every payload; the detector counts only a payload that
+repeats a window (see `detector.judge`). `split_chunks` (chunk spans) and
+`extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
+result, and nothing in the package calls them. They stay because the
+benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,
+though it never calls them: without either one, the first traced round of
+`bench/run.py --trace 1` raises AttributeError, and the run exits 1 with no
+result (`bench: no complete round`). The tests run such a round
+(`bench/test_smoke.py`), and so does CI's full-scale benchmark step. They
+can go once the tracer binds the stages that run instead (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -87,19 +90,35 @@ class WindowCounts(NamedTuple):
     nck_total: int
 
 
+def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int]:
+    """Every length-n window of the payload in order, and its chunk count.
+
+    Window i starts at byte i. The payload holds ceil(len / chunk_len) chunks.
+    """
+    n = cfg.n
+    nck = -(-len(payload) // cfg.chunk_len)
+    return [payload[i:i + n] for i in range(len(payload) - n + 1)], nck
+
+
+def tally_windows(grams: list[bytes], chunk_len: int, nck: int) -> WindowCounts:
+    """Count a payload's sliced windows, each in the chunk of its first byte.
+
+    Two C-level Counters do the counting; each window's chunk index comes
+    from a stream that repeats every chunk index chunk_len times. nck is the
+    payload's chunk count.
+    """
+    chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))
+    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)), len(grams), nck)
+
+
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
     """Count every sliding-window occurrence, attributed to one chunk each.
 
-    The windows are sliced once and counted by two C-level Counters; each
-    window's chunk index comes from a stream that repeats every chunk index
-    chunk_len times. The payload holds ceil(len / chunk_len) chunks.
+    The windows are sliced once (`slice_windows`) and counted once
+    (`tally_windows`).
     """
-    n, chunk_len = cfg.n, cfg.chunk_len
-    nck = -(-len(payload) // chunk_len)
-    windows = max(len(payload) - n + 1, 0)
-    grams = [payload[i:i + n] for i in range(windows)]
-    chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))
-    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)), windows, nck)
+    grams, nck = slice_windows(payload, cfg)
+    return tally_windows(grams, cfg.chunk_len, nck)
 
 
 def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .chunking import ChunkingConfig, WindowCounts, count_windows
+from .chunking import ChunkingConfig, WindowCounts, slice_windows, tally_windows
 from .corpus import PacketRecord, check_port
 from .errors import CorpusError, ModelFormatError
 from .protocols import Malformed, Protocol, extract_relevant
@@ -57,21 +57,21 @@ class ClassModel:
 
 
 class Features(NamedTuple):
-    """Class key and n-gram counts of one classifiable payload."""
+    """Class key and windows of one classifiable payload."""
 
     key: ClassKey
-    counts: WindowCounts
+    grams: list[bytes]  # every window in payload order, as `slice_windows` cuts them
 
 
 def featurize(
     payload: bytes, protocol: Protocol, port: int, chunking: ChunkingConfig
 ) -> Features | str:
-    """The one path from an on-port payload to its class key and n-gram counts.
+    """The one path from an on-port payload to its class key and windows.
 
     Training, scoring and the sweep all featurize through here, once each
-    has set aside the records for other ports. A payload with no n-gram
-    counts gives its cause instead: "empty", "malformed" or "short", which
-    names the TrainingSummary counter `skipped_<cause>`.
+    has set aside the records for other ports. A payload with no window
+    gives its cause instead: "empty", "malformed" or "short", which names
+    the TrainingSummary counter `skipped_<cause>`.
     """
     if not payload:
         return "empty"
@@ -79,10 +79,10 @@ def featurize(
     if isinstance(relevant, Malformed):
         return "malformed"
     (part,) = relevant.components
-    counts = count_windows(part, chunking)
-    if counts.tot_seqs == 0:
+    grams, nck = slice_windows(part, chunking)
+    if not grams:
         return "short"
-    return Features(ClassKey(port, counts.nck_total), counts)
+    return Features(ClassKey(port, nck), grams)
 
 
 @dataclass
@@ -97,7 +97,7 @@ class TrainingSummary:
     skipped_short: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrafficModel:
     protocol: Protocol
     port: int
@@ -106,6 +106,11 @@ class TrafficModel:
     th_s: float
     classes: dict[ClassKey, ClassModel]
     summary: TrainingSummary | None = field(default=None, compare=False)
+    # class key -> `detector.usual_at_one` of that class at this alpha and
+    # th_s, built on the class's first judgement. Neither compared nor saved;
+    # not an init field, so a model made by `dataclasses.replace` starts
+    # empty, and the model is frozen, so no setting changes under it.
+    usual_at_one: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_model_settings(self.port, self.alpha, self.th_s)
@@ -261,10 +266,11 @@ def train(
                 counter = "skipped_" + features
                 setattr(summary, counter, getattr(summary, counter) + w)
                 continue
-            acc = accumulators.get(features.key)
+            key, grams = features
+            acc = accumulators.get(key)
             if acc is None:
-                acc = accumulators[features.key] = _ClassAccumulator()
-            acc.add(features.counts, w)
+                acc = accumulators[key] = _ClassAccumulator()
+            acc.add(tally_windows(grams, chunking.chunk_len, key.chunk_count), w)
             summary.trained += w
         pending.clear()
 

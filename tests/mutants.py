@@ -1,0 +1,194 @@
+"""Semantic mutants of pckad, each of which tier-1 must fail.
+
+A mutant is a deliberate error in the paper's semantics or in a check,
+written as exact text edits: each row of MUTANTS is (name, file, old text,
+new text), and the rows that share a name make one mutant. The runner
+copies the repository to a temporary directory, checks that the unmutated
+copy passes tier-1, and then, one mutant at a time, applies its edits, runs
+tier-1 with -x and restores the files. It refuses an edit whose old text
+does not occur exactly once in its file, so a refactor that moves a rule's
+text fails here until its rows are updated in the same change.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+It prints a kill table, and exits 1 if a mutant survives or an edit no
+longer applies (2 if the unmutated copy fails). Pytest does not collect
+this file: its name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHUNKING = "src/pckad/chunking.py"
+MODEL = "src/pckad/model.py"
+DETECTOR = "src/pckad/detector.py"
+EVALUATE = "src/pckad/evaluate.py"
+
+# judge's rule statements: the set form decides one occurrence, the counted form x of them
+SETS_RULE_2 = "if not abs(mean - 1) / (std + alpha) > th_s}"
+SETS_RULE_3 = "if abs(mean - 1) / (std + alpha) > th_s:"
+SETS_ABSENT = "absent_usual = not abs(mean - 1) / (std + alpha) > th_s"
+COUNTS_RULE_2 = "if not abs(mean - x) / (std + alpha) > th_s:"
+COUNTS_RULE_3 = "if abs(mean - x) / (std + alpha) > th_s:"
+PER_GRAM_RULE_2 = "if mahalanobis_term(mean, std, x_total, alpha) > th_s:"
+PER_GRAM_RULE_3 = "if mahalanobis_term(mean, std, x, alpha) > th_s:"
+
+
+def _ge(text: str) -> str:
+    return text.replace("> th_s", ">= th_s")
+
+
+# (name, file, old text, new text)
+MUTANTS = [
+    ("floor chunk count", CHUNKING,
+     "nck = -(-len(payload) // cfg.chunk_len)", "nck = len(payload) // cfg.chunk_len"),
+    ("last-byte attribution", CHUNKING,
+     "chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))",
+     "chunk_ids = ((start + len(grams[0]) - 1) // chunk_len for start in range(len(grams)))"),
+    ("sample std", MODEL,
+     "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
+     "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),
+    (">= in rule 2", DETECTOR, COUNTS_RULE_2, _ge(COUNTS_RULE_2)),
+    (">= in rule 2", DETECTOR, SETS_RULE_2, _ge(SETS_RULE_2)),
+    (">= in rule 3", DETECTOR, COUNTS_RULE_3, _ge(COUNTS_RULE_3)),
+    (">= in rule 3", DETECTOR, SETS_RULE_3, _ge(SETS_RULE_3)),
+    (">= in rule 3", DETECTOR, SETS_ABSENT, _ge(SETS_ABSENT)),
+    (">= for the score threshold", DETECTOR,
+     "return self.a_seqs(cfg) / self.tot_seqs * 100.0 > cfg.score_threshold",
+     "return self.a_seqs(cfg) / self.tot_seqs * 100.0 >= cfg.score_threshold"),
+    ("one-sided deviation", DETECTOR,
+     COUNTS_RULE_2, "if not (x - mean) / (std + alpha) > th_s:"),
+    ("one-sided deviation", DETECTOR,
+     SETS_RULE_2, "if not (1 - mean) / (std + alpha) > th_s}"),
+    ("alpha as a floor", DETECTOR,
+     COUNTS_RULE_2, "if not abs(mean - x) / max(std, alpha) > th_s:"),
+    ("alpha as a floor", DETECTOR,
+     SETS_RULE_2, "if not abs(mean - 1) / max(std, alpha) > th_s}"),
+    # one occurrence is all there is in the set form, so only the counted form changes
+    ("an unseen n-gram counted once", DETECTOR,
+     "a_off += x", "a_off += x if stats is not None else 1"),
+    ("DR per packet", EVALUATE,
+     "detected[instance] = detected.get(instance, False) or alert",
+     "detected[len(detected)] = alert"),
+    ("unclassifiable packets in the FPR", EVALUATE,
+     "elif outcome.kind == UNCLASSIFIABLE:", "elif False:"),
+    ("chunks-off reading a_on", DETECTOR,
+     "return self.a_on if cfg.chunks_enabled else self.a_off", "return self.a_on"),
+    ("no_model not alerting", DETECTOR,
+     "ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED, NO_MODEL})",
+     "ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED})"),
+    ("an absent chunk with std 1", MODEL,
+     "ABSENT_CHUNK = (0.0, 0.0)", "ABSENT_CHUNK = (0.0, 1.0)"),
+    ("short at one window", MODEL, "if not grams:", "if len(grams) <= 1:"),
+    ("the load-time chunk-mean check dropped", MODEL,
+     "if not abs(chunk_mean_sum - mean) <= tolerance:", "if False:"),
+    # >= th_s in every statement of rules 2 and 3: judge and anomalous_occurrences agree
+    # again, so only the hand cases at an exact tie and reference_verdict can tell
+    *((">= everywhere in rules 2 and 3", DETECTOR, old, _ge(old)) for old in (
+        PER_GRAM_RULE_2, PER_GRAM_RULE_3, COUNTS_RULE_2, COUNTS_RULE_3,
+        SETS_RULE_2, SETS_RULE_3, SETS_ABSENT)),
+    (">= in the set builder's rule 2 alone", DETECTOR, SETS_RULE_2, _ge(SETS_RULE_2)),
+    (">= in the set builder's rule 3 alone", DETECTOR, SETS_RULE_3, _ge(SETS_RULE_3)),
+    (">= at an absent chunk in the set builder alone", DETECTOR, SETS_ABSENT, _ge(SETS_ABSENT)),
+    (">= in the counting loop alone", DETECTOR, COUNTS_RULE_2, _ge(COUNTS_RULE_2)),
+    (">= in the counting loop alone", DETECTOR, COUNTS_RULE_3, _ge(COUNTS_RULE_3)),
+    ("sets shared with a replaced model", MODEL,
+     "init=False, compare=False", "init=True, compare=False"),
+    ("sets in a compared field", MODEL,
+     "init=False, compare=False", "init=False, compare=True"),
+]
+
+TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors"]
+TIMEOUT_S = 900
+
+
+def mutants(rows=MUTANTS) -> dict[str, list[tuple[str, str, str]]]:
+    """Each mutant's edits, by name, in table order."""
+    grouped: dict[str, list[tuple[str, str, str]]] = {}
+    for name, path, old, new in rows:
+        grouped.setdefault(name, []).append((path, old, new))
+    return grouped
+
+
+def apply(tree: Path, edits: list[tuple[str, str, str]]) -> dict[Path, str] | str:
+    """Write the edits into tree; the original text of each file changed, or why not."""
+    originals: dict[Path, str] = {}
+    texts: dict[Path, str] = {}
+    for path, old, new in edits:
+        file = tree / path
+        if file not in texts:
+            originals[file] = texts[file] = file.read_text(encoding="utf-8")
+        found = texts[file].count(old)
+        if found != 1:
+            return f"{path}: old text occurs {found} times, not once: {old!r}"
+        texts[file] = texts[file].replace(old, new)
+    for file, text in texts.items():
+        file.write_text(text, encoding="utf-8")
+    return originals
+
+
+def run_tier_1(tree: Path) -> tuple[int, str]:
+    """Tier-1's exit status in tree and its first failure, or "" when it passed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(TIER_1, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    summary = done.stdout.strip().splitlines()[-1:] or [done.stderr.strip()]
+    return done.returncode, (failed or summary)[0] if done.returncode else ""
+
+
+def main(argv: list[str]) -> int:
+    table = mutants()
+    unknown = [name for name in argv if name not in table]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = {name: table[name] for name in (argv or table)}
+    with tempfile.TemporaryDirectory(prefix="pckad-mutants-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work"))
+        code, first = run_tier_1(tree)
+        if code != 0:
+            print(f"the unmutated copy fails tier-1: {first}", file=sys.stderr)
+            return 2
+        bad = 0
+        print(f"{'mutant':<48} {'result':<8} {'s':>5}  first failure")
+        for name, edits in chosen.items():
+            start = time.monotonic()
+            originals = apply(tree, edits)
+            if isinstance(originals, str):
+                result, detail = "REFUSED", originals
+            else:
+                try:
+                    code, detail = run_tier_1(tree)
+                finally:
+                    for file, text in originals.items():
+                        file.write_text(text, encoding="utf-8")
+                # pytest exits 1 when tests fail; 0 means every test passed
+                result = "killed" if code == 1 else "SURVIVED" if code == 0 else "ERROR"
+            bad += result != "killed"
+            print(f"{name:<48} {result:<8} {time.monotonic() - start:5.1f}  {detail}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -160,16 +160,39 @@ class TestScorePacket:
         above = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(39.9))
         assert above.kind == "anomalous"
 
-    # |mean - x| / (std + alpha) = 1 / 0.5 = 2.0 = th_s exactly: a tie is usual, not anomalous
-    @pytest.mark.parametrize("stats", [
-        NGramStats(2.0, 0.0, {0: (1.0, 0.0)}),  # rule 2 ties
-        NGramStats(1.0, 0.0, {0: (2.0, 0.0)}),  # only rule 3's chunk deviation ties
-    ], ids=["payload-tie", "chunk-tie"])
-    def test_deviation_equal_to_th_s_is_not_anomalous(self, stats):
-        classes = {ClassKey(21, 1): ClassModel(1, {b"ab": stats})}
+    # |mean - x| / (std + alpha) = 1 / 0.5 = 2.0 = th_s exactly: a tie is usual, not anomalous.
+    # b"ab" has one window, which judge decides from its sets; b"aaa" repeats its window
+    # (x = 2), which judge counts.
+    @pytest.mark.parametrize("payload, stats", [
+        (b"ab", NGramStats(2.0, 0.0, {0: (1.0, 0.0)})),  # rule 2 ties
+        (b"ab", NGramStats(1.0, 0.0, {0: (2.0, 0.0)})),  # only rule 3's chunk deviation ties
+        (b"aaa", NGramStats(3.0, 0.0, {0: (2.0, 0.0)})),
+        (b"aaa", NGramStats(2.0, 0.0, {0: (3.0, 0.0)})),
+    ], ids=["payload-tie", "chunk-tie", "payload-tie-repeated", "chunk-tie-repeated"])
+    def test_deviation_equal_to_th_s_is_not_anomalous(self, payload, stats):
+        gram, x = payload[:2], len(payload) - 1
+        classes = {ClassKey(21, 1): ClassModel(1, {gram: stats})}
         model = TrafficModel(Protocol.FTP, 21, ChunkingConfig(2, 15), 0.5, 2.0, classes)
-        assert judge(model, b"ab") == Outcome(None, 1, 0, 0)
-        assert anomalous_occurrences(stats, 1, {0: 1}, model.alpha, model.th_s) == (0, 0)
+        assert judge(model, payload) == Outcome(None, x, 0, 0)
+        assert anomalous_occurrences(stats, x, {0: x}, model.alpha, model.th_s) == (0, 0)
+
+    # an n-gram with no entry for chunk 1 deviates there by x / alpha, here 2.0 = th_s:
+    # b"abcd" (x = 1 at alpha 0.5: cd) and b"aaaaa" (x = 2 at alpha 1: aa twice)
+    @pytest.mark.parametrize("payload, alpha, stats", [
+        (b"abcd", 0.5, {b"ab": NGramStats(1.0, 0.0, {0: (1.0, 0.0)}),
+                        b"bc": NGramStats(1.0, 0.0, {0: (1.0, 0.0)}),
+                        b"cd": NGramStats(1.0, 0.0, {})}),
+        (b"aaaaa", 1.0, {b"aa": NGramStats(4.0, 0.0, {0: (2.0, 0.0)})}),
+    ], ids=["sets", "counts"])
+    def test_absent_chunk_at_th_s_is_usual(self, payload, alpha, stats):
+        # chunk_len 2: windows 0-1 in chunk 0, windows 2-3 in chunk 1
+        nck, windows = -(-len(payload) // 2), len(payload) - 1
+        classes = {ClassKey(21, nck): ClassModel(1, stats)}
+        model = TrafficModel(Protocol.FTP, 21, ChunkingConfig(2, 2), alpha, 2.0, classes)
+        assert judge(model, payload) == Outcome(None, windows, 0, 0)
+        # one float step lower, the occurrences in chunk 1 are anomalous under rule 3 only
+        below = dataclasses.replace(model, th_s=math.nextafter(2.0, 0.0))
+        assert judge(below, payload) == Outcome(None, windows, windows - 2, 0)
 
     def test_all_unseen_scores_exactly_100(self):
         model = ftp_model([b"abcdef"])

@@ -5,13 +5,17 @@ which counts with `sliding_window_oracle` alone. The fused `judge` is
 checked against a test-local copy of the per-gram judge it replaced
 (`reference_counts`, then one `anomalous_occurrences` call per n-gram) and
 against `tests/helpers.py:reference_verdict`, on randomized models whose
-means sit at and next to the rule edges.
+means sit at and next to the rule edges. Half the cases hold payloads with
+no repeated window, which `judge` decides from its per-class sets; the
+rest mostly repeat windows, which it counts.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,6 +24,7 @@ from pckad import (
     ClassKey,
     ClassModel,
     DetectorConfig,
+    GenSpec,
     NGramStats,
     PacketRecord,
     Protocol,
@@ -27,14 +32,22 @@ from pckad import (
     anomalous_occurrences,
     count_windows,
     extract_relevant,
+    gen_legit,
+    inject_corpus,
+    load_model,
+    mahalanobis_term,
+    save_model,
     score_packet,
+    train,
 )
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.protocols import Malformed
+from pckad.synth import AnomalyKind
 
 from helpers import reference_counts, reference_verdict
 
 ALPHABET = b"ab\x00"  # few symbols, so n-grams repeat within and across chunks
+DISTINCT_ALPHABET = bytes(range(0x21, 0x21 + 48))  # drawn without replacement
 
 
 # --- count_windows ------------------------------------------------------------
@@ -114,10 +127,11 @@ def _edge_stat(rng, alpha, th_s, sample_count):
     return max(mean, 0.0), std
 
 
-def random_model(rng, cfg, nck_values):
-    """A model over ALPHABET's n-grams: some unseen, some chunk positions absent."""
+def random_model(rng, cfg, nck_values, vocab=None):
+    """A model over vocab (by default ALPHABET's n-grams): some unseen, some chunks absent."""
     alpha, th_s = rng.choice(SETTINGS)
-    vocab = sorted({bytes(rng.choices(ALPHABET, k=cfg.n)) for _ in range(12)})
+    if vocab is None:
+        vocab = sorted({bytes(rng.choices(ALPHABET, k=cfg.n)) for _ in range(12)})
     classes = {}
     for nck in nck_values:
         sample_count = rng.randrange(1, 4)
@@ -135,21 +149,44 @@ def random_model(rng, cfg, nck_values):
     return TrafficModel(Protocol.FTP, 21, cfg, alpha, th_s, classes)
 
 
-def random_payload(rng, cfg) -> bytes:
+def random_payload(rng, cfg, distinct=False) -> bytes:
+    """A payload over ALPHABET, or one whose bytes, and so its windows, all differ."""
     if rng.random() < 0.05:
         return b""
-    return bytes(rng.choices(ALPHABET, k=rng.randrange(1, 6 * cfg.chunk_len + 2)))
+    size = rng.randrange(1, 6 * cfg.chunk_len + 2)
+    if distinct:
+        return bytes(rng.sample(DISTINCT_ALPHABET, min(size, len(DISTINCT_ALPHABET))))
+    return bytes(rng.choices(ALPHABET, k=size))
 
 
 def _cases(seed, count=150):
+    """Random models and payloads; in half the cases no payload repeats a window.
+
+    There the model's vocabulary is the payloads' own windows, so that rules
+    2 and 3 judge them rather than rule 1 alone.
+    """
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randrange(1, 4)
         cfg = ChunkingConfig(n, rng.randrange(n, 8))
+        distinct = rng.random() < 0.5
+        payloads = [random_payload(rng, cfg, distinct) for _ in range(8)]
+        vocab = sorted({p[i:i + n] for p in payloads for i in range(len(p) - n + 1)}) \
+            if distinct else None
         # most packets land in a modelled class; the rest are no_model
-        model = random_model(rng, cfg, [k for k in range(1, 9) if rng.random() < 0.8])
-        payloads = [random_payload(rng, cfg) for _ in range(8)]
+        model = random_model(rng, cfg, [k for k in range(1, 9) if rng.random() < 0.8], vocab)
         yield model, [PacketRecord(id=i, dst_port=21, payload=p) for i, p in enumerate(payloads)]
+
+
+def judged_form(model, payload):
+    """The form `judge` takes on a scored payload: "sets" when no window repeats."""
+    totals, _, _ = reference_counts(payload, model.chunking)
+    return "sets" if max(totals.values()) == 1 else "counts"
+
+
+def absent_chunk_usual(model):
+    """Whether rule 3 leaves one occurrence alone in a chunk the n-gram has no entry for."""
+    return not mahalanobis_term(0.0, 0.0, 1, model.alpha) > model.th_s
 
 
 def _cfgs(model, threshold):
@@ -165,9 +202,15 @@ class TestFusedJudge:
                 assert outcome == per_gram_judge(model, rec.payload), rec
                 kinds[outcome.kind] += 1
                 if outcome.kind is None:
-                    kinds["rule 3", bool(outcome.a_on - outcome.a_off)] += 1
+                    kinds[judged_form(model, rec.payload), absent_chunk_usual(model),
+                          outcome.a_on > outcome.a_off] += 1
         assert kinds[NO_MODEL] and kinds[UNCLASSIFIABLE]
-        assert kinds["rule 3", True] and kinds["rule 3", False]
+        # each form judged packets where rule 3 fired and where it did not, in both
+        # regimes: an absent chunk usual at one occurrence (1 / alpha == th_s) or not
+        for form in ("sets", "counts"):
+            for absent_usual in (True, False):
+                for fired in (True, False):
+                    assert kinds[form, absent_usual, fired], (form, absent_usual, fired)
 
     def test_verdicts_match_per_gram_judge_and_reference(self):
         alerts = Counter()
@@ -192,3 +235,36 @@ class TestFusedJudge:
                 assert outcome.verdict(on) == score_packet(model, rec, on), rec
                 differ += outcome.a_on != outcome.a_off
         assert differ
+
+
+class TestUsualSets:
+    def test_sets_never_outlive_their_settings(self, tmp_path):
+        """A model judges at its own th_s, after the model it was replaced from has judged."""
+        model = train(iter(gen_legit(GenSpec(Protocol.FTP, 400, seed=41))),
+                      protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
+        save_model(model, tmp_path / "model")
+        test = gen_legit(GenSpec(Protocol.FTP, 200, seed=42))
+        for i, kind in enumerate(AnomalyKind):
+            test = inject_corpus(test, kind, 20, seed=43 + i)
+
+        def judged(judging):
+            """Every verdict as reference_verdict gives it at judging.th_s; the outcomes."""
+            for cfg in (DetectorConfig(40), DetectorConfig(40, chunks_enabled=False)):
+                for rec in test:
+                    got = score_packet(judging, rec, cfg)
+                    assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
+                        reference_verdict(judging, rec.payload, cfg), (judging.th_s, rec, cfg)
+            return [judge(judging, rec.payload) for rec in test]
+
+        at_model = judged(model)
+        lower = dataclasses.replace(model, th_s=1.0)  # made after model built its sets
+        at_lower = judged(lower)
+        assert model.usual_at_one and lower.usual_at_one
+        # the lower th_s judges some payloads of the set form otherwise
+        assert any(high != low and judged_form(model, rec.payload) == "sets"
+                   for rec, high, low in zip(test, at_model, at_lower))
+        # the sets are neither compared nor saved
+        assert load_model(tmp_path / "model") == model
+        # nor can a setting change under them
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.th_s = 1.0

@@ -107,7 +107,7 @@ class TestAgainstUnprunedModel:
         }
         features = [featurize(rec.payload, protocol, model.port, model.chunking)
                     for rec in scored]
-        hits = sum(not left_out.isdisjoint(f.counts.totals) for f in features
+        hits = sum(not left_out.isdisjoint(f.grams) for f in features
                    if not isinstance(f, str))
         assert hits >= 10, protocol
 
