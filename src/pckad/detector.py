@@ -25,10 +25,10 @@ from .model import (
     ABSENT_CHUNK,
     MEMO_BYTES,
     MEMO_ENTRY_BYTES,
-    ClassModel,
     NGramStats,
     TrafficModel,
     featurize,
+    usual_at_one,
 )
 
 LEGIT = "legit"
@@ -134,33 +134,6 @@ class Outcome(NamedTuple):
         return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs)
 
 
-def usual_at_one(
-    cls: ClassModel, nck: int, alpha: float, th_s: float
-) -> tuple[set[bytes], list[set[bytes]]]:
-    """The class's n-grams whose single occurrence no rule marks: (whole payload, per chunk).
-
-    The set holds the n-grams that rules 1-2 leave alone at count 1. Entry j
-    of the list holds those of them that rule 3 also leaves alone at count 1
-    in chunk j, where a chunk with no entry reads as ABSENT_CHUNK. Each test
-    is `judge`'s, in its float operation order. Only the chunk entries that
-    exist are visited: when an absent chunk is usual at count 1, every
-    n-gram of the set starts in each chunk's set and the unusual entries
-    leave it; otherwise the usual entries join.
-    """
-    usual = {gram: chunks for gram, (mean, std, chunks) in cls.stats.items()
-             if not abs(mean - 1) / (std + alpha) > th_s}
-    mean, std = ABSENT_CHUNK
-    absent_usual = not abs(mean - 1) / (std + alpha) > th_s
-    per_chunk = [set(usual) if absent_usual else set() for _ in range(nck)]
-    for gram, chunks in usual.items():
-        for j, (mean, std) in chunks.items():
-            if abs(mean - 1) / (std + alpha) > th_s:
-                per_chunk[j].discard(gram)
-            else:
-                per_chunk[j].add(gram)
-    return set(usual), per_chunk
-
-
 def judge(model: TrafficModel, payload: bytes) -> Outcome:
     """Featurize one on-port payload and apply the per-gram rules once, at model.th_s.
 
@@ -170,16 +143,17 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
 
     - No window repeats (most payloads): every n-gram occurs once, in one
       chunk, so each rule is a fixed yes/no per (class, n-gram, chunk),
-      decided at count 1. `usual_at_one` decides them once per class and
-      model, into `model.usual_at_one`; then a_off is the windows less
+      decided at count 1. `pckad.model.usual_at_one` decides them once per
+      class and model, by `deviates_at_one`, into the model's cache of the
+      same name; judge only reads those sets. a_off is the windows less
       those usual over the payload, and a_on the windows less those usual
       in their own chunk.
     - A window repeats: the windows are counted (`tally_windows`) and the
-      rules are `anomalous_occurrences` written out inline.
+      rules are `anomalous_occurrences` written out inline, at any count x,
+      as `deviates_at_one` writes them at x = 1.
 
-    Both compute the deviation in `mahalanobis_term`'s float operation
-    order. Only the sums are kept: a caller that wants each n-gram's share
-    asks `anomalous_occurrences`.
+    Only the sums are kept: a caller that wants each n-gram's share asks
+    `anomalous_occurrences`.
     """
     features = featurize(payload, model.protocol, model.port, model.chunking)
     if isinstance(features, str):
@@ -188,19 +162,17 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     cls = model.classes.get(key)
     if cls is None:
         return Outcome(NO_MODEL)
-    alpha, th_s, chunk_len = model.alpha, model.th_s, model.chunking.chunk_len
+    chunk_len = model.chunking.chunk_len
     tot_seqs = len(grams)
     distinct = set(grams)
     if len(distinct) == tot_seqs:
-        sets = model.usual_at_one.get(key)
-        if sets is None:
-            sets = model.usual_at_one[key] = usual_at_one(cls, key.chunk_count, alpha, th_s)
-        usual, usual_in_chunk = sets
+        usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)
         # chunk j's windows are grams[j * chunk_len:(j + 1) * chunk_len]
         a_on = tot_seqs
         for usual_here, start in zip(usual_in_chunk, range(0, tot_seqs, chunk_len)):
             a_on -= len(usual_here.intersection(grams[start:start + chunk_len]))
         return Outcome(None, tot_seqs, a_on, tot_seqs - len(usual.intersection(distinct)))
+    alpha, th_s = model.alpha, model.th_s
     counts = tally_windows(grams, chunk_len, key.chunk_count)
     stats_get = cls.stats.get
     usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3

@@ -38,7 +38,7 @@ class LabelSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabelSet":
-        """Sidecar label file: header `id,label`, ids are ingest ordinals.
+        """Sidecar label file: header `id,label`, ids are ASCII decimal ingest ordinals.
 
         A leading UTF-8 byte-order mark is skipped; errors name the 1-based line.
         """
@@ -64,10 +64,10 @@ def _label_rows(reader, path) -> dict[int, str]:
     for row in reader:
         if len(row) != 2:
             raise EvaluationError(f"{path}: line {reader.line_num}: expected 2 fields")
-        try:
-            rec_id = int(row[0])
-        except ValueError:
-            raise EvaluationError(f"{path}: line {reader.line_num}: bad id {row[0]!r}") from None
+        # int() also takes "1_0", non-ASCII digits and surrounding spaces
+        if not (row[0].isascii() and row[0].isdigit()):
+            raise EvaluationError(f"{path}: line {reader.line_num}: bad id {row[0]!r}")
+        rec_id = int(row[0])
         label = row[1]
         try:
             validate_label(label)

@@ -127,7 +127,7 @@ class TestEvaluate:
 class TestLabelSetCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "labels.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def test_valid_file(self, tmp_path):
@@ -142,9 +142,10 @@ class TestLabelSetCsv:
         with pytest.raises(EvaluationError, match="bad label"):
             LabelSet.from_csv(self.write(tmp_path, "id,label\n0,benign\n"))
 
-    def test_bad_id(self, tmp_path):
+    @pytest.mark.parametrize("rec_id", ["zero", "1_0", "\u0663", " +4 "])
+    def test_bad_id(self, tmp_path, rec_id):
         with pytest.raises(EvaluationError, match="bad id"):
-            LabelSet.from_csv(self.write(tmp_path, "id,label\nzero,legit\n"))
+            LabelSet.from_csv(self.write(tmp_path, f"id,label\n{rec_id},legit\n"))
 
     def test_duplicate_id(self, tmp_path):
         with pytest.raises(EvaluationError, match="duplicate"):

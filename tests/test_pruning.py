@@ -30,7 +30,7 @@ from pckad import (
     score_packet,
     train,
 )
-from pckad.detector import ANOMALOUS, judge
+from pckad.detector import ANOMALOUS, LEGIT, judge
 from pckad.model import check_th_s_override, featurize
 
 from helpers import ftp_model, reference_verdict, unpruned_model
@@ -154,6 +154,27 @@ class TestFullyPrunedClass:
         rec = PacketRecord(id=0, dst_port=21, payload=payload)
         assert judge(model, payload) == (None, 2, 2, 2)
         assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
+
+
+def tie_model():
+    """A model whose 2-grams each occur once, in one of two packets: mean 0.5, std 0.5.
+
+    At alpha 0.5 one occurrence deviates by 0.5 / 1.0, exactly th_s 0.5,
+    which no rule marks, so training keeps every entry.
+    """
+    return ftp_model([b"ab", b"cd"], alpha=0.5, th_s=0.5)
+
+
+class TestPruningTie:
+    def test_class_keeps_both_entries(self):
+        cls = tie_model().classes[ClassKey(21, 1)]
+        assert cls.pruned == 0
+        assert cls.stats == {gram: (0.5, 0.5, {0: (0.5, 0.5)}) for gram in (b"ab", b"cd")}
+
+    def test_tie_ngram_is_legit(self):
+        rec = PacketRecord(id=0, dst_port=21, payload=b"ab")
+        got = score_packet(tie_model(), rec, DetectorConfig(40.0))
+        assert (got.kind, got.score, got.a_seqs) == (LEGIT, 0.0, 0)
 
 
 class TestThSOverride:
