@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 
@@ -81,13 +81,11 @@ class WindowCounts(NamedTuple):
 
     totals maps n-gram -> occurrences over the whole relevant payload; pairs
     maps (n-gram, chunk index) -> occurrences in that chunk. Both keep
-    first-occurrence order. nck_total is the class's chunk count.
+    first-occurrence order.
     """
 
     totals: Counter
     pairs: Counter
-    tot_seqs: int
-    nck_total: int
 
 
 def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int]:
@@ -100,25 +98,19 @@ def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int
     return [payload[i:i + n] for i in range(len(payload) - n + 1)], nck
 
 
-def tally_windows(grams: list[bytes], chunk_len: int, nck: int) -> WindowCounts:
+def tally_windows(grams: list[bytes], chunk_len: int) -> WindowCounts:
     """Count a payload's sliced windows, each in the chunk of its first byte.
 
     Two C-level Counters do the counting; each window's chunk index comes
-    from a stream that repeats every chunk index chunk_len times. nck is the
-    payload's chunk count.
+    from a stream that repeats every chunk index chunk_len times.
     """
-    chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))
-    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)), len(grams), nck)
+    chunk_ids = chain.from_iterable(map(repeat, count(), repeat(chunk_len)))
+    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)))
 
 
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
-    """Count every sliding-window occurrence, attributed to one chunk each.
-
-    The windows are sliced once (`slice_windows`) and counted once
-    (`tally_windows`).
-    """
-    grams, nck = slice_windows(payload, cfg)
-    return tally_windows(grams, cfg.chunk_len, nck)
+    """Count every window in the chunk of its first byte: `slice_windows`, then `tally_windows`."""
+    return tally_windows(slice_windows(payload, cfg)[0], cfg.chunk_len)
 
 
 def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
@@ -135,9 +127,7 @@ def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> 
             chunk_counts[gram] = {j: x}
         else:
             per_chunk[j] = x
-    return NGramCounts(
-        payload_counts=dict(counts.totals), chunk_counts=chunk_counts, tot_seqs=counts.tot_seqs
-    )
+    return NGramCounts(dict(counts.totals), chunk_counts, counts.totals.total())
 
 
 def sliding_window_oracle(payload: bytes, n: int) -> Counter:

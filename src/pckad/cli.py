@@ -118,9 +118,16 @@ def _spec_items(spec: str):
             yield part, key, value
 
 
+def _decimal(text: str) -> int:
+    """An integer in ASCII decimal digits alone; int() also takes "1_0", spaces, other digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII decimal digits: {text!r}")
+    return int(text)
+
+
 # --pcap-filter key -> value parser
 _FILTER_KEYS = {
-    "ports": lambda value: frozenset(int(p) for p in value.split(",")),
+    "ports": lambda value: frozenset(map(_decimal, value.split(","))),
     "prefix": lambda value: ipaddress.IPv4Network(value, strict=False),
 }
 
@@ -174,8 +181,8 @@ def _parse_inject_specs(specs: list[str], count: int):
 
 # --grid axis -> (GridSpec field, value parser); an axis left out takes GridSpec's default
 _GRID_AXES = {
-    "n": ("ns", int),
-    "chunk": ("chunk_lens", int),
+    "n": ("ns", _decimal),
+    "chunk": ("chunk_lens", _decimal),
     "score": ("score_thresholds", float),
     "chunks": ("chunk_modes", {"on": True, "off": False}.__getitem__),
 }

@@ -17,15 +17,14 @@ has no model alert too: traffic unlike anything seen in training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .chunking import tally_windows
 from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
-    MEMO_BYTES,
-    MEMO_ENTRY_BYTES,
     NGramStats,
+    PayloadMemo,
     TrafficModel,
     featurize,
     usual_at_one,
@@ -173,7 +172,7 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
             a_on -= len(usual_here.intersection(grams[start:start + chunk_len]))
         return Outcome(None, tot_seqs, a_on, tot_seqs - len(usual.intersection(distinct)))
     alpha, th_s = model.alpha, model.th_s
-    counts = tally_windows(grams, chunk_len, key.chunk_count)
+    counts = tally_windows(grams, chunk_len)
     stats_get = cls.stats.get
     usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
     a_off = 0
@@ -204,39 +203,6 @@ def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig)
             f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
         )
     return judge(model, record.payload).verdict(cfg)
-
-
-class PayloadMemo:
-    """One call's judgement of each distinct payload, within MEMO_BYTES.
-
-    For one model and chunk mode, a record on the model's port is judged by
-    its payload alone, so callers check the port first and then ask the memo.
-    On a miss it calls judge_record. An entry is charged its payload's length
-    plus MEMO_ENTRY_BYTES; the memo empties when the next one would pass
-    MEMO_BYTES, and keeps no entry that alone would.
-    """
-
-    __slots__ = ("judge_record", "judged", "size")
-
-    def __init__(self, judge_record: Callable[[PacketRecord], Outcome | Verdict]):
-        self.judge_record = judge_record
-        self.judged: dict[bytes, Outcome | Verdict] = {}
-        self.size = 0
-
-    def judge(self, record: PacketRecord) -> Outcome | Verdict:
-        """The record's judgement, from the memo when its payload was judged before."""
-        payload = record.payload
-        judgement = self.judged.get(payload)
-        if judgement is None:
-            judgement = self.judge_record(record)
-            cost = len(payload) + MEMO_ENTRY_BYTES
-            if self.size + cost > MEMO_BYTES:
-                self.judged.clear()
-                self.size = 0
-            if cost <= MEMO_BYTES:
-                self.judged[payload] = judgement
-                self.size += cost
-        return judgement
 
 
 @dataclass
@@ -272,12 +238,16 @@ def detect_stream(
     every record, and the records for other ports as skipped, while the
     stream is consumed.
     """
-    memo = PayloadMemo(lambda rec: score_packet(model, rec, cfg))
+    memo = PayloadMemo()
+    judged = memo.entries.get
     for rec in records:
         if rec.dst_port != model.port:
             summary.skipped_other_port += 1
             continue
-        verdict = memo.judge(rec)
+        verdict = judged(rec.payload)
+        if verdict is None:
+            verdict = score_packet(model, rec, cfg)
+            memo.put(rec.payload, verdict)
         setattr(summary, verdict.kind, getattr(summary, verdict.kind) + 1)
         yield rec.id, verdict
 

@@ -16,9 +16,16 @@ from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
 from .corpus import PacketRecord, attack_instance_of, validate_label
-from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, PayloadMemo, judge
+from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
 from .errors import EvaluationError
-from .model import DEFAULT_ALPHA, DEFAULT_TH_S, TrafficModel, check_model_settings, train
+from .model import (
+    DEFAULT_ALPHA,
+    DEFAULT_TH_S,
+    PayloadMemo,
+    TrafficModel,
+    check_model_settings,
+    train,
+)
 from .protocols import Protocol
 
 
@@ -97,7 +104,8 @@ def _outcomes(
 
     Each distinct payload is judged once, through a PayloadMemo.
     """
-    memo = PayloadMemo(lambda rec: judge(model, rec.payload))
+    memo = PayloadMemo()
+    judged = memo.entries.get
     out = []
     for rec in records:
         if rec.dst_port != model.port:
@@ -105,7 +113,11 @@ def _outcomes(
         label = labels.by_id.get(rec.id)
         if label is None:
             raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
-        out.append((attack_instance_of(label), memo.judge(rec)))
+        outcome = judged(rec.payload)
+        if outcome is None:
+            outcome = judge(model, rec.payload)
+            memo.put(rec.payload, outcome)
+        out.append((attack_instance_of(label), outcome))
     return out
 
 

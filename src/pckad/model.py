@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -159,17 +160,42 @@ _FLOAT_MAX = sys.float_info.max
 DEFAULT_ALPHA = 0.1
 DEFAULT_TH_S = 5.0
 
-# Bytes that each per-call memo of distinct payloads may hold: training's
-# table of on-port payloads and their repeat counts, not yet counted, and the
-# detector's PayloadMemo of judgements. An entry is charged its payload's
-# length plus MEMO_ENTRY_BYTES, about what CPython spends on the entry beside
-# the payload, so many tiny payloads cannot grow a memo past it. When the
-# next entry would pass it, a memo empties (training counts its table first).
-# The two differ on a payload whose entry alone passes MEMO_BYTES: training
-# holds it, with its repeats, until the next distinct payload empties the
-# table again; PayloadMemo never keeps it.
+# Bytes that a PayloadMemo may hold. An entry is charged its payload's length
+# plus MEMO_ENTRY_BYTES, about what CPython spends on the entry beside the
+# payload, so many tiny payloads cannot grow a memo past it.
 MEMO_BYTES = 1 << 16
 MEMO_ENTRY_BYTES = 256
+
+
+@dataclass(slots=True)
+class PayloadMemo:
+    """One call's value for each distinct payload, within MEMO_BYTES.
+
+    Training stores repeat counts, and the detector and the sweep store
+    judgements. The memo is keyed by payload alone, so callers check the
+    record's port first. When the next entry would pass MEMO_BYTES, the memo
+    empties first; an entry that would pass it alone is never kept, and `put`
+    lets it go at once, after the entries emptied. entries is emptied in
+    place, so a caller may hold `entries.get` for a whole call.
+    """
+
+    entries: dict[bytes, object] = field(default_factory=dict)
+    size: int = 0  # the entries' charge
+
+    def put(self, payload: bytes, value) -> dict:
+        """Store a payload not yet in the memo; returns the entries let go, in order."""
+        cost = len(payload) + MEMO_ENTRY_BYTES
+        let_go = {}
+        if self.size + cost > MEMO_BYTES:
+            let_go = self.entries.copy()
+            self.entries.clear()
+            self.size = 0
+        if cost > MEMO_BYTES:
+            let_go[payload] = value
+        else:
+            self.entries[payload] = value
+            self.size += cost
+        return let_go
 
 
 def check_model_settings(
@@ -281,35 +307,31 @@ def train(
 
     Records for other ports are counted as skipped and go no further.
     Repeats of one payload are featurized once and counted as one weighted
-    sample. They are grouped in a table bounded by MEMO_BYTES (see there),
-    counted whenever it fills and at the end; the sums are exact integers,
-    so the model is the one that record-by-record counting builds. The label
-    check and the summary still count every record.
+    sample: a PayloadMemo holds each payload's repeats, counted when the
+    memo lets them go and at the end. The sums are exact integers, so the
+    model is the one that record-by-record counting builds. The label check
+    and the summary still count every record.
     """
     if port is None:
         port = protocol.default_port
     check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
-    accumulators: dict[ClassKey, _ClassAccumulator] = {}
-    # on-port payload -> its repeats, not yet counted
-    pending: dict[bytes, int] = {}
-    pending_bytes = 0
+    accumulators: defaultdict[ClassKey, _ClassAccumulator] = defaultdict(_ClassAccumulator)
 
-    def count_pending() -> None:
-        for payload, w in pending.items():
+    def count(repeats: dict[bytes, int]) -> None:
+        for payload, w in repeats.items():
             features = featurize(payload, protocol, port, chunking)
             if isinstance(features, str):
                 counter = "skipped_" + features
                 setattr(summary, counter, getattr(summary, counter) + w)
                 continue
             key, grams = features
-            acc = accumulators.get(key)
-            if acc is None:
-                acc = accumulators[key] = _ClassAccumulator()
-            acc.add(tally_windows(grams, chunking.chunk_len, key.chunk_count), w)
+            accumulators[key].add(tally_windows(grams, chunking.chunk_len), w)
             summary.trained += w
-        pending.clear()
 
+    memo = PayloadMemo()
+    repeats = memo.entries
+    repeats_get = repeats.get
     for rec in records:
         summary.read += 1
         if rec.is_attack and not ignore_labels:
@@ -321,17 +343,12 @@ def train(
             summary.skipped_other_port += 1
             continue
         payload = rec.payload
-        w = pending.get(payload)
+        w = repeats_get(payload)
         if w is not None:
-            pending[payload] = w + 1
+            repeats[payload] = w + 1
             continue
-        cost = len(payload) + MEMO_ENTRY_BYTES
-        if pending_bytes + cost > MEMO_BYTES:
-            count_pending()
-            pending_bytes = 0
-        pending[payload] = 1
-        pending_bytes += cost
-    count_pending()
+        count(memo.put(payload, 1))
+    count(repeats)
 
     if summary.trained == 0:
         raise CorpusError("no trainable packets in corpus")

@@ -55,7 +55,7 @@ MUTANTS = [
     ("floor chunk count", CHUNKING,
      "nck = -(-len(payload) // cfg.chunk_len)", "nck = len(payload) // cfg.chunk_len"),
     ("last-byte attribution", CHUNKING,
-     "chunk_ids = chain.from_iterable(map(repeat, range(nck), repeat(chunk_len)))",
+     "chunk_ids = chain.from_iterable(map(repeat, count(), repeat(chunk_len)))",
      "chunk_ids = ((start + len(grams[0]) - 1) // chunk_len for start in range(len(grams)))"),
     ("sample std", MODEL,
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
@@ -93,6 +93,7 @@ MUTANTS = [
     ("pruning guard dropped", MODEL,
      "if mean <= 1 and deviates_at_one(mean, std, alpha, th_s):",
      "if deviates_at_one(mean, std, alpha, th_s):"),
+    ("an entry past the budget kept", MODEL, "if cost > MEMO_BYTES:", "if False:"),
     ("the load-time chunk-mean check dropped", MODEL,
      "if not abs(chunk_mean_sum - mean) <= tolerance:", "if False:"),
     # >= th_s in every statement of rules 2 and 3: judge and anomalous_occurrences agree

@@ -34,6 +34,7 @@ from pckad import (
     sweep,
     train,
 )
+from pckad.chunking import slice_windows
 from pckad.cli import run
 from pckad.corpus import attack_instance_of
 from pckad.synth import AnomalyKind
@@ -80,8 +81,10 @@ def test_criterion_1_oracle_equivalence(criterion):
                 (payload[start:start + n], start // cfg.chunk_len)
                 for start in range(len(payload) - n + 1)
             )
-            assert counts.tot_seqs == sum(expected.values())
-            assert counts.nck_total == -(-len(payload) // cfg.chunk_len)
+            # featurize takes the windows and the class's chunk count from here
+            grams, nck = slice_windows(payload, cfg)
+            assert Counter(grams) == expected
+            assert nck == -(-len(payload) // cfg.chunk_len)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -91,7 +94,7 @@ def test_criterion_2_layout_properties(criterion):
                         "worked 50-byte split"):
         # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
         counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
-        assert counts.nck_total == 4
+        assert slice_windows(GET_LINE, ChunkingConfig(3, 15))[1] == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
         assert {j: x for (gram, j), x in counts.pairs.items() if gram == b"val"} == {0: 1}
         assert counts.pairs[b"0\r\n", 3] == 1
@@ -100,8 +103,9 @@ def test_criterion_2_layout_properties(criterion):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
             chunk_len = rng.randrange(1, 40)
             n = rng.randrange(1, chunk_len + 1)
-            counts = count_windows(payload, ChunkingConfig(n, chunk_len))
-            assert counts.nck_total == -(-len(payload) // chunk_len)
+            cfg = ChunkingConfig(n, chunk_len)
+            counts = count_windows(payload, cfg)
+            assert slice_windows(payload, cfg)[1] == -(-len(payload) // chunk_len)
             assert counts.pairs == Counter(
                 (payload[start:start + n], start // chunk_len)
                 for start in range(len(payload) - n + 1)

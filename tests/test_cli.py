@@ -160,11 +160,24 @@ class TestExitCodes:
         (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
           "--out", "b.jsonl", "--grid", "n=3;chunk=15;score=30"],
          "--out names the same file as --test-in"),
+        # int() takes each of these; a port or a grid integer is ASCII decimal digits alone
+        (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "ports=8_0"],
+         "--pcap-filter: bad ports '8_0'"),
+        (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "ports=\u0668\u0660"],
+         "--pcap-filter: bad ports '\u0668\u0660'"),
+        (["detect", "--model", "m", "--in", "x.pcap", "--pcap-filter", "ports=21, 80"],
+         "--pcap-filter: bad ports '21, 80'"),
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=1_0;chunk=15;score=30"], "--grid: bad values in 'n=1_0'"),
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=3;chunk=\u0663;score=30"],
+         "--grid: bad values in 'chunk=\u0663'"),
     ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "inject-fraction-range",
             "extension", "train-extension", "train-pcap-filter-ports",
             "train-pcap-filter-port-range", "repeated-grid-axis", "repeated-pcap-filter-key",
             "repeated-grid-value", "inject-selects-none", "inject-bad-fraction", "alerts-is-input",
-            "train-out-is-input", "sweep-out-is-input"])
+            "train-out-is-input", "sweep-out-is-input", "ports-underscore", "ports-non-ascii",
+            "ports-space", "grid-underscore", "grid-non-ascii"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

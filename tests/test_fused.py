@@ -40,6 +40,7 @@ from pckad import (
     score_packet,
     train,
 )
+from pckad.chunking import slice_windows
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.protocols import Malformed
 from pckad.synth import AnomalyKind
@@ -72,8 +73,10 @@ def test_count_windows_matches_oracle(payload, cfg):
     for (gram, _), x in counts.pairs.items():
         per_gram[gram] += x
     assert per_gram == counts.totals
-    assert counts.nck_total == nck
-    assert counts.tot_seqs == sum(totals.values())
+    # featurize takes the class's chunk count from slice_windows
+    grams, sliced_nck = slice_windows(payload, cfg)
+    assert sliced_nck == nck
+    assert len(grams) == sum(totals.values())
 
 
 # --- the per-gram judge that the fused pass replaced ------------------------------

@@ -1,14 +1,15 @@
 """Each distinct payload is counted and judged once per call, with the same results.
 
-`train` groups repeats of one on-port payload into one weighted sample, and
-`detect_stream`, `evaluate` and `sweep` judge each distinct on-port payload
-once through `detector.PayloadMemo`. Both memos are keyed by the payload
-alone, hold at most `model.MEMO_BYTES`, and never hold a record for another
-port: those are counted as skipped before a memo sees them. Every output
-must equal the record-by-record one: the model with its entry order and
-file bytes, the training summary, every verdict and tally, every report and
-sweep row. The budget is also squeezed until the memos keep one entry or
-none.
+One memo, `model.PayloadMemo`, serves every call: `train` keeps each on-port
+payload's repeats in it and counts them as one weighted sample, and
+`detect_stream`, `evaluate` and `sweep` keep each distinct on-port payload's
+judgement in it. The memo is keyed by the payload alone, holds at most
+`model.MEMO_BYTES`, and never holds a record for another port: those are
+counted as skipped before the memo sees them. Every output must equal the
+record-by-record one: the model with its entry order and file bytes, the
+training summary, every verdict and tally, every report and sweep row. The
+budget is also squeezed until the memo keeps one entry or none, and until a
+repeated payload no longer fits it.
 """
 
 import importlib
@@ -41,9 +42,9 @@ from pckad import (
 )
 from pckad import detector, model as model_module
 from pckad.corpus import attack_instance_of
-from pckad.detector import PayloadMemo, judge
+from pckad.detector import judge
 from pckad.evaluate import _fold, _outcomes
-from pckad.model import MEMO_ENTRY_BYTES, featurize
+from pckad.model import MEMO_ENTRY_BYTES, PayloadMemo, featurize
 
 PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
 CHUNKING = ChunkingConfig(3, 15)
@@ -103,24 +104,25 @@ def trained(protocol, training, chunking=CHUNKING):
 
 @pytest.fixture
 def budget(monkeypatch):
-    """`budget.set(b)` sets MEMO_BYTES for both memos; `budget.held` is the
-    judgement memo's entry count after each call, checked against the budget."""
+    """`budget.set(b)` sets MEMO_BYTES; `budget.held` is a memo's entry count
+    after each store since then. Every store, in training too, is checked
+    against the budget."""
     held = []
 
     def set_budget(value):
         monkeypatch.setattr(model_module, "MEMO_BYTES", value)
-        monkeypatch.setattr(detector, "MEMO_BYTES", value)
+        held.clear()
 
-    original = PayloadMemo.judge
+    original = PayloadMemo.put
 
-    def checked(self, record):
-        judgement = original(self, record)
-        assert self.size == sum(len(p) + MEMO_ENTRY_BYTES for p in self.judged)
-        assert self.size <= detector.MEMO_BYTES
-        held.append(len(self.judged))
-        return judgement
+    def checked(self, payload, value):
+        let_go = original(self, payload, value)
+        assert self.size == sum(len(p) + MEMO_ENTRY_BYTES for p in self.entries)
+        assert self.size <= model_module.MEMO_BYTES
+        held.append(len(self.entries))
+        return let_go
 
-    monkeypatch.setattr(PayloadMemo, "judge", checked)
+    monkeypatch.setattr(PayloadMemo, "put", checked)
     return SimpleNamespace(set=set_budget, held=held)
 
 
@@ -237,14 +239,19 @@ class TestJudgementMemo:
         assert [(r.n, r.chunk_len, r.score_threshold, r.chunks_enabled, r.report)
                 for r in rows] == want
 
-    def test_payload_too_large_for_the_budget_is_judged_and_not_kept(self, budget):
+    def test_payload_too_large_for_the_budget_is_let_go_at_once(self, budget):
         budget.set(MEMO_ENTRY_BYTES + 4)
-        memo = PayloadMemo(lambda rec: len(rec.payload))
-        small, large = (PacketRecord(id=0, dst_port=21, payload=p) for p in (b"abcd", b"abcde"))
-        assert memo.judge(small) == 4
-        assert memo.judged == {b"abcd": 4}
-        assert memo.judge(large) == 5
-        assert memo.judged == {} and memo.size == 0
+        memo = PayloadMemo()
+        assert memo.put(b"abcd", 4) == {}
+        assert memo.entries == {b"abcd": 4}
+        # the memo empties before an entry that would pass the budget
+        assert memo.put(b"efgh", 8) == {b"abcd": 4}
+        assert memo.entries == {b"efgh": 8}
+        # an entry past the budget on its own is let go last, after the entries emptied
+        assert list(memo.put(b"abcde", 5).items()) == [(b"efgh", 8), (b"abcde", 5)]
+        assert memo.entries == {} and memo.size == 0
+        assert memo.put(b"vwxyz", 6) == {b"vwxyz": 6}
+        assert memo.entries == {} and memo.size == 0
 
 
 def per_record_summary(records, protocol, chunking):
@@ -315,6 +322,30 @@ class TestGroupedTraining:
         assert layout(squeezed) == layout(at_default)
         assert squeezed.summary == at_default.summary == TrainingSummary(
             read=400, trained=200, skipped_other_port=200
+        )
+
+    def test_payload_too_large_for_the_budget_is_counted_per_record(self, budget, tmp_path,
+                                                                     monkeypatch):
+        small = sorted({r.payload for r in gen_legit(GenSpec(Protocol.FTP, 6, seed=26))})
+        large = b"STOR " + b"q" * 2000 + b"\r\n"
+        # repeats of the large payload come in runs, between repeats of the small ones
+        order = [0, "L", "L", 1, 2, "L", 0, "L", "L", "L", 3, 1, "L", 4, 0]
+        payloads = [large if i == "L" else small[i % len(small)] for i in order * 3]
+        records = [PacketRecord(id=i, dst_port=21, payload=p) for i, p in enumerate(payloads)]
+        at_default = trained(Protocol.FTP, records)
+        # room for every small payload, and not for the large one on its own
+        budget.set(sum(len(p) + MEMO_ENTRY_BYTES for p in small))
+        assert len(large) + MEMO_ENTRY_BYTES > model_module.MEMO_BYTES
+        featurized = counting(monkeypatch, model_module, "featurize")
+        squeezed = trained(Protocol.FTP, records)
+
+        assert sum(args[0] == large for args in featurized) == payloads.count(large)
+        assert squeezed == at_default
+        assert layout(squeezed) == layout(at_default)
+        assert save_model(squeezed, tmp_path / "a") == save_model(at_default, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert squeezed.summary == at_default.summary == per_record_summary(
+            records, Protocol.FTP, CHUNKING
         )
 
     @pytest.mark.parametrize("which", ["default", "none"])
