@@ -6,9 +6,12 @@ length-n window sliding by one byte. A window that straddles the border
 between two consecutive chunks counts toward the chunk holding its first
 byte, so every occurrence lands in exactly one chunk.
 
-`slice_windows` cuts a payload into its windows once, and `tally_windows`
-counts them in one pass; `count_windows` does both. Training, scoring and
-the sweep all slice through `slice_windows` (in `model.featurize`).
+`slice_windows` cuts a payload into its windows once, and `chunk_windows`
+hands each chunk its windows. It is the one place that assigns a window to
+a chunk: training, the detector's counted form and its set form all take
+each chunk's windows from it. `tally_windows` counts the windows, over the
+payload and per chunk; `count_windows` slices and counts. Training, scoring
+and the sweep all slice through `slice_windows` (in `model.featurize`).
 Training counts every payload; the detector counts only a payload that
 repeats a window (see `detector.judge`). `split_chunks` (chunk spans) and
 `extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, repeat
 from typing import NamedTuple
 
 
@@ -79,13 +81,14 @@ class NGramCounts:
 class WindowCounts(NamedTuple):
     """Occurrence counts for one payload, as `count_windows` returns them.
 
-    totals maps n-gram -> occurrences over the whole relevant payload; pairs
-    maps (n-gram, chunk index) -> occurrences in that chunk. Both keep
-    first-occurrence order.
+    totals maps n-gram -> occurrences over the whole relevant payload;
+    chunks[j] maps n-gram -> occurrences in chunk j. Each keeps
+    first-occurrence order. A trailing chunk that no window starts in has
+    no entry.
     """
 
     totals: Counter
-    pairs: Counter
+    chunks: list[Counter]
 
 
 def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int]:
@@ -98,14 +101,17 @@ def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int
     return [payload[i:i + n] for i in range(len(payload) - n + 1)], nck
 
 
-def tally_windows(grams: list[bytes], chunk_len: int) -> WindowCounts:
-    """Count a payload's sliced windows, each in the chunk of its first byte.
+def chunk_windows(grams: list[bytes], chunk_len: int) -> list[list[bytes]]:
+    """Each chunk's windows, in order: chunk j's are grams[j * chunk_len:(j + 1) * chunk_len].
 
-    Two C-level Counters do the counting; each window's chunk index comes
-    from a stream that repeats every chunk index chunk_len times.
+    Window i starts at byte i, so it lands in the chunk of its first byte.
     """
-    chunk_ids = chain.from_iterable(map(repeat, count(), repeat(chunk_len)))
-    return WindowCounts(Counter(grams), Counter(zip(grams, chunk_ids)))
+    return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]
+
+
+def tally_windows(grams: list[bytes], chunk_len: int) -> WindowCounts:
+    """Count a payload's sliced windows, whole-payload and per `chunk_windows` chunk."""
+    return WindowCounts(Counter(grams), list(map(Counter, chunk_windows(grams, chunk_len))))
 
 
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
@@ -121,12 +127,9 @@ def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> 
     """
     counts = count_windows(payload, cfg)
     chunk_counts: dict[bytes, dict[int, int]] = {}
-    for (gram, j), x in counts.pairs.items():
-        per_chunk = chunk_counts.get(gram)
-        if per_chunk is None:
-            chunk_counts[gram] = {j: x}
-        else:
-            per_chunk[j] = x
+    for j, chunk in enumerate(counts.chunks):
+        for gram, x in chunk.items():
+            chunk_counts.setdefault(gram, {})[j] = x
     return NGramCounts(dict(counts.totals), chunk_counts, counts.totals.total())
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .chunking import DEFAULT_CHUNKING, ChunkingConfig
-from .corpus import TrafficFilter, read_jsonl, read_pcap, write_jsonl
+from .corpus import TrafficFilter, decimal, read_jsonl, read_pcap, real, write_jsonl
 from .detector import DetectionSummary, DetectorConfig, detect_stream, verdict_line
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
@@ -42,26 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     protocol = argparse.ArgumentParser(add_help=False)
     protocol.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
     chunking = argparse.ArgumentParser(add_help=False)
-    chunking.add_argument("--n", type=int, default=DEFAULT_CHUNKING.n, help="n-gram length")
-    chunking.add_argument("--chunk-len", type=int, default=DEFAULT_CHUNKING.chunk_len,
+    chunking.add_argument("--n", type=decimal, default=DEFAULT_CHUNKING.n, help="n-gram length")
+    chunking.add_argument("--chunk-len", type=decimal, default=DEFAULT_CHUNKING.chunk_len,
                           help="chunk length in bytes")
     training = argparse.ArgumentParser(add_help=False, parents=[protocol])
-    training.add_argument("--port", type=int, default=None,
+    training.add_argument("--port", type=decimal, default=None,
                           help="override the protocol default port")
-    training.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    training.add_argument("--th-s", type=float, default=DEFAULT_TH_S)
+    training.add_argument("--alpha", type=real, default=DEFAULT_ALPHA)
+    training.add_argument("--th-s", type=real, default=DEFAULT_TH_S)
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--model", required=True)
     scoring.add_argument("--in", dest="infile", required=True)
-    scoring.add_argument("--score-threshold", type=float, default=None)
-    scoring.add_argument("--th-s", type=float, default=None)
+    scoring.add_argument("--score-threshold", type=real, default=None)
+    scoring.add_argument("--th-s", type=real, default=None)
     scoring.add_argument("--no-chunks", action="store_true")
 
     gen = sub.add_parser("gen", parents=[protocol, chunking],
                          help="generate a seeded synthetic corpus")
     gen.set_defaults(handler=_cmd_gen, parser=gen)
-    gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--count", type=decimal, required=True)
+    gen.add_argument("--seed", type=decimal, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--inject", action="append", default=[], metavar="KIND:FRACTION",
                      help="replace a fraction of records with injected attacks "
@@ -118,16 +118,9 @@ def _spec_items(spec: str):
             yield part, key, value
 
 
-def _decimal(text: str) -> int:
-    """An integer in ASCII decimal digits alone; int() also takes "1_0", spaces, other digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not ASCII decimal digits: {text!r}")
-    return int(text)
-
-
 # --pcap-filter key -> value parser
 _FILTER_KEYS = {
-    "ports": lambda value: frozenset(map(_decimal, value.split(","))),
+    "ports": lambda value: frozenset(map(decimal, value.split(","))),
     "prefix": lambda value: ipaddress.IPv4Network(value, strict=False),
 }
 
@@ -167,7 +160,7 @@ def _parse_inject_specs(specs: list[str], count: int):
         if not sep or kind_name not in kinds:
             raise _UsageError(f"--inject: expected 'unseen|freq|location:<fraction>', got {spec!r}")
         try:
-            fraction = float(frac_str)
+            fraction = real(frac_str)
         except ValueError:
             raise _UsageError(f"--inject: bad fraction in {spec!r}") from None
         if not 0 < fraction <= 1:
@@ -181,9 +174,9 @@ def _parse_inject_specs(specs: list[str], count: int):
 
 # --grid axis -> (GridSpec field, value parser); an axis left out takes GridSpec's default
 _GRID_AXES = {
-    "n": ("ns", _decimal),
-    "chunk": ("chunk_lens", _decimal),
-    "score": ("score_thresholds", float),
+    "n": ("ns", decimal),
+    "chunk": ("chunk_lens", decimal),
+    "score": ("score_thresholds", real),
     "chunks": ("chunk_modes", {"on": True, "off": False}.__getitem__),
 }
 

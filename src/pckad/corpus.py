@@ -43,6 +43,26 @@ def check_port(port: int) -> None:
         raise ValueError("port must be within [0, 65535]")
 
 
+# Every number read from text (a flag, a spec value, a label id) is spelt in
+# ASCII: int() and float() also take "1_0", surrounding whitespace and other
+# scripts' digits. A negative value, NaN or infinity is read, so that the
+# check of the setting it is for names it.
+
+def decimal(text: str) -> int:
+    """An integer in ASCII decimal digits, with an optional leading '-'. Raises ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not ASCII decimal digits: {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """A float in ASCII, with no '_' and no surrounding whitespace. Raises ValueError."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
 def validate_label(label: str) -> None:
     if label == "legit":
         return

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import tally_windows
+from .chunking import chunk_windows, tally_windows
 from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
@@ -151,6 +151,9 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
       rules are `anomalous_occurrences` written out inline, at any count x,
       as `deviates_at_one` writes them at x = 1.
 
+    Both forms, like training, take each chunk's windows from
+    `chunking.chunk_windows`, so a window is in its first byte's chunk.
+
     Only the sums are kept: a caller that wants each n-gram's share asks
     `anomalous_occurrences`.
     """
@@ -166,10 +169,9 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     distinct = set(grams)
     if len(distinct) == tot_seqs:
         usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)
-        # chunk j's windows are grams[j * chunk_len:(j + 1) * chunk_len]
         a_on = tot_seqs
-        for usual_here, start in zip(usual_in_chunk, range(0, tot_seqs, chunk_len)):
-            a_on -= len(usual_here.intersection(grams[start:start + chunk_len]))
+        for usual_here, windows in zip(usual_in_chunk, chunk_windows(grams, chunk_len)):
+            a_on -= len(usual_here.intersection(windows))
         return Outcome(None, tot_seqs, a_on, tot_seqs - len(usual.intersection(distinct)))
     alpha, th_s = model.alpha, model.th_s
     counts = tally_windows(grams, chunk_len)
@@ -187,12 +189,13 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     a_on = a_off
     if usual:
         usual_get = usual.get
-        for (gram, j), x in counts.pairs.items():
-            chunks = usual_get(gram)
-            if chunks is not None:
-                mean, std = chunks.get(j, ABSENT_CHUNK)
-                if abs(mean - x) / (std + alpha) > th_s:
-                    a_on += x
+        for j, in_chunk in enumerate(counts.chunks):
+            for gram, x in in_chunk.items():
+                chunks = usual_get(gram)
+                if chunks is not None:
+                    mean, std = chunks.get(j, ABSENT_CHUNK)
+                    if abs(mean - x) / (std + alpha) > th_s:
+                        a_on += x
     return Outcome(None, tot_seqs, a_on, a_off)
 
 

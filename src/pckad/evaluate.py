@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
-from .corpus import PacketRecord, attack_instance_of, validate_label
+from .corpus import PacketRecord, attack_instance_of, decimal, validate_label
 from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
 from .errors import EvaluationError
 from .model import (
@@ -71,10 +71,12 @@ def _label_rows(reader, path) -> dict[int, str]:
     for row in reader:
         if len(row) != 2:
             raise EvaluationError(f"{path}: line {reader.line_num}: expected 2 fields")
-        # int() also takes "1_0", non-ASCII digits and surrounding spaces
-        if not (row[0].isascii() and row[0].isdigit()):
+        try:
+            rec_id = decimal(row[0])
+        except ValueError:
+            rec_id = -1
+        if rec_id < 0:  # ids are ingest ordinals
             raise EvaluationError(f"{path}: line {reader.line_num}: bad id {row[0]!r}")
-        rec_id = int(row[0])
         label = row[1]
         try:
             validate_label(label)

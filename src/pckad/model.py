@@ -256,16 +256,17 @@ class _ClassAccumulator:
             else:
                 cell[0] += wx
                 cell[1] += wx * x
-        # every gram of a pair has its cell now
-        for (gram, j), c in counts.pairs.items():
-            wc = w * c
-            slots = sums[gram][2]
-            slot = slots.get(j)
-            if slot is None:
-                slots[j] = [wc, wc * c]
-            else:
-                slot[0] += wc
-                slot[1] += wc * c
+        # every gram of a chunk has its cell now
+        for j, in_chunk in enumerate(counts.chunks):
+            for gram, c in in_chunk.items():
+                wc = w * c
+                slots = sums[gram][2]
+                slot = slots.get(j)
+                if slot is None:
+                    slots[j] = [wc, wc * c]
+                else:
+                    slot[0] += wc
+                    slot[1] += wc * c
 
     def finalize(self, alpha: float, th_s: float) -> ClassModel:
         """The class's statistics, leaving out the entries that can change no verdict.

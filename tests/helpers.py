@@ -69,6 +69,14 @@ def ftp_model(payloads, n=2, **settings):
                  chunking=ChunkingConfig(n, 15), **settings)
 
 
+def chunk_pairs(counts):
+    """A `WindowCounts`' per-chunk counts flattened to a Counter of (n-gram, chunk index)."""
+    from collections import Counter
+
+    return Counter({(gram, j): x for j, chunk in enumerate(counts.chunks)
+                    for gram, x in chunk.items()})
+
+
 def reference_counts(payload, cfg):
     """(totals, per_chunk, nck) of one payload, counted with sliding_window_oracle alone.
 

@@ -54,9 +54,11 @@ def _ge(text: str) -> str:
 MUTANTS = [
     ("floor chunk count", CHUNKING,
      "nck = -(-len(payload) // cfg.chunk_len)", "nck = len(payload) // cfg.chunk_len"),
+    # chunk_windows is the one attribution: training, the counted and the set form move together
     ("last-byte attribution", CHUNKING,
-     "chunk_ids = chain.from_iterable(map(repeat, count(), repeat(chunk_len)))",
-     "chunk_ids = ((start + len(grams[0]) - 1) // chunk_len for start in range(len(grams)))"),
+     "return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]",
+     "return [grams[max(start + 1 - n, 0):start + 1 - n + chunk_len]"
+     " for n in [len(grams[0]) if grams else 1] for start in range(0, len(grams) + n - 1, chunk_len)]"),
     ("sample std", MODEL,
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),

@@ -39,6 +39,8 @@ from pckad.cli import run
 from pckad.corpus import attack_instance_of
 from pckad.synth import AnomalyKind
 
+from helpers import chunk_pairs
+
 GET_LINE = b"GET /people/svalente/gif/poker.dogs.jpg HTTP/1.0\r\n"
 
 TRAIN_SEED = 1001
@@ -77,7 +79,7 @@ def test_criterion_1_oracle_equivalence(criterion):
             counts = count_windows(payload, cfg)
             expected = sliding_window_oracle(payload, n)
             assert counts.totals == expected
-            assert counts.pairs == Counter(
+            assert chunk_pairs(counts) == Counter(
                 (payload[start:start + n], start // cfg.chunk_len)
                 for start in range(len(payload) - n + 1)
             )
@@ -96,8 +98,8 @@ def test_criterion_2_layout_properties(criterion):
         counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
         assert slice_windows(GET_LINE, ChunkingConfig(3, 15))[1] == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
-        assert {j: x for (gram, j), x in counts.pairs.items() if gram == b"val"} == {0: 1}
-        assert counts.pairs[b"0\r\n", 3] == 1
+        assert {j: x for (gram, j), x in chunk_pairs(counts).items() if gram == b"val"} == {0: 1}
+        assert chunk_pairs(counts)[b"0\r\n", 3] == 1
         rng = random.Random(2)
         for _ in range(500):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
@@ -106,7 +108,7 @@ def test_criterion_2_layout_properties(criterion):
             cfg = ChunkingConfig(n, chunk_len)
             counts = count_windows(payload, cfg)
             assert slice_windows(payload, cfg)[1] == -(-len(payload) // chunk_len)
-            assert counts.pairs == Counter(
+            assert chunk_pairs(counts) == Counter(
                 (payload[start:start + n], start // chunk_len)
                 for start in range(len(payload) - n + 1)
             )

@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 
 from pckad import ChunkingConfig, count_windows, sliding_window_oracle
-from pckad.chunking import NGramCounts, extract_ngrams, split_chunks
+from pckad.chunking import (
+    NGramCounts,
+    chunk_windows,
+    extract_ngrams,
+    slice_windows,
+    split_chunks,
+)
 
 from helpers import reference_counts
 
@@ -59,11 +65,21 @@ class TestCountWindows:
     def test_ooddod_bigrams(self):
         counts = count_windows(b"ooddod", ChunkingConfig(2, 6))
         assert counts.totals == {b"oo": 1, b"od": 2, b"dd": 1, b"do": 1}
-        assert sum(counts.pairs.values()) == 5
+        # six bytes in one chunk of 6: all five windows count in chunk 0
+        assert counts.chunks == [counts.totals]
+        assert sum(counts.chunks[0].values()) == 5
 
     def test_payload_shorter_than_n(self):
         counts = count_windows(b"xy", ChunkingConfig(3, 15))
-        assert counts == (Counter(), Counter())
+        assert counts == (Counter(), [])
+
+
+class TestChunkWindows:
+    def test_no_chunk_for_a_tail_no_window_starts_in(self):
+        # 16 bytes hold two chunks of 15, but the 14 windows all start in the first
+        grams, nck = slice_windows(b"x" * 16, ChunkingConfig(3, 15))
+        assert nck == 2
+        assert chunk_windows(grams, 15) == [grams]
 
 
 class TestOracle:

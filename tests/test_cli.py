@@ -172,12 +172,23 @@ class TestExitCodes:
         (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
           "--out", "r.csv", "--grid", "n=3;chunk=\u0663;score=30"],
          "--grid: bad values in 'chunk=\u0663'"),
+        # every number read from text is spelt in ASCII: int() and float() take these too
+        (["train", "--protocol", "ftp", "--in", "x.jsonl", "--out", "m", "--n", "\u0663"],
+         "argument --n: invalid decimal value: '\u0663'"),
+        (["train", "--protocol", "ftp", "--in", "x.jsonl", "--out", "m", "--alpha", "0_1"],
+         "argument --alpha: invalid real value: '0_1'"),
+        (["sweep", "--protocol", "ftp", "--train-in", "a.jsonl", "--test-in", "b.jsonl",
+          "--out", "r.csv", "--grid", "n=3;chunk=15;score=3_0"],
+         "--grid: bad values in 'score=3_0'"),
+        (["gen", "--protocol", "ftp", "--count", "10", "--out", "x.jsonl",
+          "--inject", "unseen:0_5"], "--inject: bad fraction in 'unseen:0_5'"),
     ], ids=["range-check", "chunking", "grid", "pcap-filter", "inject", "inject-fraction-range",
             "extension", "train-extension", "train-pcap-filter-ports",
             "train-pcap-filter-port-range", "repeated-grid-axis", "repeated-pcap-filter-key",
             "repeated-grid-value", "inject-selects-none", "inject-bad-fraction", "alerts-is-input",
             "train-out-is-input", "sweep-out-is-input", "ports-underscore", "ports-non-ascii",
-            "ports-space", "grid-underscore", "grid-non-ascii"])
+            "ports-space", "grid-underscore", "grid-non-ascii", "int-flag-non-ascii",
+            "float-flag-underscore", "grid-score-underscore", "inject-fraction-underscore"])
     def test_usage_error_names_the_subcommand(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2

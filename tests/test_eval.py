@@ -142,7 +142,7 @@ class TestLabelSetCsv:
         with pytest.raises(EvaluationError, match="bad label"):
             LabelSet.from_csv(self.write(tmp_path, "id,label\n0,benign\n"))
 
-    @pytest.mark.parametrize("rec_id", ["zero", "1_0", "\u0663", " +4 "])
+    @pytest.mark.parametrize("rec_id", ["zero", "1_0", "\u0663", " +4 ", "-1"])
     def test_bad_id(self, tmp_path, rec_id):
         with pytest.raises(EvaluationError, match="bad id"):
             LabelSet.from_csv(self.write(tmp_path, f"id,label\n{rec_id},legit\n"))
