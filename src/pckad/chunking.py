@@ -8,12 +8,13 @@ byte, so every occurrence lands in exactly one chunk.
 
 `slice_windows` cuts a payload into its windows once, and `chunk_windows`
 hands each chunk its windows. It is the one place that assigns a window to
-a chunk: training, the detector's counted form and its set form all take
-each chunk's windows from it. `tally_windows` counts the windows, over the
-payload and per chunk; `count_windows` slices and counts. Training, scoring
-and the sweep all slice through `slice_windows` (in `model.featurize`).
-Training counts every payload; the detector counts only a payload that
-repeats a window (see `detector.judge`). `split_chunks` (chunk spans) and
+a chunk: training and the detector both take each chunk's windows from it.
+`tally_windows` counts the windows, over the payload and per chunk;
+`count_windows` slices and counts. Training, scoring and the sweep all
+slice through `slice_windows` (in `model.featurize`). Training counts every
+payload through `tally_windows`. The detector counts a payload only when it
+repeats a window, and judges only the repeated n-grams at their counts (see
+`detector.judge`). `split_chunks` (chunk spans) and
 `extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
 result, and nothing in the package calls them. They stay because the
 benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,

@@ -16,10 +16,11 @@ has no model alert too: traffic unlike anything seen in training.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import chunk_windows, tally_windows
+from .chunking import chunk_windows
 from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
@@ -82,7 +83,8 @@ def anomalous_occurrences(
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
     Rules 1-2 mark all occurrences in both sums; rule 3 marks occurrences in
-    a_on only. `judge` applies the same rules inline, so nothing in the
+    a_on only. `judge` writes the same rules out inline for the n-grams that
+    repeat, and decides the others from the class's sets, so nothing in the
     package calls this per-gram form. It stays as the plain form of the
     rules: `tests/test_fused.py` checks `judge` against it, and the
     benchmark's tracer (`bench/tracing.py`, `TRACED`) binds it by name, so
@@ -136,24 +138,22 @@ class Outcome(NamedTuple):
 def judge(model: TrafficModel, payload: bytes) -> Outcome:
     """Featurize one on-port payload and apply the per-gram rules once, at model.th_s.
 
-    The outcome serves both chunk modes. A payload takes one of two forms,
-    chosen by the payload alone, and both give the `Outcome` that
-    `anomalous_occurrences` summed over its n-grams gives:
+    The outcome serves both chunk modes: it is the `Outcome` that
+    `anomalous_occurrences` summed over the payload's n-grams gives. Both
+    sums start at every window and lose the occurrences no rule marks.
 
-    - No window repeats (most payloads): every n-gram occurs once, in one
-      chunk, so each rule is a fixed yes/no per (class, n-gram, chunk),
-      decided at count 1. `pckad.model.usual_at_one` decides them once per
-      class and model, by `deviates_at_one`, into the model's cache of the
-      same name; judge only reads those sets. a_off is the windows less
-      those usual over the payload, and a_on the windows less those usual
-      in their own chunk.
-    - A window repeats: the windows are counted (`tally_windows`) and the
-      rules are `anomalous_occurrences` written out inline, at any count x,
-      as `deviates_at_one` writes them at x = 1.
+    - An n-gram that repeats (only then is the payload counted) is judged by
+      `anomalous_occurrences`' rules written out inline: rules 1-2 at its
+      payload count x and, if they leave it alone, rule 3 at its count in
+      each chunk. It then leaves the windows that the sets judge.
+    - An n-gram that occurs once occurs in one chunk, so each rule is a
+      fixed yes/no per (class, n-gram, chunk), decided at count 1.
+      `pckad.model.usual_at_one` decides them once per class and model, by
+      `deviates_at_one`, into the model's cache of the same name. a_off
+      loses those in the class's payload set, and a_on those in their own
+      chunk's set: one set intersection per chunk.
 
-    Both forms, like training, take each chunk's windows from
-    `chunking.chunk_windows`, so a window is in its first byte's chunk.
-
+    Each chunk's windows come from `chunking.chunk_windows`, as in training.
     Only the sums are kept: a caller that wants each n-gram's share asks
     `anomalous_occurrences`.
     """
@@ -164,39 +164,36 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     cls = model.classes.get(key)
     if cls is None:
         return Outcome(NO_MODEL)
-    chunk_len = model.chunking.chunk_len
     tot_seqs = len(grams)
-    distinct = set(grams)
-    if len(distinct) == tot_seqs:
-        usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)
-        a_on = tot_seqs
-        for usual_here, windows in zip(usual_in_chunk, chunk_windows(grams, chunk_len)):
-            a_on -= len(usual_here.intersection(windows))
-        return Outcome(None, tot_seqs, a_on, tot_seqs - len(usual.intersection(distinct)))
-    alpha, th_s = model.alpha, model.th_s
-    counts = tally_windows(grams, chunk_len)
-    stats_get = cls.stats.get
-    usual = {}  # n-gram -> its chunk stats, for the n-grams rules 1-2 leave to rule 3
-    a_off = 0
-    for gram, x in counts.totals.items():
-        stats = stats_get(gram)
-        if stats is not None:
-            mean, std, chunks = stats
-            if not abs(mean - x) / (std + alpha) > th_s:
-                usual[gram] = chunks
-                continue
-        a_off += x
-    a_on = a_off
-    if usual:
-        usual_get = usual.get
-        for j, in_chunk in enumerate(counts.chunks):
-            for gram, x in in_chunk.items():
-                chunks = usual_get(gram)
-                if chunks is not None:
-                    mean, std = chunks.get(j, ABSENT_CHUNK)
-                    if abs(mean - x) / (std + alpha) > th_s:
-                        a_on += x
-    return Outcome(None, tot_seqs, a_on, a_off)
+    a_on = a_off = tot_seqs
+    once = set(grams)
+    in_chunks = chunk_windows(grams, model.chunking.chunk_len)
+    if len(once) < tot_seqs:
+        alpha, th_s = model.alpha, model.th_s
+        repeats = {gram: x for gram, x in Counter(grams).items() if x > 1}
+        once.difference_update(repeats)
+        to_rule_3 = {}  # repeated n-gram -> its chunk stats, when rules 1-2 leave it alone
+        for gram, x in repeats.items():
+            stats = cls.stats.get(gram)
+            if stats is not None:
+                mean, std, chunks = stats
+                if not abs(mean - x) / (std + alpha) > th_s:
+                    to_rule_3[gram] = chunks
+                    a_off -= x
+        a_on = a_off
+        if to_rule_3:
+            for j, windows in enumerate(in_chunks):
+                for gram, x in Counter(windows).items():
+                    chunks = to_rule_3.get(gram)
+                    if chunks is not None:
+                        mean, std = chunks.get(j, ABSENT_CHUNK)
+                        if abs(mean - x) / (std + alpha) > th_s:
+                            a_on += x
+        in_chunks = [[w for w in windows if w not in repeats] for windows in in_chunks]
+    usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)
+    for usual_here, windows in zip(usual_in_chunk, in_chunks):
+        a_on -= len(usual_here.intersection(windows))
+    return Outcome(None, tot_seqs, a_on, a_off - len(usual.intersection(once)))
 
 
 def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:

@@ -39,9 +39,9 @@ EVALUATE = "src/pckad/evaluate.py"
 
 # the one-occurrence test, by which training prunes and usual_at_one builds judge's sets
 ONE_TEST = "return abs(mean - 1) / (std + alpha) > th_s"
-# judge's counting loop, which decides x occurrences
-COUNTS_RULE_2 = "if not abs(mean - x) / (std + alpha) > th_s:"
-COUNTS_RULE_3 = "if abs(mean - x) / (std + alpha) > th_s:"
+# judge's rules for the n-grams that repeat, which decide x occurrences
+REPEAT_RULE_2 = "if not abs(mean - x) / (std + alpha) > th_s:"
+REPEAT_RULE_3 = "if abs(mean - x) / (std + alpha) > th_s:"
 PER_GRAM_RULE_2 = "if mahalanobis_term(mean, std, x_total, alpha) > th_s:"
 PER_GRAM_RULE_3 = "if mahalanobis_term(mean, std, x, alpha) > th_s:"
 
@@ -54,7 +54,7 @@ def _ge(text: str) -> str:
 MUTANTS = [
     ("floor chunk count", CHUNKING,
      "nck = -(-len(payload) // cfg.chunk_len)", "nck = len(payload) // cfg.chunk_len"),
-    # chunk_windows is the one attribution: training, the counted and the set form move together
+    # chunk_windows is the one attribution: training and judge's sets and counts move together
     ("last-byte attribution", CHUNKING,
      "return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]",
      "return [grams[max(start + 1 - n, 0):start + 1 - n + chunk_len]"
@@ -63,22 +63,27 @@ MUTANTS = [
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),
     # the one-occurrence test serves rules 2 and 3 alike, so each rule's mutant changes it
-    (">= in rule 2", DETECTOR, COUNTS_RULE_2, _ge(COUNTS_RULE_2)),
+    (">= in rule 2", DETECTOR, REPEAT_RULE_2, _ge(REPEAT_RULE_2)),
     (">= in rule 2", MODEL, ONE_TEST, _ge(ONE_TEST)),
-    (">= in rule 3", DETECTOR, COUNTS_RULE_3, _ge(COUNTS_RULE_3)),
+    (">= in rule 3", DETECTOR, REPEAT_RULE_3, _ge(REPEAT_RULE_3)),
     (">= in rule 3", MODEL, ONE_TEST, _ge(ONE_TEST)),
     (">= for the score threshold", DETECTOR,
      "return self.a_seqs(cfg) / self.tot_seqs * 100.0 > cfg.score_threshold",
      "return self.a_seqs(cfg) / self.tot_seqs * 100.0 >= cfg.score_threshold"),
     ("one-sided deviation", DETECTOR,
-     COUNTS_RULE_2, "if not (x - mean) / (std + alpha) > th_s:"),
+     REPEAT_RULE_2, "if not (x - mean) / (std + alpha) > th_s:"),
     ("one-sided deviation", MODEL, ONE_TEST, "return (1 - mean) / (std + alpha) > th_s"),
     ("alpha as a floor", DETECTOR,
-     COUNTS_RULE_2, "if not abs(mean - x) / max(std, alpha) > th_s:"),
+     REPEAT_RULE_2, "if not abs(mean - x) / max(std, alpha) > th_s:"),
     ("alpha as a floor", MODEL, ONE_TEST, "return abs(mean - 1) / max(std, alpha) > th_s"),
-    # one occurrence is all there is in the set form, so only the counted form changes
+    # an n-gram that occurs once has one occurrence to count, so only the repeats change
     ("an unseen n-gram counted once", DETECTOR,
-     "a_off += x", "a_off += x if stats is not None else 1"),
+     "stats = cls.stats.get(gram)\n",
+     "stats = cls.stats.get(gram)\n            a_off -= (x - 1) * (stats is None)\n"),
+    # a repeated n-gram judged by the sets too, once over the payload or once in each chunk
+    ("repeats left in the payload's sets", DETECTOR, "once.difference_update(repeats)", "pass"),
+    ("repeats left in the chunks' sets", DETECTOR,
+     "in_chunks = [[w for w in windows if w not in repeats] for windows in in_chunks]", "pass"),
     ("DR per packet", EVALUATE,
      "detected[instance] = detected.get(instance, False) or alert",
      "detected[len(detected)] = alert"),
@@ -101,13 +106,13 @@ MUTANTS = [
     # >= th_s in every statement of rules 2 and 3: judge and anomalous_occurrences agree
     # again, so only the hand cases at an exact tie and reference_verdict can tell
     *((">= everywhere in rules 2 and 3", DETECTOR, old, _ge(old)) for old in (
-        PER_GRAM_RULE_2, PER_GRAM_RULE_3, COUNTS_RULE_2, COUNTS_RULE_3)),
+        PER_GRAM_RULE_2, PER_GRAM_RULE_3, REPEAT_RULE_2, REPEAT_RULE_3)),
     (">= everywhere in rules 2 and 3", MODEL, ONE_TEST, _ge(ONE_TEST)),
     # pruning and judge's sets flip together: the hand ties of test_detector.py and
     # test_pruning.py tell
     (">= in the one-occurrence test alone", MODEL, ONE_TEST, _ge(ONE_TEST)),
-    (">= in the counting loop alone", DETECTOR, COUNTS_RULE_2, _ge(COUNTS_RULE_2)),
-    (">= in the counting loop alone", DETECTOR, COUNTS_RULE_3, _ge(COUNTS_RULE_3)),
+    (">= in the repeats' rules alone", DETECTOR, REPEAT_RULE_2, _ge(REPEAT_RULE_2)),
+    (">= in the repeats' rules alone", DETECTOR, REPEAT_RULE_3, _ge(REPEAT_RULE_3)),
     ("sets shared with a replaced model", MODEL,
      "init=False, compare=False", "init=True, compare=False"),
     ("sets in a compared field", MODEL,

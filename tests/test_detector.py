@@ -162,7 +162,7 @@ class TestScorePacket:
 
     # |mean - x| / (std + alpha) = 1 / 0.5 = 2.0 = th_s exactly: a tie is usual, not anomalous.
     # b"ab" has one window, which judge decides from its sets; b"aaa" repeats its window
-    # (x = 2), which judge counts.
+    # (x = 2), which judge decides at its count.
     @pytest.mark.parametrize("payload, stats", [
         (b"ab", NGramStats(2.0, 0.0, {0: (1.0, 0.0)})),  # rule 2 ties
         (b"ab", NGramStats(1.0, 0.0, {0: (2.0, 0.0)})),  # only rule 3's chunk deviation ties
@@ -183,7 +183,7 @@ class TestScorePacket:
                         b"bc": NGramStats(1.0, 0.0, {0: (1.0, 0.0)}),
                         b"cd": NGramStats(1.0, 0.0, {})}),
         (b"aaaaa", 1.0, {b"aa": NGramStats(4.0, 0.0, {0: (2.0, 0.0)})}),
-    ], ids=["sets", "counts"])
+    ], ids=["once", "repeated"])
     def test_absent_chunk_at_th_s_is_usual(self, payload, alpha, stats):
         # chunk_len 2: windows 0-1 in chunk 0, windows 2-3 in chunk 1
         nck, windows = -(-len(payload) // 2), len(payload) - 1

@@ -6,8 +6,9 @@ checked against a test-local copy of the per-gram judge it replaced
 (`reference_counts`, then one `anomalous_occurrences` call per n-gram) and
 against `tests/helpers.py:reference_verdict`, on randomized models whose
 means sit at and next to the rule edges. Half the cases hold payloads with
-no repeated window, which `judge` decides from its per-class sets; the
-rest mostly repeat windows, which it counts.
+no repeated window, which `judge` decides from its per-class sets alone;
+the rest mostly repeat windows, whose repeated n-grams it judges at their
+counts and whose other n-grams it decides from the sets.
 """
 
 import dataclasses
@@ -182,10 +183,28 @@ def _cases(seed, count=150):
         yield model, [PacketRecord(id=i, dst_port=21, payload=p) for i, p in enumerate(payloads)]
 
 
-def judged_form(model, payload):
-    """The form `judge` takes on a scored payload: "sets" when no window repeats."""
+def repeats_a_window(model, payload):
+    """Whether a scored payload has an n-gram that `judge` decides at its count."""
     totals, _, _ = reference_counts(payload, model.chunking)
-    return "sets" if max(totals.values()) == 1 else "counts"
+    return max(totals.values()) > 1
+
+
+def mixed(model, payload):
+    """Whether a scored payload asks both parts of `judge`, at an n-gram no set holds.
+
+    It holds n-grams that occur once, which the class's sets decide, beside a
+    repeated n-gram that rules 1-2 leave alone at its count x, though one
+    occurrence would deviate, so that the sets leave it out.
+    """
+    totals, _, nck = reference_counts(payload, model.chunking)
+    stats = model.classes[ClassKey(model.port, nck)].stats
+
+    def usual_at(gram, x):
+        return not mahalanobis_term(stats[gram].mean, stats[gram].std, x, model.alpha) > model.th_s
+
+    return 1 in totals.values() and any(
+        x > 1 and gram in stats and usual_at(gram, x) and not usual_at(gram, 1)
+        for gram, x in totals.items())
 
 
 def absent_chunk_usual(model):
@@ -200,21 +219,26 @@ def _cfgs(model, threshold):
 class TestFusedJudge:
     def test_judge_matches_per_gram_judge(self):
         kinds = Counter()
+        mixed_fired = Counter()
         for model, records in _cases(71):
             for rec in records:
                 outcome = judge(model, rec.payload)
                 assert outcome == per_gram_judge(model, rec.payload), rec
                 kinds[outcome.kind] += 1
                 if outcome.kind is None:
-                    kinds[judged_form(model, rec.payload), absent_chunk_usual(model),
-                          outcome.a_on > outcome.a_off] += 1
+                    fired = outcome.a_on > outcome.a_off
+                    kinds[repeats_a_window(model, rec.payload), absent_chunk_usual(model),
+                          fired] += 1
+                    mixed_fired[fired] += mixed(model, rec.payload)
         assert kinds[NO_MODEL] and kinds[UNCLASSIFIABLE]
-        # each form judged packets where rule 3 fired and where it did not, in both
-        # regimes: an absent chunk usual at one occurrence (1 / alpha == th_s) or not
-        for form in ("sets", "counts"):
+        # payloads with and without a repeated window were judged where rule 3 fired and
+        # where it did not, in both regimes: an absent chunk usual at one occurrence
+        # (1 / alpha == th_s) or not
+        for repeats in (True, False):
             for absent_usual in (True, False):
                 for fired in (True, False):
-                    assert kinds[form, absent_usual, fired], (form, absent_usual, fired)
+                    assert kinds[repeats, absent_usual, fired], (repeats, absent_usual, fired)
+        assert mixed_fired[True] and mixed_fired[False], mixed_fired
 
     def test_verdicts_match_per_gram_judge_and_reference(self):
         alerts = Counter()
@@ -264,8 +288,8 @@ class TestUsualSets:
         lower = dataclasses.replace(model, th_s=1.0)  # made after model built its sets
         at_lower = judged(lower)
         assert model.usual_at_one and lower.usual_at_one
-        # the lower th_s judges some payloads of the set form otherwise
-        assert any(high != low and judged_form(model, rec.payload) == "sets"
+        # the lower th_s judges otherwise some payloads that the sets alone decide
+        assert any(high != low and not repeats_a_window(model, rec.payload)
                    for rec, high, low in zip(test, at_model, at_lower))
         # the sets are neither compared nor saved
         assert load_model(tmp_path / "model") == model
