@@ -27,6 +27,7 @@ from .model import (
     NGramStats,
     PayloadMemo,
     TrafficModel,
+    deviates,
     featurize,
     usual_at_one,
 )
@@ -83,10 +84,9 @@ def anomalous_occurrences(
     """This n-gram's anomalous occurrences (a_on, a_off), with and without chunks.
 
     Rules 1-2 mark all occurrences in both sums; rule 3 marks occurrences in
-    a_on only. `judge` writes the same rules out inline for the n-grams that
-    repeat, and decides the others from the class's sets, so nothing in the
-    package calls this per-gram form. It stays as the plain form of the
-    rules: `tests/test_fused.py` checks `judge` against it, and the
+    a_on only. `judge` decides the same rules by `pckad.model.deviates`, and
+    nothing in the package calls this per-gram form. It stays as the plain
+    form of the rules: `tests/test_fused.py` checks `judge` against it, and the
     benchmark's tracer (`bench/tracing.py`, `TRACED`) binds it by name, so
     without it the first traced round of `bench/run.py --trace 1` raises
     AttributeError and the run exits 1 with no result.
@@ -143,13 +143,12 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     sums start at every window and lose the occurrences no rule marks.
 
     - An n-gram that repeats (only then is the payload counted) is judged by
-      `anomalous_occurrences`' rules written out inline: rules 1-2 at its
-      payload count x and, if they leave it alone, rule 3 at its count in
-      each chunk. It then leaves the windows that the sets judge.
+      `pckad.model.deviates`: rules 1-2 at its payload count x, and if they
+      leave it alone, rule 3 at its count in each chunk. The sets then skip it.
     - An n-gram that occurs once occurs in one chunk, so each rule is a
       fixed yes/no per (class, n-gram, chunk), decided at count 1.
       `pckad.model.usual_at_one` decides them once per class and model, by
-      `deviates_at_one`, into the model's cache of the same name. a_off
+      `deviates` at x = 1, into the model's cache of the same name. a_off
       loses those in the class's payload set, and a_on those in their own
       chunk's set: one set intersection per chunk.
 
@@ -177,7 +176,7 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
             stats = cls.stats.get(gram)
             if stats is not None:
                 mean, std, chunks = stats
-                if not abs(mean - x) / (std + alpha) > th_s:
+                if not deviates(mean, std, x, alpha, th_s):
                     to_rule_3[gram] = chunks
                     a_off -= x
         a_on = a_off
@@ -187,7 +186,7 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
                     chunks = to_rule_3.get(gram)
                     if chunks is not None:
                         mean, std = chunks.get(j, ABSENT_CHUNK)
-                        if abs(mean - x) / (std + alpha) > th_s:
+                        if deviates(mean, std, x, alpha, th_s):
                             a_on += x
         in_chunks = [[w for w in windows if w not in repeats] for windows in in_chunks]
     usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)

@@ -117,21 +117,21 @@ class TrafficModel:
         check_model_settings(self.port, self.alpha, self.th_s)
 
 
-def deviates_at_one(mean: float, std: float, alpha: float, th_s: float) -> bool:
-    """Whether a single occurrence deviates beyond th_s from an entry's (mean, std).
+def deviates(mean: float, std: float, x: int, alpha: float, th_s: float) -> bool:
+    """Whether x occurrences deviate beyond th_s from an entry's (mean, std).
 
-    The rules' deviation |mean - x| / (std + alpha), compared with th_s, at
-    x = 1. Training prunes by it and `usual_at_one` builds the judge's sets
-    by it.
+    The smoothed deviation |mean - x| / (std + alpha) of rules 2 and 3. Training
+    prunes and `usual_at_one` builds the judge's sets by it at x = 1, and
+    `pckad.detector.judge` judges repeated n-grams by it at their counts.
     """
-    return abs(mean - 1) / (std + alpha) > th_s
+    return abs(mean - x) / (std + alpha) > th_s
 
 
 def usual_at_one(model: TrafficModel, key: ClassKey) -> tuple[set[bytes], list[set[bytes]]]:
     """Class key's n-grams whose single occurrence no rule marks: (whole payload, per chunk).
 
     The set holds the n-grams that rules 1-2 leave alone at count 1: those
-    with an entry that `deviates_at_one` clears. Entry j of the list holds
+    with an entry that `deviates` clears at x = 1. Entry j of the list holds
     those of them that rule 3 also leaves alone at count 1 in chunk j, where
     a chunk with no entry reads as ABSENT_CHUNK. Only the chunk entries that
     exist are visited: when an absent chunk is usual at count 1, every
@@ -141,12 +141,12 @@ def usual_at_one(model: TrafficModel, key: ClassKey) -> tuple[set[bytes], list[s
     """
     alpha, th_s = model.alpha, model.th_s
     usual = {gram: chunks for gram, (mean, std, chunks) in model.classes[key].stats.items()
-             if not deviates_at_one(mean, std, alpha, th_s)}
-    absent_usual = not deviates_at_one(*ABSENT_CHUNK, alpha, th_s)
+             if not deviates(mean, std, 1, alpha, th_s)}
+    absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)
     per_chunk = [set(usual) if absent_usual else set() for _ in range(key.chunk_count)]
     for gram, chunks in usual.items():
         for j, (mean, std) in chunks.items():
-            if deviates_at_one(mean, std, alpha, th_s):
+            if deviates(mean, std, 1, alpha, th_s):
                 per_chunk[j].discard(gram)
             else:
                 per_chunk[j].add(gram)
@@ -271,7 +271,7 @@ class _ClassAccumulator:
     def finalize(self, alpha: float, th_s: float) -> ClassModel:
         """The class's statistics, leaving out the entries that can change no verdict.
 
-        An n-gram with mean <= 1 that `deviates_at_one` deviates further at
+        An n-gram with mean <= 1 that `deviates` at x = 1 deviates further at
         any count x >= 1 (x - mean cannot fall as x grows, in floats too). So
         rule 2 marks all its occurrences, exactly as rule 1 marks an n-gram
         with no entry, at th_s and at any lower th_s.
@@ -281,7 +281,7 @@ class _ClassAccumulator:
         pruned = 0
         for gram, (s1, s2, slots) in self.sums.items():
             mean, std = _mean_std(s1, s2, k)
-            if mean <= 1 and deviates_at_one(mean, std, alpha, th_s):
+            if mean <= 1 and deviates(mean, std, 1, alpha, th_s):
                 pruned += 1
                 continue
             chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in slots.items()}
@@ -444,7 +444,7 @@ def load_model(path) -> TrafficModel:
 
     _expect(isinstance(doc, dict), "top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     proto_name = doc.get("protocol")
     _expect(proto_name in [p.value for p in Protocol], f"unknown protocol {proto_name!r}")
@@ -475,7 +475,8 @@ def load_model(path) -> TrafficModel:
     classes: dict[ClassKey, ClassModel] = {}
     for rc in raw_classes:
         _expect(isinstance(rc, dict), "class entry must be an object")
-        _expect(rc.get("port") == port, "class port differs from model port")
+        class_port = rc.get("port")
+        _expect(_is_int(class_port) and class_port == port, "class port differs from model port")
         nck_total = rc.get("nck_total")
         _expect(_is_int(nck_total) and nck_total >= 1, "bad nck_total")
         sample_count = rc.get("sample_count")

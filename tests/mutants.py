@@ -37,11 +37,9 @@ MODEL = "src/pckad/model.py"
 DETECTOR = "src/pckad/detector.py"
 EVALUATE = "src/pckad/evaluate.py"
 
-# the one-occurrence test, by which training prunes and usual_at_one builds judge's sets
-ONE_TEST = "return abs(mean - 1) / (std + alpha) > th_s"
-# judge's rules for the n-grams that repeat, which decide x occurrences
-REPEAT_RULE_2 = "if not abs(mean - x) / (std + alpha) > th_s:"
-REPEAT_RULE_3 = "if abs(mean - x) / (std + alpha) > th_s:"
+# the deviation test of rules 2 and 3: training prunes by it, usual_at_one builds judge's
+# sets by it, and judge decides the n-grams that repeat by it
+DEVIATES = "return abs(mean - x) / (std + alpha) > th_s"
 PER_GRAM_RULE_2 = "if mahalanobis_term(mean, std, x_total, alpha) > th_s:"
 PER_GRAM_RULE_3 = "if mahalanobis_term(mean, std, x, alpha) > th_s:"
 
@@ -62,20 +60,17 @@ MUTANTS = [
     ("sample std", MODEL,
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),
-    # the one-occurrence test serves rules 2 and 3 alike, so each rule's mutant changes it
-    (">= in rule 2", DETECTOR, REPEAT_RULE_2, _ge(REPEAT_RULE_2)),
-    (">= in rule 2", MODEL, ONE_TEST, _ge(ONE_TEST)),
-    (">= in rule 3", DETECTOR, REPEAT_RULE_3, _ge(REPEAT_RULE_3)),
-    (">= in rule 3", MODEL, ONE_TEST, _ge(ONE_TEST)),
+    # one test serves rules 2 and 3, pruning and judge's sets and repeats alike
+    (">= in the deviation test", MODEL, DEVIATES, _ge(DEVIATES)),
     (">= for the score threshold", DETECTOR,
      "return self.a_seqs(cfg) / self.tot_seqs * 100.0 > cfg.score_threshold",
      "return self.a_seqs(cfg) / self.tot_seqs * 100.0 >= cfg.score_threshold"),
-    ("one-sided deviation", DETECTOR,
-     REPEAT_RULE_2, "if not (x - mean) / (std + alpha) > th_s:"),
-    ("one-sided deviation", MODEL, ONE_TEST, "return (1 - mean) / (std + alpha) > th_s"),
-    ("alpha as a floor", DETECTOR,
-     REPEAT_RULE_2, "if not abs(mean - x) / max(std, alpha) > th_s:"),
-    ("alpha as a floor", MODEL, ONE_TEST, "return abs(mean - 1) / max(std, alpha) > th_s"),
+    ("one-sided deviation", MODEL, DEVIATES, "return (x - mean) / (std + alpha) > th_s"),
+    ("alpha as a floor", MODEL, DEVIATES, "return abs(mean - x) / max(std, alpha) > th_s"),
+    # judge's call for rule 3 passes the chunk count; the payload count differs whenever a
+    # repeated n-gram occurs in more than one chunk
+    ("rule 3 at the payload count", DETECTOR,
+     "if deviates(mean, std, x, alpha, th_s):", "if deviates(mean, std, repeats[gram], alpha, th_s):"),
     # an n-gram that occurs once has one occurrence to count, so only the repeats change
     ("an unseen n-gram counted once", DETECTOR,
      "stats = cls.stats.get(gram)\n",
@@ -98,21 +93,16 @@ MUTANTS = [
      "ABSENT_CHUNK = (0.0, 0.0)", "ABSENT_CHUNK = (0.0, 1.0)"),
     ("short at one window", MODEL, "if not grams:", "if len(grams) <= 1:"),
     ("pruning guard dropped", MODEL,
-     "if mean <= 1 and deviates_at_one(mean, std, alpha, th_s):",
-     "if deviates_at_one(mean, std, alpha, th_s):"),
+     "if mean <= 1 and deviates(mean, std, 1, alpha, th_s):",
+     "if deviates(mean, std, 1, alpha, th_s):"),
     ("an entry past the budget kept", MODEL, "if cost > MEMO_BYTES:", "if False:"),
     ("the load-time chunk-mean check dropped", MODEL,
      "if not abs(chunk_mean_sum - mean) <= tolerance:", "if False:"),
     # >= th_s in every statement of rules 2 and 3: judge and anomalous_occurrences agree
     # again, so only the hand cases at an exact tie and reference_verdict can tell
     *((">= everywhere in rules 2 and 3", DETECTOR, old, _ge(old)) for old in (
-        PER_GRAM_RULE_2, PER_GRAM_RULE_3, REPEAT_RULE_2, REPEAT_RULE_3)),
-    (">= everywhere in rules 2 and 3", MODEL, ONE_TEST, _ge(ONE_TEST)),
-    # pruning and judge's sets flip together: the hand ties of test_detector.py and
-    # test_pruning.py tell
-    (">= in the one-occurrence test alone", MODEL, ONE_TEST, _ge(ONE_TEST)),
-    (">= in the repeats' rules alone", DETECTOR, REPEAT_RULE_2, _ge(REPEAT_RULE_2)),
-    (">= in the repeats' rules alone", DETECTOR, REPEAT_RULE_3, _ge(REPEAT_RULE_3)),
+        PER_GRAM_RULE_2, PER_GRAM_RULE_3)),
+    (">= everywhere in rules 2 and 3", MODEL, DEVIATES, _ge(DEVIATES)),
     ("sets shared with a replaced model", MODEL,
      "init=False, compare=False", "init=True, compare=False"),
     ("sets in a compared field", MODEL,

@@ -8,7 +8,8 @@ against `tests/helpers.py:reference_verdict`, on randomized models whose
 means sit at and next to the rule edges. Half the cases hold payloads with
 no repeated window, which `judge` decides from its per-class sets alone;
 the rest mostly repeat windows, whose repeated n-grams it judges at their
-counts and whose other n-grams it decides from the sets.
+counts and whose other n-grams it decides from the sets. `deviates`, the
+one deviation test of the rules, is checked against `mahalanobis_term`.
 """
 
 import dataclasses
@@ -43,6 +44,7 @@ from pckad import (
 )
 from pckad.chunking import slice_windows
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
+from pckad.model import deviates
 from pckad.protocols import Malformed
 from pckad.synth import AnomalyKind
 
@@ -296,3 +298,34 @@ class TestUsualSets:
         # nor can a setting change under them
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.th_s = 1.0
+
+
+# --- the deviation test ----------------------------------------------------------
+
+_FINITE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+class TestDeviates:
+    @given(mean=_FINITE, std=_FINITE, x=st.integers(1, 10**6), alpha=_POSITIVE, th_s=_POSITIVE)
+    def test_matches_mahalanobis_term(self, mean, std, x, alpha, th_s):
+        assert deviates(mean, std, x, alpha, th_s) == \
+            (mahalanobis_term(mean, std, x, alpha) > th_s)
+
+    @pytest.mark.parametrize("alpha, th_s", SETTINGS)
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_exact_ties(self, alpha, th_s, x):
+        """A deviation of exactly th_s does not deviate; one float step from it, as the term says."""
+        ties = 0
+        for std in STDS:
+            for mean in (x - th_s * (std + alpha), x + th_s * (std + alpha)):
+                if mean < 0:
+                    continue
+                if mahalanobis_term(mean, std, x, alpha) == th_s:
+                    ties += 1
+                    assert not deviates(mean, std, x, alpha, th_s)
+                for m in (math.nextafter(mean, -math.inf), math.nextafter(mean, math.inf)):
+                    if m >= 0:
+                        assert deviates(m, std, x, alpha, th_s) == \
+                            (mahalanobis_term(m, std, x, alpha) > th_s)
+        assert ties

@@ -318,6 +318,10 @@ REJECTIONS = [
     _bad(_set(_top, "format_version", 2), "unsupported model format version: 2", "version-2"),
     _bad(_set(_top, "format_version", _DELETE), "unsupported model format version: None",
          "version-missing"),
+    _bad(_set(_top, "format_version", True), "unsupported model format version: True",
+         "version-bool"),
+    _bad(_set(_top, "format_version", 1.0), "unsupported model format version: 1.0",
+         "version-float"),
     _bad(_set(_top, "protocol", "smtp"), _INVALID + "unknown protocol 'smtp'", "protocol"),
     _bad(_set(_top, "port", 70000), _INVALID + "port must be within [0, 65535]", "port-range"),
     _bad(_set(_top, "port", True), _INVALID + "bad port", "port-bool"),
@@ -340,6 +344,11 @@ REJECTIONS = [
     _bad(_set(_top, "classes", [[]]), _INVALID + "class entry must be an object", "class-list"),
     _bad(_set(_cls, "port", 2121), _INVALID + "class port differs from model port",
          "class-port"),
+    _bad(_set(_cls, "port", 21.0), _INVALID + "class port differs from model port",
+         "class-port-float"),
+    # True == 1, so the model's port is 1 here
+    _bad(_both(_set(_top, "port", 1), _set(_cls, "port", True)),
+         _INVALID + "class port differs from model port", "class-port-bool"),
     _bad(_set(_cls, "nck_total", 0), _INVALID + "bad nck_total", "nck-total-zero"),
     _bad(_set(_cls, "nck_total", True), _INVALID + "bad nck_total", "nck-total-bool"),
     _bad(_set(_cls, "nck_total", 1.0), _INVALID + "bad nck_total", "nck-total-float"),
