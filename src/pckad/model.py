@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -235,38 +234,27 @@ def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
 class _ClassAccumulator:
     """Running sums sufficient for exact mean/population-std per n-gram.
 
-    sums maps gram -> [s1, s2, {j: [s1, s2]}], in the shape of NGramStats.
+    sums holds one table per `WindowCounts` window list: sums[0] maps gram
+    -> [s1, s2] over the whole payload, and sums[1 + j] over chunk j.
     """
 
     __slots__ = ("count", "sums")
 
-    def __init__(self):
+    def __init__(self, chunk_count: int):
         self.count = 0
-        self.sums: dict[bytes, list] = {}
+        self.sums: list[dict[bytes, list[int]]] = [{} for _ in range(1 + chunk_count)]
 
     def add(self, counts: WindowCounts, w: int) -> None:
         """Count w samples with these counts: w*x into s1, w*x*x into s2."""
         self.count += w
-        sums = self.sums
-        for gram, x in counts.totals.items():
-            wx = w * x
-            cell = sums.get(gram)
-            if cell is None:
-                sums[gram] = [wx, wx * x, {}]
-            else:
+        for table, counted in zip(self.sums, [counts.totals, *counts.chunks]):
+            for gram, x in counted.items():
+                wx = w * x
+                cell = table.get(gram)
+                if cell is None:
+                    cell = table[gram] = [0, 0]
                 cell[0] += wx
                 cell[1] += wx * x
-        # every gram of a chunk has its cell now
-        for j, in_chunk in enumerate(counts.chunks):
-            for gram, c in in_chunk.items():
-                wc = w * c
-                slots = sums[gram][2]
-                slot = slots.get(j)
-                if slot is None:
-                    slots[j] = [wc, wc * c]
-                else:
-                    slot[0] += wc
-                    slot[1] += wc * c
 
     def finalize(self, alpha: float, th_s: float) -> ClassModel:
         """The class's statistics, leaving out the entries that can change no verdict.
@@ -277,16 +265,18 @@ class _ClassAccumulator:
         with no entry, at th_s and at any lower th_s.
         """
         k = self.count
+        payload = self.sums[0]
         stats: dict[bytes, NGramStats] = {}
-        pruned = 0
-        for gram, (s1, s2, slots) in self.sums.items():
+        for gram, (s1, s2) in payload.items():
             mean, std = _mean_std(s1, s2, k)
             if mean <= 1 and deviates(mean, std, 1, alpha, th_s):
-                pruned += 1
                 continue
-            chunks = {j: _mean_std(c1, c2, k) for j, (c1, c2) in slots.items()}
-            stats[gram] = NGramStats(mean, std, chunks)
-        return ClassModel(sample_count=k, stats=stats, pruned=pruned)
+            stats[gram] = NGramStats(mean, std, {})
+        for j, table in enumerate(self.sums[1:]):
+            for gram, (c1, c2) in table.items():
+                if gram in stats:
+                    stats[gram].chunks[j] = _mean_std(c1, c2, k)
+        return ClassModel(sample_count=k, stats=stats, pruned=len(payload) - len(stats))
 
 
 def train(
@@ -317,7 +307,7 @@ def train(
         port = protocol.default_port
     check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
-    accumulators: defaultdict[ClassKey, _ClassAccumulator] = defaultdict(_ClassAccumulator)
+    accumulators: dict[ClassKey, _ClassAccumulator] = {}
 
     def count(repeats: dict[bytes, int]) -> None:
         for payload, w in repeats.items():
@@ -327,6 +317,8 @@ def train(
                 setattr(summary, counter, getattr(summary, counter) + w)
                 continue
             key, grams = features
+            if key not in accumulators:
+                accumulators[key] = _ClassAccumulator(key.chunk_count)
             accumulators[key].add(tally_windows(grams, chunking.chunk_len), w)
             summary.trained += w
 

@@ -89,6 +89,9 @@ class GenSpec:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
+        # random.Random seeds with abs(seed): -3 would repeat seed 3's corpus
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def gen_legit(spec: GenSpec) -> list[PacketRecord]:

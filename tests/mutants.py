@@ -60,6 +60,10 @@ MUTANTS = [
     ("sample std", MODEL,
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),
+    # one statement of each running sum serves the payload's table and every chunk's
+    ("weighted s2 as (w*x)^2", MODEL, "cell[1] += wx * x", "cell[1] += wx * wx"),
+    ("chunk tables shifted one list", MODEL,
+     "enumerate(self.sums[1:])", "enumerate(self.sums[:-1])"),
     # one test serves rules 2 and 3, pruning and judge's sets and repeats alike
     (">= in the deviation test", MODEL, DEVIATES, _ge(DEVIATES)),
     (">= for the score threshold", DETECTOR,

@@ -98,6 +98,8 @@ class TestExitCodes:
           for value in ("nan", "inf")],
         *[(command, ["--th-s", value], "th_s must be > 0")
           for command in ("detect", "eval") for value in ("nan", "inf")],
+        # random.Random seeds with abs(seed), so -3 would write seed 3's corpus
+        ("gen", ["--count", "5", "--seed", "-3"], "seed must be >= 0"),
     ])
     def test_out_of_range_flag_is_usage_error_before_io(self, tmp_path, paths, capsys,
                                                         command, flags, message):

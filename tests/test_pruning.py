@@ -8,6 +8,7 @@ models must give equal outcomes at the trained th_s and at any lower th_s.
 
 import dataclasses
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,26 +34,47 @@ from pckad import (
 from pckad.detector import ANOMALOUS, LEGIT, judge
 from pckad.model import check_th_s_override, featurize
 
-from helpers import ftp_model, reference_verdict, unpruned_model
+from helpers import ftp_model, ftp_records, reference_verdict, unpruned_model
 
-PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
+# corpus name -> its protocol; see `corpora`
+CORPORA = {"FTP": Protocol.FTP, "HTTP": Protocol.HTTP, "FTP-repeats": Protocol.FTP}
 CHUNKINGS = [ChunkingConfig(3, 15), ChunkingConfig(2, 7)]
 INJECTED = {Protocol.FTP: list(AnomalyKind),
             Protocol.HTTP: [AnomalyKind.UNSEEN_GRAM, AnomalyKind.LOCATION_SHIFT]}
 
 
+def _repeats(seed, count):
+    """FTP records of random payloads over 3 symbols, each repeated 1-4 times, shuffled.
+
+    Windows repeat within a chunk, and a repeated payload trains as one
+    sample of weight above 1.
+    """
+    rng = random.Random(seed)
+    payloads = [bytes(rng.choices(b"ab\x00", k=rng.randint(1, 40))) for _ in range(count)]
+    repeated = [p for p in payloads for _ in range(rng.randint(1, 4))]
+    rng.shuffle(repeated)
+    return ftp_records(repeated)
+
+
 @functools.cache
-def corpora(protocol, chunking):
-    """(training records, scored records, the unpruned model of the training records).
+def corpora(corpus, chunking):
+    """(protocol, training records, scored records, the unpruned model of the training records).
 
     The scored records lead with training packets, which hold every n-gram
-    that training can leave out, and go on with fresh and injected ones.
+    that training can leave out, and go on with fresh ones: generated and
+    injected ones for "FTP" and "HTTP", more repeated random payloads for
+    "FTP-repeats".
     """
-    training = gen_legit(GenSpec(protocol, 300, seed=5))
-    fresh = gen_legit(GenSpec(protocol, 120, seed=6))
-    for offset, kind in enumerate(INJECTED[protocol]):
-        fresh = inject_corpus(fresh, kind, 8, seed=7 + offset, cfg=chunking)
-    return training, training[:150] + fresh, unpruned_model(training, protocol, chunking)
+    protocol = CORPORA[corpus]
+    if corpus == "FTP-repeats":
+        training, fresh = _repeats(5, 120), _repeats(6, 40)
+    else:
+        training = gen_legit(GenSpec(protocol, 300, seed=5))
+        fresh = gen_legit(GenSpec(protocol, 120, seed=6))
+        for offset, kind in enumerate(INJECTED[protocol]):
+            fresh = inject_corpus(fresh, kind, 8, seed=7 + offset, cfg=chunking)
+    full = unpruned_model(training, protocol, chunking)
+    return protocol, training, training[:150] + fresh, full
 
 
 def prunable(st_, alpha, th_s):
@@ -62,10 +84,10 @@ def prunable(st_, alpha, th_s):
 
 class TestAgainstUnprunedModel:
     @pytest.mark.parametrize("chunking", CHUNKINGS, ids=str)
-    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("corpus", CORPORA)
     @pytest.mark.parametrize("th_s", [5.0, 2.5, 1.0])
-    def test_kept_entries_are_exact_and_the_rest_prunable(self, protocol, chunking, th_s):
-        training, _, full = corpora(protocol, chunking)
+    def test_kept_entries_are_exact_and_the_rest_prunable(self, corpus, chunking, th_s):
+        protocol, training, _, full = corpora(corpus, chunking)
         model = train(training, protocol=protocol, chunking=chunking, th_s=th_s)
         assert model.classes.keys() == full.classes.keys()
         for key, cls in model.classes.items():
@@ -79,16 +101,16 @@ class TestAgainstUnprunedModel:
 
     @settings(max_examples=40)
     @given(
-        protocol=st.sampled_from(PROTOCOLS),
+        corpus=st.sampled_from(list(CORPORA)),
         chunking=st.sampled_from(CHUNKINGS),
         alpha=st.sampled_from([0.1, 0.05, 0.5]),
         th_s=st.floats(0.2, 6.0),
         lower=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
     )
     def test_equal_outcomes_at_or_below_the_trained_th_s(
-        self, protocol, chunking, alpha, th_s, lower
+        self, corpus, chunking, alpha, th_s, lower
     ):
-        training, scored, full = corpora(protocol, chunking)
+        protocol, training, scored, full = corpora(corpus, chunking)
         model = train(training, protocol=protocol, chunking=chunking, alpha=alpha, th_s=th_s)
         judged_at = th_s * lower
         pruned = dataclasses.replace(model, th_s=judged_at)
@@ -96,10 +118,10 @@ class TestAgainstUnprunedModel:
         for rec in scored:
             assert judge(pruned, rec.payload) == judge(unpruned, rec.payload)
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
-    def test_scored_packets_hold_left_out_ngrams(self, protocol):
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_scored_packets_hold_left_out_ngrams(self, corpus):
         """The corpora reach what the property is about: packets whose n-grams were left out."""
-        training, scored, full = corpora(protocol, CHUNKINGS[0])
+        protocol, training, scored, full = corpora(corpus, CHUNKINGS[0])
         model = train(training, protocol=protocol, chunking=CHUNKINGS[0], th_s=1.0)
         left_out = {
             gram for key, cls in model.classes.items()
@@ -109,15 +131,15 @@ class TestAgainstUnprunedModel:
                     for rec in scored]
         hits = sum(not left_out.isdisjoint(f.grams) for f in features
                    if not isinstance(f, str))
-        assert hits >= 10, protocol
+        assert hits >= 10, corpus
 
 
 @pytest.mark.parametrize("chunks_enabled", [True, False], ids=["chunks-on", "chunks-off"])
 @pytest.mark.parametrize("threshold", [None, 10.0], ids=["default-threshold", "threshold-10"])
-@pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
-def test_judge_on_pruned_model_matches_reference_verdict(protocol, threshold, chunks_enabled):
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_judge_on_pruned_model_matches_reference_verdict(corpus, threshold, chunks_enabled):
     chunking = CHUNKINGS[0]
-    training, scored, _ = corpora(protocol, chunking)
+    protocol, training, scored, _ = corpora(corpus, chunking)
     model = train(training, protocol=protocol, chunking=chunking, th_s=1.5)
     assert sum(cls.pruned for cls in model.classes.values()) > 0
     if threshold is None:
