@@ -9,12 +9,12 @@ byte, so every occurrence lands in exactly one chunk.
 `slice_windows` cuts a payload into its windows once, and `chunk_windows`
 hands each chunk its windows. It is the one place that assigns a window to
 a chunk: training and the detector both take each chunk's windows from it.
-`tally_windows` counts the windows, over the payload and per chunk;
-`count_windows` slices and counts. Training, scoring and the sweep all
-slice through `slice_windows` (in `model.featurize`). Training counts every
-payload through `tally_windows`. The detector counts a payload only when it
-repeats a window, and judges only the repeated n-grams at their counts (see
-`detector.judge`). `split_chunks` (chunk spans) and
+`count_windows` slices and counts the windows, over the payload and per
+chunk. Training, scoring and the sweep all slice through `slice_windows`
+(in `model.featurize`). Training counts every payload's window lists
+itself (`model._ClassAccumulator.add`). The detector counts a payload only
+when it repeats a window, and judges only the repeated n-grams at their
+counts (see `detector.judge`). `split_chunks` (chunk spans) and
 `extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
 result, and nothing in the package calls them. They stay because the
 benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,
@@ -110,14 +110,10 @@ def chunk_windows(grams: list[bytes], chunk_len: int) -> list[list[bytes]]:
     return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]
 
 
-def tally_windows(grams: list[bytes], chunk_len: int) -> WindowCounts:
-    """Count a payload's sliced windows, whole-payload and per `chunk_windows` chunk."""
-    return WindowCounts(Counter(grams), list(map(Counter, chunk_windows(grams, chunk_len))))
-
-
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
-    """Count every window in the chunk of its first byte: `slice_windows`, then `tally_windows`."""
-    return tally_windows(slice_windows(payload, cfg)[0], cfg.chunk_len)
+    """Count every window, whole-payload and in the `chunk_windows` chunk of its first byte."""
+    grams = slice_windows(payload, cfg)[0]
+    return WindowCounts(Counter(grams), list(map(Counter, chunk_windows(grams, cfg.chunk_len))))
 
 
 def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:

@@ -29,7 +29,6 @@ from .model import (
     TrafficModel,
     deviates,
     featurize,
-    usual_at_one,
 )
 
 LEGIT = "legit"
@@ -147,10 +146,10 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
       leave it alone, rule 3 at its count in each chunk. The sets then skip it.
     - An n-gram that occurs once occurs in one chunk, so each rule is a
       fixed yes/no per (class, n-gram, chunk), decided at count 1.
-      `pckad.model.usual_at_one` decides them once per class and model, by
-      `deviates` at x = 1, into the model's cache of the same name. a_off
-      loses those in the class's payload set, and a_on those in their own
-      chunk's set: one set intersection per chunk.
+      `TrafficModel.usual_at_one`, a cached property, decides them by
+      `deviates` at x = 1 for every class on the model's first judgement.
+      a_off loses those in the class's payload set, and a_on those in their
+      own chunk's set: one set intersection per chunk.
 
     Each chunk's windows come from `chunking.chunk_windows`, as in training.
     Only the sums are kept: a caller that wants each n-gram's share asks
@@ -189,9 +188,9 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
                         if deviates(mean, std, x, alpha, th_s):
                             a_on += x
         in_chunks = [[w for w in windows if w not in repeats] for windows in in_chunks]
-    usual, usual_in_chunk = model.usual_at_one.get(key) or usual_at_one(model, key)
-    for usual_here, windows in zip(usual_in_chunk, in_chunks):
-        a_on -= len(usual_here.intersection(windows))
+    usual, usual_in_chunk, usual_rest = model.usual_at_one[key]
+    for j, windows in enumerate(in_chunks):
+        a_on -= len(usual_in_chunk.get(j, usual_rest).intersection(windows))
     return Outcome(None, tot_seqs, a_on, a_off - len(usual.intersection(once)))
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .chunking import ChunkingConfig, WindowCounts, slice_windows, tally_windows
+from .chunking import ChunkingConfig, chunk_windows, slice_windows
 from .corpus import PacketRecord, check_port
 from .errors import CorpusError, ModelFormatError
 from .protocols import Malformed, Protocol, extract_relevant
@@ -106,51 +108,55 @@ class TrafficModel:
     th_s: float
     classes: dict[ClassKey, ClassModel]
     summary: TrainingSummary | None = field(default=None, compare=False)
-    # class key -> the sets `usual_at_one` builds for that class at this
-    # alpha and th_s, on the class's first judgement. Neither compared nor
-    # saved; not an init field, so a model made by `dataclasses.replace`
-    # starts empty, and the model is frozen, so no setting changes under it.
-    usual_at_one: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_model_settings(self.port, self.alpha, self.th_s)
+
+    @cached_property
+    def usual_at_one(self) -> dict[ClassKey, tuple[set, dict[int, set], set]]:
+        """Per class, the n-grams whose single occurrence no rule marks: (payload, chunks, rest).
+
+        payload holds the n-grams that rules 1-2 leave alone at count 1: those
+        with an entry that `deviates` clears at x = 1. chunks[j] holds those of
+        them that rule 3 also leaves alone at count 1 in chunk j, for each j
+        that one of them has an entry in. In every other chunk they all read
+        as ABSENT_CHUNK, so its set is rest: payload if that is usual at count
+        1, else empty. Only existing chunk entries are visited, so the build
+        costs nothing per chunk: a model file's chunk count is not trusted.
+
+        Built at this alpha and th_s on the first read. Not a field: neither
+        compared, shown nor saved, and `dataclasses.replace` builds anew.
+        """
+        alpha, th_s = self.alpha, self.th_s
+        absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)
+        sets = {}
+        for key, cls in self.classes.items():
+            usual = {gram: chunks for gram, (mean, std, chunks) in cls.stats.items()
+                     if not deviates(mean, std, 1, alpha, th_s)}
+            payload = set(usual)
+            rest = payload if absent_usual else set()
+            per_chunk: dict[int, set[bytes]] = {}
+            for gram, chunks in usual.items():
+                for j, (mean, std) in chunks.items():
+                    here = per_chunk.get(j)
+                    if here is None:
+                        here = per_chunk[j] = set(rest)
+                    if deviates(mean, std, 1, alpha, th_s):
+                        here.discard(gram)
+                    else:
+                        here.add(gram)
+            sets[key] = payload, per_chunk, rest
+        return sets
 
 
 def deviates(mean: float, std: float, x: int, alpha: float, th_s: float) -> bool:
     """Whether x occurrences deviate beyond th_s from an entry's (mean, std).
 
     The smoothed deviation |mean - x| / (std + alpha) of rules 2 and 3. Training
-    prunes and `usual_at_one` builds the judge's sets by it at x = 1, and
-    `pckad.detector.judge` judges repeated n-grams by it at their counts.
+    prunes and `TrafficModel.usual_at_one` builds the judge's sets by it at
+    x = 1, and `pckad.detector.judge` judges repeated n-grams by it at their counts.
     """
     return abs(mean - x) / (std + alpha) > th_s
-
-
-def usual_at_one(model: TrafficModel, key: ClassKey) -> tuple[set[bytes], list[set[bytes]]]:
-    """Class key's n-grams whose single occurrence no rule marks: (whole payload, per chunk).
-
-    The set holds the n-grams that rules 1-2 leave alone at count 1: those
-    with an entry that `deviates` clears at x = 1. Entry j of the list holds
-    those of them that rule 3 also leaves alone at count 1 in chunk j, where
-    a chunk with no entry reads as ABSENT_CHUNK. Only the chunk entries that
-    exist are visited: when an absent chunk is usual at count 1, every
-    n-gram of the set starts in each chunk's set and the unusual entries
-    leave it; otherwise the usual entries join. The sets are stored in
-    `model.usual_at_one[key]` and returned.
-    """
-    alpha, th_s = model.alpha, model.th_s
-    usual = {gram: chunks for gram, (mean, std, chunks) in model.classes[key].stats.items()
-             if not deviates(mean, std, 1, alpha, th_s)}
-    absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)
-    per_chunk = [set(usual) if absent_usual else set() for _ in range(key.chunk_count)]
-    for gram, chunks in usual.items():
-        for j, (mean, std) in chunks.items():
-            if deviates(mean, std, 1, alpha, th_s):
-                per_chunk[j].discard(gram)
-            else:
-                per_chunk[j].add(gram)
-    sets = model.usual_at_one[key] = set(usual), per_chunk
-    return sets
 
 
 # the largest finite float: `x <= _FLOAT_MAX` fails for NaN, infinity and huge integers
@@ -234,8 +240,8 @@ def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
 class _ClassAccumulator:
     """Running sums sufficient for exact mean/population-std per n-gram.
 
-    sums holds one table per `WindowCounts` window list: sums[0] maps gram
-    -> [s1, s2] over the whole payload, and sums[1 + j] over chunk j.
+    sums holds one table per window list: sums[0] maps gram -> [s1, s2]
+    over the whole payload, and sums[1 + j] over chunk j's `chunk_windows`.
     """
 
     __slots__ = ("count", "sums")
@@ -244,11 +250,11 @@ class _ClassAccumulator:
         self.count = 0
         self.sums: list[dict[bytes, list[int]]] = [{} for _ in range(1 + chunk_count)]
 
-    def add(self, counts: WindowCounts, w: int) -> None:
-        """Count w samples with these counts: w*x into s1, w*x*x into s2."""
+    def add(self, grams: list[bytes], chunk_len: int, w: int) -> None:
+        """Count w samples of these windows: w*x into s1, w*x*x into s2, per window list."""
         self.count += w
-        for table, counted in zip(self.sums, [counts.totals, *counts.chunks]):
-            for gram, x in counted.items():
+        for table, windows in zip(self.sums, [grams, *chunk_windows(grams, chunk_len)]):
+            for gram, x in Counter(windows).items():
                 wx = w * x
                 cell = table.get(gram)
                 if cell is None:
@@ -319,7 +325,7 @@ def train(
             key, grams = features
             if key not in accumulators:
                 accumulators[key] = _ClassAccumulator(key.chunk_count)
-            accumulators[key].add(tally_windows(grams, chunking.chunk_len), w)
+            accumulators[key].add(grams, chunking.chunk_len, w)
             summary.trained += w
 
     memo = PayloadMemo()

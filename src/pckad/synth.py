@@ -20,11 +20,12 @@ in training.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 import re
 from dataclasses import dataclass
 
-from .chunking import DEFAULT_CHUNKING, ChunkingConfig, sliding_window_oracle
+from .chunking import DEFAULT_CHUNKING, ChunkingConfig, count_windows
 from .corpus import PacketRecord
 from .errors import InjectionError
 from .protocols import Protocol, protocol_for_port, request_target_span
@@ -145,18 +146,9 @@ def _inject_freq(payload: bytes, span: tuple[int, int], n: int) -> bytes:
 
 
 def _inject_location(payload: bytes, cfg: ChunkingConfig) -> bytes:
-    matches = list(_SWAP_TOKEN_RE.finditer(payload))
-    pair = None
-    for i in range(len(matches)):
-        for k in range(i + 1, len(matches)):
-            a, b = matches[i], matches[k]
-            if a.group(1) == b.group(1):
-                continue
-            if a.start(1) // cfg.chunk_len != b.start(1) // cfg.chunk_len:
-                pair = (a, b)
-                break
-        if pair:
-            break
+    pair = next(((a, b) for a, b in itertools.combinations(_SWAP_TOKEN_RE.finditer(payload), 2)
+                 if a.group(1) != b.group(1)
+                 and a.start(1) // cfg.chunk_len != b.start(1) // cfg.chunk_len), None)
     if pair is None:
         raise InjectionError("no pair of distinct swappable tokens in different chunks")
     a, b = pair
@@ -165,7 +157,7 @@ def _inject_location(payload: bytes, cfg: ChunkingConfig) -> bytes:
         + payload[a.end(1):b.start(1)] + payload[a.start(1):a.end(1)]
         + payload[b.end(1):]
     )
-    if sliding_window_oracle(swapped, cfg.n) != sliding_window_oracle(payload, cfg.n):
+    if count_windows(swapped, cfg).totals != count_windows(payload, cfg).totals:
         raise InjectionError(
             f"token swap would change the n={cfg.n} occurrence multiset; "
             "shared affixes are too short for this n"

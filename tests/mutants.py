@@ -37,8 +37,8 @@ MODEL = "src/pckad/model.py"
 DETECTOR = "src/pckad/detector.py"
 EVALUATE = "src/pckad/evaluate.py"
 
-# the deviation test of rules 2 and 3: training prunes by it, usual_at_one builds judge's
-# sets by it, and judge decides the n-grams that repeat by it
+# the deviation test of rules 2 and 3: training prunes by it, TrafficModel.usual_at_one
+# builds judge's sets by it, and judge decides the n-grams that repeat by it
 DEVIATES = "return abs(mean - x) / (std + alpha) > th_s"
 PER_GRAM_RULE_2 = "if mahalanobis_term(mean, std, x_total, alpha) > th_s:"
 PER_GRAM_RULE_3 = "if mahalanobis_term(mean, std, x, alpha) > th_s:"
@@ -107,10 +107,12 @@ MUTANTS = [
     *((">= everywhere in rules 2 and 3", DETECTOR, old, _ge(old)) for old in (
         PER_GRAM_RULE_2, PER_GRAM_RULE_3)),
     (">= everywhere in rules 2 and 3", MODEL, DEVIATES, _ge(DEVIATES)),
-    ("sets shared with a replaced model", MODEL,
-     "init=False, compare=False", "init=True, compare=False"),
-    ("sets in a compared field", MODEL,
-     "init=False, compare=False", "init=False, compare=True"),
+    # judge's sets are built at the model's own th_s, which `dataclasses.replace` may lower
+    ("sets at the default th_s", MODEL,
+     "alpha, th_s = self.alpha, self.th_s", "alpha, th_s = self.alpha, DEFAULT_TH_S"),
+    # a chunk with no entry reads as ABSENT_CHUNK, which is usual at count 1 when th_s * alpha >= 1
+    ("chunks without an entry judged unusual", MODEL,
+     "rest = payload if absent_usual else set()", "rest = set()"),
 ]
 
 # test_mutants.py checks that this table's old texts occur in the source, so

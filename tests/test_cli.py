@@ -80,26 +80,31 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flags, message", [
-        ("train", ["--alpha", "0"], "alpha must be > 0"),
-        ("train", ["--th-s", "0"], "th_s must be > 0"),
-        ("train", ["--port", "70000"], "port must be within [0, 65535]"),
-        ("sweep", ["--alpha", "0"], "alpha must be > 0"),
-        ("sweep", ["--th-s", "0"], "th_s must be > 0"),
-        ("sweep", ["--port", "70000"], "port must be within [0, 65535]"),
-        ("gen", ["--count", "-1"], "count must be >= 0"),
-        ("detect", ["--th-s", "0"], "th_s must be > 0"),
-        ("eval", ["--th-s", "0"], "th_s must be > 0"),
-        ("detect", ["--score-threshold", "130"], "score_threshold must be within [0, 100]"),
-        ("eval", ["--score-threshold", "-3"], "score_threshold must be within [0, 100]"),
+        pytest.param("train", ["--alpha", "0"], "alpha must be > 0", id="train-alpha-0"),
+        pytest.param("train", ["--th-s", "0"], "th_s must be > 0", id="train-th-s-0"),
+        pytest.param("train", ["--port", "70000"], "port must be within [0, 65535]",
+                     id="train-port-70000"),
+        pytest.param("sweep", ["--alpha", "0"], "alpha must be > 0", id="sweep-alpha-0"),
+        pytest.param("sweep", ["--th-s", "0"], "th_s must be > 0", id="sweep-th-s-0"),
+        pytest.param("sweep", ["--port", "70000"], "port must be within [0, 65535]",
+                     id="sweep-port-70000"),
+        pytest.param("gen", ["--count", "-1"], "count must be >= 0", id="gen-count-negative"),
+        pytest.param("detect", ["--th-s", "0"], "th_s must be > 0", id="detect-th-s-0"),
+        pytest.param("eval", ["--th-s", "0"], "th_s must be > 0", id="eval-th-s-0"),
+        pytest.param("detect", ["--score-threshold", "130"],
+                     "score_threshold must be within [0, 100]", id="detect-score-threshold-130"),
+        pytest.param("eval", ["--score-threshold", "-3"],
+                     "score_threshold must be within [0, 100]", id="eval-score-threshold-negative"),
         # NaN and infinity parse as floats; the range checks must refuse them
-        *[(command, [flag, value], message)
+        *[pytest.param(command, [flag, value], message, id=f"{command}{flag[1:]}-{value}")
           for command in ("train", "sweep")
           for flag, message in (("--alpha", "alpha must be > 0"), ("--th-s", "th_s must be > 0"))
           for value in ("nan", "inf")],
-        *[(command, ["--th-s", value], "th_s must be > 0")
+        *[pytest.param(command, ["--th-s", value], "th_s must be > 0", id=f"{command}-th-s-{value}")
           for command in ("detect", "eval") for value in ("nan", "inf")],
         # random.Random seeds with abs(seed), so -3 would write seed 3's corpus
-        ("gen", ["--count", "5", "--seed", "-3"], "seed must be >= 0"),
+        pytest.param("gen", ["--count", "5", "--seed", "-3"], "seed must be >= 0",
+                     id="gen-seed-negative"),
     ])
     def test_out_of_range_flag_is_usage_error_before_io(self, tmp_path, paths, capsys,
                                                         command, flags, message):

@@ -268,6 +268,8 @@ class TestFusedJudge:
 
 
 class TestUsualSets:
+    """`TrafficModel.usual_at_one` is a cached property, built at its own model's settings."""
+
     def test_sets_never_outlive_their_settings(self, tmp_path):
         """A model judges at its own th_s, after the model it was replaced from has judged."""
         model = train(iter(gen_legit(GenSpec(Protocol.FTP, 400, seed=41))),
@@ -289,12 +291,14 @@ class TestUsualSets:
         at_model = judged(model)
         lower = dataclasses.replace(model, th_s=1.0)  # made after model built its sets
         at_lower = judged(lower)
-        assert model.usual_at_one and lower.usual_at_one
+        assert model.usual_at_one.keys() == lower.usual_at_one.keys() == model.classes.keys()
         # the lower th_s judges otherwise some payloads that the sets alone decide
         assert any(high != low and not repeats_a_window(model, rec.payload)
                    for rec, high, low in zip(test, at_model, at_lower))
-        # the sets are neither compared nor saved
+        # the sets are no field: neither compared, shown nor saved
+        assert "usual_at_one" not in {f.name for f in dataclasses.fields(TrafficModel)}
         assert load_model(tmp_path / "model") == model
+        assert "usual_at_one" not in repr(model)
         # nor can a setting change under them
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.th_s = 1.0

@@ -25,6 +25,7 @@ from pckad import (
     train,
     write_jsonl,
 )
+from pckad.detector import Outcome, judge
 from pckad.model import featurize
 
 from helpers import ftp_model, ftp_records, reference_counts
@@ -522,6 +523,14 @@ class TestLoadRejections:
         _cls(doc)["nck_total"] = 10**400
         model = load_model(self.write(tmp_path, doc))
         assert model.classes[ClassKey(21, 10**400)].stats[b"US"].chunks == {0: (1.0, 0.0)}
+
+    def test_chunk_count_beyond_float_range_judges(self, tmp_path):
+        """The first judgement builds every class's sets: a chunk count costs nothing there."""
+        doc = _valid_doc()
+        doc["classes"].append(dict(copy.deepcopy(_cls(doc)), nck_total=10**400))
+        model = load_model(self.write(tmp_path, doc))
+        # one chunk of 5 windows: "US" is usual at count 1 there, the other 4 never seen
+        assert judge(model, b"USER\r\n") == Outcome(None, 5, 4, 4)
 
     def test_deep_nesting_rejected(self, tmp_path):
         path = tmp_path / "m.model"
