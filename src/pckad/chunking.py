@@ -11,18 +11,22 @@ hands each chunk its windows. It is the one place that assigns a window to
 a chunk: training and the detector both take each chunk's windows from it.
 `count_windows` slices and counts the windows, over the payload and per
 chunk. Training, scoring and the sweep all slice through `slice_windows`
-(in `model.featurize`). Training counts every payload's window lists
-itself (`model._ClassAccumulator.add`). The detector counts a payload only
-when it repeats a window, and judges only the repeated n-grams at their
-counts (see `detector.judge`). `split_chunks` (chunk spans) and
-`extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
-result, and nothing in the package calls them. They stay because the
-benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,
-though it never calls them: without either one, the first traced round of
-`bench/run.py --trace 1` raises AttributeError, and the run exits 1 with no
-result (`bench: no complete round`). The tests run such a round
-(`bench/test_smoke.py`), and so does CI's full-scale benchmark step. They
-can go once the tracer binds the stages that run instead (see ROADMAP.md).
+(in `model.featurize`). `distinct_windows` tells whether a payload
+repeats a window, for training and the detector alike. Training counts
+every payload's window lists itself (`model._ClassAccumulator.add`): a
+single sample that repeats no window with one C-level count per list,
+since each of its counts is 1, and any other with a `Counter` per list.
+The detector counts a payload only when it repeats a window, and judges
+only the repeated n-grams at their counts (see `detector.judge`).
+`split_chunks` (chunk spans) and `extract_ngrams` (`count_windows`' counts
+grouped per n-gram) restate that result, and nothing in the package calls
+them. They stay because the benchmark's tracer (`bench/tracing.py`,
+`TRACED`) binds both by name, though it never calls them: without either
+one, the first traced round of `bench/run.py --trace 1` raises
+AttributeError, and the run exits 1 with no result (`bench: no complete
+round`). The tests run such a round (`bench/test_smoke.py`), and so does
+CI's full-scale benchmark step. They can go once the tracer binds the
+stages that run instead (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -108,6 +112,18 @@ def chunk_windows(grams: list[bytes], chunk_len: int) -> list[list[bytes]]:
     Window i starts at byte i, so it lands in the chunk of its first byte.
     """
     return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]
+
+
+def distinct_windows(grams: list[bytes]) -> tuple[set[bytes], bool]:
+    """The set of the windows, and whether each window occurs once: the payload repeats none.
+
+    The one test of a repeated window. Training counts a single sample that
+    repeats none with one C-level count per window list
+    (`model._ClassAccumulator.add`), and `detector.judge` judges a payload
+    that repeats none by the class's sets alone.
+    """
+    distinct = set(grams)
+    return distinct, len(distinct) == len(grams)
 
 
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:

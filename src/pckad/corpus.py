@@ -95,7 +95,8 @@ class PacketRecord:
 
     @property
     def is_attack(self) -> bool:
-        return attack_instance_of(self.label) is not None
+        # `validate_label` admits only "legit" and "attack:<id>": no slice per record
+        return self.label is not None and self.label != "legit"
 
 
 @dataclass(frozen=True)

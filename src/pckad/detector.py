@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import chunk_windows
+from .chunking import chunk_windows, distinct_windows
 from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
@@ -141,7 +141,8 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
     `anomalous_occurrences` summed over the payload's n-grams gives. Both
     sums start at every window and lose the occurrences no rule marks.
 
-    - An n-gram that repeats (only then is the payload counted) is judged by
+    - An n-gram that repeats (only then is the payload counted; training
+      makes the same `chunking.distinct_windows` test) is judged by
       `pckad.model.deviates`: rules 1-2 at its payload count x, and if they
       leave it alone, rule 3 at its count in each chunk. The sets then skip it.
     - An n-gram that occurs once occurs in one chunk, so each rule is a
@@ -164,9 +165,9 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
         return Outcome(NO_MODEL)
     tot_seqs = len(grams)
     a_on = a_off = tot_seqs
-    once = set(grams)
+    once, all_once = distinct_windows(grams)
     in_chunks = chunk_windows(grams, model.chunking.chunk_len)
-    if len(once) < tot_seqs:
+    if not all_once:
         alpha, th_s = model.alpha, model.th_s
         repeats = {gram: x for gram, x in Counter(grams).items() if x > 1}
         once.difference_update(repeats)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .chunking import ChunkingConfig, chunk_windows, slice_windows
+from .chunking import ChunkingConfig, chunk_windows, distinct_windows, slice_windows
 from .corpus import PacketRecord, check_port
 from .errors import CorpusError, ModelFormatError
 from .protocols import Malformed, Protocol, extract_relevant
@@ -240,48 +240,66 @@ def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
 class _ClassAccumulator:
     """Running sums sufficient for exact mean/population-std per n-gram.
 
-    sums holds one table per window list: sums[0] maps gram -> [s1, s2]
-    over the whole payload, and sums[1 + j] over chunk j's `chunk_windows`.
+    sums holds one (s1, extra) pair of dicts per window list: sums[0] over
+    the whole payload, and sums[1 + j] over chunk j's `chunk_windows`. An
+    n-gram that w samples hold x times in a list adds w*x to its s1 and
+    w*x*(x - 1) to its extra. So the sum of squares, s2 = sum of w*x*x, is
+    s1 + extra. Only a repeated window has x > 1, so extra stays sparse.
     """
 
     __slots__ = ("count", "sums")
 
     def __init__(self, chunk_count: int):
         self.count = 0
-        self.sums: list[dict[bytes, list[int]]] = [{} for _ in range(1 + chunk_count)]
+        self.sums: list[tuple[dict[bytes, int], dict[bytes, int]]] = [
+            ({}, {}) for _ in range(1 + chunk_count)
+        ]
 
     def add(self, grams: list[bytes], chunk_len: int, w: int) -> None:
-        """Count w samples of these windows: w*x into s1, w*x*x into s2, per window list."""
+        """Count w samples of these windows, per window list, in one of two forms.
+
+        One sample that repeats no window (`chunking.distinct_windows`) holds
+        each window once, so s1 gains 1 per window and extra nothing: one
+        C-level count per list. Any other is counted per list with a Counter:
+        s1 gains w*x, and a repeated window adds its excess to extra.
+        """
         self.count += w
-        for table, windows in zip(self.sums, [grams, *chunk_windows(grams, chunk_len)]):
+        lists = zip(self.sums, [grams, *chunk_windows(grams, chunk_len)])
+        if w == 1 and distinct_windows(grams)[1]:
+            for (s1, _), windows in lists:
+                # Counter.update counts into any dict, in C. s1 is a plain dict because the
+                # loop below assigns its items, which take about 3.7x as long on a Counter
+                Counter.update(s1, windows)
+            return
+        for (s1, extra), windows in lists:
+            s1_get = s1.get
             for gram, x in Counter(windows).items():
                 wx = w * x
-                cell = table.get(gram)
-                if cell is None:
-                    cell = table[gram] = [0, 0]
-                cell[0] += wx
-                cell[1] += wx * x
+                s1[gram] = s1_get(gram, 0) + wx
+                if x > 1:
+                    extra[gram] = extra.get(gram, 0) + wx * (x - 1)
 
     def finalize(self, alpha: float, th_s: float) -> ClassModel:
         """The class's statistics, leaving out the entries that can change no verdict.
 
+        Each list's s2 reads as s1 + extra, 0 for an n-gram with no extra.
         An n-gram with mean <= 1 that `deviates` at x = 1 deviates further at
         any count x >= 1 (x - mean cannot fall as x grows, in floats too). So
         rule 2 marks all its occurrences, exactly as rule 1 marks an n-gram
         with no entry, at th_s and at any lower th_s.
         """
         k = self.count
-        payload = self.sums[0]
+        payload, extra = self.sums[0]
         stats: dict[bytes, NGramStats] = {}
-        for gram, (s1, s2) in payload.items():
-            mean, std = _mean_std(s1, s2, k)
+        for gram, s1 in payload.items():
+            mean, std = _mean_std(s1, s1 + extra.get(gram, 0), k)
             if mean <= 1 and deviates(mean, std, 1, alpha, th_s):
                 continue
             stats[gram] = NGramStats(mean, std, {})
-        for j, table in enumerate(self.sums[1:]):
-            for gram, (c1, c2) in table.items():
+        for j, (chunk, extra) in enumerate(self.sums[1:]):
+            for gram, c1 in chunk.items():
                 if gram in stats:
-                    stats[gram].chunks[j] = _mean_std(c1, c2, k)
+                    stats[gram].chunks[j] = _mean_std(c1, c1 + extra.get(gram, 0), k)
         return ClassModel(sample_count=k, stats=stats, pruned=len(payload) - len(stats))
 
 

@@ -60,8 +60,22 @@ MUTANTS = [
     ("sample std", MODEL,
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k))",
      "return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * max(k - 1, 1)))"),
-    # one statement of each running sum serves the payload's table and every chunk's
-    ("weighted s2 as (w*x)^2", MODEL, "cell[1] += wx * x", "cell[1] += wx * wx"),
+    # add counts a sample in one of two forms, each with one statement per running sum that
+    # serves the payload's list and every chunk's; only a weighted repeat shows the first row
+    ("weighted s2 as (w*x)^2", MODEL,
+     "extra.get(gram, 0) + wx * (x - 1)", "extra.get(gram, 0) + wx * (wx - 1)"),
+    ("the repeats' excess written as w*x*x", MODEL,
+     "extra.get(gram, 0) + wx * (x - 1)", "extra.get(gram, 0) + wx * x"),
+    ("distinct windows counted whole in each chunk", MODEL,
+     "Counter.update(s1, windows)", "Counter.update(s1, grams)"),
+    ("a weighted distinct sample counted as w = 1", MODEL,
+     "if w == 1 and distinct_windows(grams)[1]:", "if distinct_windows(grams)[1]:"),
+    ("repeats at w = 1 counted without their excess", MODEL,
+     "if w == 1 and distinct_windows(grams)[1]:", "if w == 1:"),
+    # training and judge share the one test of a repeated window
+    ("one repeated window taken for none", CHUNKING,
+     "return distinct, len(distinct) == len(grams)",
+     "return distinct, len(distinct) >= len(grams) - 1"),
     ("chunk tables shifted one list", MODEL,
      "enumerate(self.sums[1:])", "enumerate(self.sums[:-1])"),
     # one test serves rules 2 and 3, pruning and judge's sets and repeats alike

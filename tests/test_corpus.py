@@ -49,6 +49,11 @@ class TestPacketRecord:
         assert not legit.is_attack
         assert attack_instance_of(legit.label) is None
 
+    @pytest.mark.parametrize("label", [None, "legit", "attack:x"])
+    def test_is_attack_agrees_with_the_attack_instance(self, label):
+        rec = PacketRecord(id=0, dst_port=21, payload=b"x", label=label)
+        assert rec.is_attack == (attack_instance_of(label) is not None)
+
 
 class TestJsonl:
     def test_single_record(self, tmp_path):

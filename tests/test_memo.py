@@ -46,6 +46,8 @@ from pckad.detector import judge
 from pckad.evaluate import _fold, _outcomes
 from pckad.model import MEMO_ENTRY_BYTES, PayloadMemo, featurize
 
+from helpers import ftp_records, unpruned_model
+
 PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
 CHUNKING = ChunkingConfig(3, 15)
 OTHER_PORT = 8080
@@ -275,7 +277,44 @@ def layout(model):
     return [(key, list(cls.stats)) for key, cls in model.classes.items()]
 
 
+# `_ClassAccumulator.add`'s cases, (weighted, repeats a window) -> FTP payloads of that case:
+# each payload comes once when unweighted and three times when weighted, at n = 2 and 3
+ADD_CASES = {
+    (False, False): [b"USER alice\r\n", b"CWD /pub/src\r\n", b"PASS hunter2\r\n"],
+    (False, True): [b"RETR aaaaaa\r\n", b"MKD abab/abab\r\n", b"NLST -l -l\r\n"],
+    (True, False): [b"USER bob\r\n", b"CWD /tmp/xyz\r\n", b"TYPE I\r\n"],
+    (True, True): [b"STOR ababab\r\n", b"DELE zzzz\r\n", b"LIST -a -a\r\n"],
+}
+
+
+def case_id(cases):
+    return "+".join(f"w{'>' if w else '='}1-{'repeats' if r else 'distinct'}" for w, r in cases)
+
+
 class TestGroupedTraining:
+    @pytest.mark.parametrize("chunking", [CHUNKING, ChunkingConfig(2, 7)], ids=str)
+    @pytest.mark.parametrize("which", ["default", "none"])
+    @pytest.mark.parametrize("cases", [list(ADD_CASES), *([case] for case in ADD_CASES)],
+                             ids=case_id)
+    def test_each_case_of_add_keeps_exact_entries(self, cases, which, chunking, budget,
+                                                  monkeypatch):
+        payloads = [p for case in cases for p in ADD_CASES[case] for _ in range(1 + 2 * case[0])]
+        records = ftp_records(random.Random(27).sample(payloads, len(payloads)))
+        apply(budget, which)
+        added = counting(monkeypatch, model_module._ClassAccumulator, "add")
+        model = trained(Protocol.FTP, records, chunking)
+
+        # (self, grams, chunk_len, w): the budget of none holds no repeat, so every w is 1
+        reached = {(w > 1, len(set(grams)) < len(grams)) for _, grams, _, w in added}
+        assert reached == {(False, r) if which == "none" else (w, r) for w, r in cases}
+        full = unpruned_model(records, Protocol.FTP, chunking)
+        assert model.classes.keys() == full.classes.keys()
+        for key, cls in model.classes.items():
+            ref = full.classes[key]
+            assert cls.sample_count == ref.sample_count
+            assert cls.stats and cls.stats == {g: ref.stats[g] for g in cls.stats}
+            assert cls.pruned == len(ref.stats) - len(cls.stats)
+
     @pytest.mark.parametrize("chunking", [CHUNKING, ChunkingConfig(2, 7)])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_one_entry_budget_builds_the_same_model(self, protocol, chunking, budget,
