@@ -23,6 +23,7 @@ from .detector import (
     ALERT_KINDS,
     DetectionSummary,
     DetectorConfig,
+    Scorer,
     Verdict,
     anomalous_occurrences,
     detect_stream,
@@ -95,6 +96,7 @@ __all__ = [
     "PckadError",
     "Protocol",
     "RelevantPayload",
+    "Scorer",
     "SweepRow",
     "TrafficFilter",
     "TrafficModel",

@@ -7,7 +7,6 @@ error, and 3 from `detect` when at least one alert was emitted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import ipaddress
 import os
 import sys
@@ -15,14 +14,13 @@ from pathlib import Path
 
 from .chunking import DEFAULT_CHUNKING, ChunkingConfig
 from .corpus import TrafficFilter, decimal, read_jsonl, read_pcap, real, write_jsonl
-from .detector import DetectionSummary, DetectorConfig, detect_stream, verdict_line
+from .detector import DetectionSummary, DetectorConfig, Scorer, detect_stream, verdict_line
 from .errors import PckadError
 from .evaluate import GridSpec, LabelSet, evaluate, sweep, write_sweep_csv
 from .model import (
     DEFAULT_ALPHA,
     DEFAULT_TH_S,
     check_model_settings,
-    check_th_s_override,
     load_model,
     save_model,
     train,
@@ -245,17 +243,15 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(args):
-    """Check the scoring flags, then load the model (--th-s lowers its th_s) and the corpus."""
+    """Check the scoring flags, then load the model, its Scorer at --th-s, and the corpus."""
     if args.score_threshold is not None:
         _checked(DetectorConfig, args.score_threshold)
     _checked(lambda: check_model_settings(th_s=args.th_s))
     read = _corpus(args.infile, args.pcap_filter)
     model = load_model(args.model)
-    if args.th_s is not None:
-        _checked(check_th_s_override, model, args.th_s)
-        model = dataclasses.replace(model, th_s=args.th_s)
+    scorer = _checked(Scorer, model, args.th_s)
     cfg = DetectorConfig.for_model(model, args.score_threshold, chunks_enabled=not args.no_chunks)
-    return model, cfg, read(model.port)
+    return scorer, cfg, read(model.port)
 
 
 def _labels(path: str | None, records: list) -> LabelSet:
@@ -281,11 +277,11 @@ def _refuse_overwrite(out_flag: str, out: str | None, *inputs) -> None:
 
 def _cmd_detect(args) -> int:
     _refuse_overwrite("--alerts", args.alerts, ("--in", args.infile), ("--model", args.model))
-    model, cfg, records = _scoring_inputs(args)
+    scorer, cfg, records = _scoring_inputs(args)
     summary = DetectionSummary()
     out = open(args.alerts, "w", encoding="utf-8") if args.alerts else sys.stdout
     try:
-        for rec_id, verdict in detect_stream(model, records, cfg, summary):
+        for rec_id, verdict in detect_stream(scorer, records, cfg, summary):
             out.write(verdict_line(rec_id, verdict) + "\n")
     finally:
         if args.alerts:
@@ -301,17 +297,17 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, cfg, records = _scoring_inputs(args)
+    scorer, cfg, records = _scoring_inputs(args)
     records = list(records)
-    report = evaluate(model, records, _labels(args.labels, records), cfg)
+    report = evaluate(scorer, records, _labels(args.labels, records), cfg)
     dr = "undefined" if report.dr is None else f"{report.dr:.3f}%"
     fpr = "undefined" if report.fpr is None else f"{report.fpr:.3f}%"
     print(f"detection rate: {dr} ({report.instances_detected}/{report.instances_total} instances)")
     print(f"false-positive rate: {fpr} ({report.false_alerts}/{report.legit_packets} legit packets)")
     print(f"unclassifiable legit packets excluded from the false-positive rate: {report.unclassifiable}")
     print(
-        f"config: n={model.chunking.n} chunk_len={model.chunking.chunk_len} "
-        f"alpha={model.alpha} th_s={model.th_s} score_threshold={cfg.score_threshold} "
+        f"config: n={scorer.chunking.n} chunk_len={scorer.chunking.chunk_len} "
+        f"alpha={scorer.alpha} th_s={scorer.th_s} score_threshold={cfg.score_threshold} "
         f"chunks={'on' if cfg.chunks_enabled else 'off'}"
     )
     return 0

@@ -11,7 +11,8 @@ occurrences are anomalous when:
 
 The packet's score is the percentage of anomalous occurrences; it alerts
 when the score strictly exceeds the protocol threshold. Packets whose class
-has no model alert too: traffic unlike anything seen in training.
+has no model alert too: traffic unlike anything seen in training. Every
+judgement reads one `Scorer`: a model at its own th_s or a lower one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     NGramStats,
     PayloadMemo,
     TrafficModel,
+    check_model_settings,
     deviates,
     featurize,
 )
@@ -42,7 +44,7 @@ ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED, NO_MODEL})
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """How verdicts are drawn from a packet's judgement; th_s and alpha are the model's."""
+    """How verdicts are drawn from a packet's judgement; th_s and alpha are the Scorer's."""
 
     score_threshold: float
     chunks_enabled: bool = field(default=True, kw_only=True)
@@ -134,8 +136,56 @@ class Outcome(NamedTuple):
         return Verdict(kind, a_seqs / self.tot_seqs * 100.0, a_seqs, self.tot_seqs)
 
 
-def judge(model: TrafficModel, payload: bytes) -> Outcome:
-    """Featurize one on-port payload and apply the per-gram rules once, at model.th_s.
+class Scorer:
+    """Everything one judgement reads: one model's settings, judged at one th_s.
+
+    th_s defaults to the model's own. Training left out only entries that
+    rule 2 flags at any count, so a lower th_s is sound; a higher one is
+    refused (ValueError), as is one out of range.
+
+    classes maps each class key to (stats, usual, usual_in_chunk, rest), the
+    n-grams whose single occurrence no rule marks: usual those that `deviates`
+    clears at x = 1, usual_in_chunk[j] those that rule 3 also leaves alone in
+    chunk j, for each j where one of them has an entry, and rest those in any
+    other chunk, where they all read as ABSENT_CHUNK: usual, or none. Only
+    existing chunk entries are visited: a model file's chunk count is not trusted.
+    """
+
+    __slots__ = ("protocol", "port", "chunking", "alpha", "th_s", "classes")
+
+    def __init__(self, model: TrafficModel, th_s: float | None = None):
+        th_s = model.th_s if th_s is None else th_s
+        check_model_settings(th_s=th_s)
+        if th_s > model.th_s:
+            raise ValueError(
+                f"th_s {th_s} is above the model's th_s {model.th_s}; "
+                f"retrain the model at th_s {th_s} to judge at it"
+            )
+        self.protocol, self.port, self.chunking = model.protocol, model.port, model.chunking
+        alpha = self.alpha = model.alpha
+        self.th_s = th_s
+        absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)
+        self.classes = {}
+        for key, cls in model.classes.items():
+            usual_chunks = {gram: chunks for gram, (mean, std, chunks) in cls.stats.items()
+                            if not deviates(mean, std, 1, alpha, th_s)}
+            usual = set(usual_chunks)
+            rest = usual if absent_usual else set()
+            per_chunk: dict[int, set[bytes]] = {}
+            for gram, chunks in usual_chunks.items():
+                for j, (mean, std) in chunks.items():
+                    here = per_chunk.get(j)
+                    if here is None:
+                        here = per_chunk[j] = set(rest)
+                    if deviates(mean, std, 1, alpha, th_s):
+                        here.discard(gram)
+                    else:
+                        here.add(gram)
+            self.classes[key] = cls.stats, usual, per_chunk, rest
+
+
+def judge(scorer: Scorer, payload: bytes) -> Outcome:
+    """Featurize one on-port payload and apply the per-gram rules once, at scorer.th_s.
 
     The outcome serves both chunk modes: it is the `Outcome` that
     `anomalous_occurrences` summed over the payload's n-grams gives. Both
@@ -145,35 +195,32 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
       makes the same `chunking.distinct_windows` test) is judged by
       `pckad.model.deviates`: rules 1-2 at its payload count x, and if they
       leave it alone, rule 3 at its count in each chunk. The sets then skip it.
-    - An n-gram that occurs once occurs in one chunk, so each rule is a
-      fixed yes/no per (class, n-gram, chunk), decided at count 1.
-      `TrafficModel.usual_at_one`, a cached property, decides them by
-      `deviates` at x = 1 for every class on the model's first judgement.
-      a_off loses those in the class's payload set, and a_on those in their
-      own chunk's set: one set intersection per chunk.
+    - An n-gram that occurs once, in one chunk, is decided by the scorer's
+      sets at count 1: a_off loses those in the class's usual set, and a_on
+      those in their own chunk's set, one set intersection per chunk.
 
     Each chunk's windows come from `chunking.chunk_windows`, as in training.
-    Only the sums are kept: a caller that wants each n-gram's share asks
-    `anomalous_occurrences`.
+    A caller that wants each n-gram's share asks `anomalous_occurrences`.
     """
-    features = featurize(payload, model.protocol, model.port, model.chunking)
+    features = featurize(payload, scorer.protocol, scorer.port, scorer.chunking)
     if isinstance(features, str):
         return Outcome(MALFORMED if features == "malformed" else UNCLASSIFIABLE)
     key, grams = features
-    cls = model.classes.get(key)
-    if cls is None:
+    entry = scorer.classes.get(key)
+    if entry is None:
         return Outcome(NO_MODEL)
+    by_gram, usual, usual_in_chunk, usual_rest = entry
     tot_seqs = len(grams)
     a_on = a_off = tot_seqs
     once, all_once = distinct_windows(grams)
-    in_chunks = chunk_windows(grams, model.chunking.chunk_len)
+    in_chunks = chunk_windows(grams, scorer.chunking.chunk_len)
     if not all_once:
-        alpha, th_s = model.alpha, model.th_s
+        alpha, th_s = scorer.alpha, scorer.th_s
         repeats = {gram: x for gram, x in Counter(grams).items() if x > 1}
         once.difference_update(repeats)
         to_rule_3 = {}  # repeated n-gram -> its chunk stats, when rules 1-2 leave it alone
         for gram, x in repeats.items():
-            stats = cls.stats.get(gram)
+            stats = by_gram.get(gram)
             if stats is not None:
                 mean, std, chunks = stats
                 if not deviates(mean, std, x, alpha, th_s):
@@ -189,19 +236,18 @@ def judge(model: TrafficModel, payload: bytes) -> Outcome:
                         if deviates(mean, std, x, alpha, th_s):
                             a_on += x
         in_chunks = [[w for w in windows if w not in repeats] for windows in in_chunks]
-    usual, usual_in_chunk, usual_rest = model.usual_at_one[key]
     for j, windows in enumerate(in_chunks):
         a_on -= len(usual_in_chunk.get(j, usual_rest).intersection(windows))
     return Outcome(None, tot_seqs, a_on, a_off - len(usual.intersection(once)))
 
 
-def score_packet(model: TrafficModel, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
+def score_packet(scorer: Scorer, record: PacketRecord, cfg: DetectorConfig) -> Verdict:
     """Classify one packet; a record for another port than the model's is a ValueError."""
-    if record.dst_port != model.port:
+    if record.dst_port != scorer.port:
         raise ValueError(
-            f"record {record.id} is for port {record.dst_port}, model is for {model.port}"
+            f"record {record.id} is for port {record.dst_port}, model is for {scorer.port}"
         )
-    return judge(model, record.payload).verdict(cfg)
+    return judge(scorer, record.payload).verdict(cfg)
 
 
 @dataclass
@@ -225,7 +271,7 @@ class DetectionSummary:
 
 
 def detect_stream(
-    model: TrafficModel,
+    scorer: Scorer | TrafficModel,
     records: Iterable[PacketRecord],
     cfg: DetectorConfig,
     summary: DetectionSummary,
@@ -236,16 +282,21 @@ def detect_stream(
     its repeats get the same verdict. The summary tallies the verdicts of
     every record, and the records for other ports as skipped, while the
     stream is consumed.
+
+    A TrafficModel is judged as `Scorer(model)`, built at the stream's first
+    step. Only `bench/run.py` passes one; once it passes a Scorer, that can go.
     """
+    if isinstance(scorer, TrafficModel):
+        scorer = Scorer(scorer)
     memo = PayloadMemo()
     judged = memo.entries.get
     for rec in records:
-        if rec.dst_port != model.port:
+        if rec.dst_port != scorer.port:
             summary.skipped_other_port += 1
             continue
         verdict = judged(rec.payload)
         if verdict is None:
-            verdict = score_packet(model, rec, cfg)
+            verdict = score_packet(scorer, rec, cfg)
             memo.put(rec.payload, verdict)
         setattr(summary, verdict.kind, getattr(summary, verdict.kind) + 1)
         yield rec.id, verdict

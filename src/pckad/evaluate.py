@@ -16,13 +16,12 @@ from typing import Iterable, Sequence
 
 from .chunking import ChunkingConfig
 from .corpus import PacketRecord, attack_instance_of, decimal, validate_label
-from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, judge
+from .detector import UNCLASSIFIABLE, DetectorConfig, Outcome, Scorer, judge
 from .errors import EvaluationError
 from .model import (
     DEFAULT_ALPHA,
     DEFAULT_TH_S,
     PayloadMemo,
-    TrafficModel,
     check_model_settings,
     train,
 )
@@ -100,7 +99,7 @@ class EvalReport:
 
 
 def _outcomes(
-    model: TrafficModel, records: Iterable[PacketRecord], labels: LabelSet
+    scorer: Scorer, records: Iterable[PacketRecord], labels: LabelSet
 ) -> list[tuple[str | None, Outcome]]:
     """(attack instance or None for legit, outcome) of every on-port record, in order.
 
@@ -110,14 +109,14 @@ def _outcomes(
     judged = memo.entries.get
     out = []
     for rec in records:
-        if rec.dst_port != model.port:
+        if rec.dst_port != scorer.port:
             continue
         label = labels.by_id.get(rec.id)
         if label is None:
-            raise EvaluationError(f"record {rec.id} on port {model.port} has no label")
+            raise EvaluationError(f"record {rec.id} on port {scorer.port} has no label")
         outcome = judged(rec.payload)
         if outcome is None:
-            outcome = judge(model, rec.payload)
+            outcome = judge(scorer, rec.payload)
             memo.put(rec.payload, outcome)
         out.append((attack_instance_of(label), outcome))
     return out
@@ -154,7 +153,7 @@ def _fold(outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig) -> Ev
 
 
 def evaluate(
-    model: TrafficModel,
+    scorer: Scorer,
     records: Iterable[PacketRecord],
     labels: LabelSet,
     cfg: DetectorConfig,
@@ -163,7 +162,7 @@ def evaluate(
 
     This is the one-cell case of `sweep`: the same outcomes, the same fold.
     """
-    return _fold(_outcomes(model, records, labels), cfg)
+    return _fold(_outcomes(scorer, records, labels), cfg)
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ def sweep(
                     alpha=alpha,
                     th_s=th_s,
                 )
-                outcomes = _outcomes(model, test_records, labels)
+                outcomes = _outcomes(Scorer(model), test_records, labels)
             for threshold in grid.score_thresholds:
                 for chunks_enabled in grid.chunk_modes:
                     report = None if outcomes is None else _fold(

@@ -19,7 +19,6 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .chunking import ChunkingConfig, chunk_windows, distinct_windows, slice_windows
@@ -112,49 +111,13 @@ class TrafficModel:
     def __post_init__(self):
         check_model_settings(self.port, self.alpha, self.th_s)
 
-    @cached_property
-    def usual_at_one(self) -> dict[ClassKey, tuple[set, dict[int, set], set]]:
-        """Per class, the n-grams whose single occurrence no rule marks: (payload, chunks, rest).
-
-        payload holds the n-grams that rules 1-2 leave alone at count 1: those
-        with an entry that `deviates` clears at x = 1. chunks[j] holds those of
-        them that rule 3 also leaves alone at count 1 in chunk j, for each j
-        that one of them has an entry in. In every other chunk they all read
-        as ABSENT_CHUNK, so its set is rest: payload if that is usual at count
-        1, else empty. Only existing chunk entries are visited, so the build
-        costs nothing per chunk: a model file's chunk count is not trusted.
-
-        Built at this alpha and th_s on the first read. Not a field: neither
-        compared, shown nor saved, and `dataclasses.replace` builds anew.
-        """
-        alpha, th_s = self.alpha, self.th_s
-        absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)
-        sets = {}
-        for key, cls in self.classes.items():
-            usual = {gram: chunks for gram, (mean, std, chunks) in cls.stats.items()
-                     if not deviates(mean, std, 1, alpha, th_s)}
-            payload = set(usual)
-            rest = payload if absent_usual else set()
-            per_chunk: dict[int, set[bytes]] = {}
-            for gram, chunks in usual.items():
-                for j, (mean, std) in chunks.items():
-                    here = per_chunk.get(j)
-                    if here is None:
-                        here = per_chunk[j] = set(rest)
-                    if deviates(mean, std, 1, alpha, th_s):
-                        here.discard(gram)
-                    else:
-                        here.add(gram)
-            sets[key] = payload, per_chunk, rest
-        return sets
-
 
 def deviates(mean: float, std: float, x: int, alpha: float, th_s: float) -> bool:
     """Whether x occurrences deviate beyond th_s from an entry's (mean, std).
 
     The smoothed deviation |mean - x| / (std + alpha) of rules 2 and 3. Training
-    prunes and `TrafficModel.usual_at_one` builds the judge's sets by it at
-    x = 1, and `pckad.detector.judge` judges repeated n-grams by it at their counts.
+    prunes and `pckad.detector.Scorer` builds the judge's sets by it at x = 1,
+    and `pckad.detector.judge` judges repeated n-grams by it at their counts.
     """
     return abs(mean - x) / (std + alpha) > th_s
 
@@ -206,26 +169,15 @@ class PayloadMemo:
 def check_model_settings(
     port: int | None = None, alpha: float | None = None, th_s: float | None = None
 ) -> None:
-    """Range-check the model settings given; None skips one. Raises ValueError."""
-    if port is not None:
-        check_port(port)
-    if alpha is not None and not 0 < alpha <= _FLOAT_MAX:
-        raise ValueError("alpha must be > 0")
-    if th_s is not None and not 0 < th_s <= _FLOAT_MAX:
-        raise ValueError("th_s must be > 0")
+    """Range-check the model settings given; None skips one. Raises ValueError.
 
-
-def check_th_s_override(model: TrafficModel, th_s: float) -> None:
-    """Refuse to judge a model at a th_s above the one it was trained at.
-
-    Training leaves out the entries that rule 2 flags at any count, which is
-    sound only at or below the trained th_s. Raises ValueError.
+    A bool is refused: saved as true or false, it would not load.
     """
-    if th_s > model.th_s:
-        raise ValueError(
-            f"th_s {th_s} is above the model's th_s {model.th_s}; "
-            f"retrain the model at th_s {th_s} to judge at it"
-        )
+    if port is not None:
+        check_port(-1 if isinstance(port, bool) else port)
+    for name, value in (("alpha", alpha), ("th_s", th_s)):
+        if value is not None and (isinstance(value, bool) or not 0 < value <= _FLOAT_MAX):
+            raise ValueError(f"{name} must be > 0")
 
 
 def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
@@ -286,7 +238,7 @@ class _ClassAccumulator:
         An n-gram with mean <= 1 that `deviates` at x = 1 deviates further at
         any count x >= 1 (x - mean cannot fall as x grows, in floats too). So
         rule 2 marks all its occurrences, exactly as rule 1 marks an n-gram
-        with no entry, at th_s and at any lower th_s.
+        with no entry, at th_s and at any lower th_s, the only ones a `Scorer` judges at.
         """
         k = self.count
         payload, extra = self.sums[0]

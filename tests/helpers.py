@@ -98,11 +98,12 @@ def reference_counts(payload, cfg):
     return sliding_window_oracle(payload, n), per_chunk, -(-len(payload) // chunk_len)
 
 
-def reference_verdict(model, payload, cfg):
+def reference_verdict(model, payload, cfg, th_s=None):
     """(kind, score, a_seqs, tot_seqs) of one on-port packet, from first principles.
 
-    Built from reference_counts and mahalanobis_term alone: no chunk layout,
-    no extract_ngrams, no anomalous_occurrences.
+    Judged at th_s, by default the model's own. Built from reference_counts
+    and mahalanobis_term alone: no chunk layout, no extract_ngrams, no
+    anomalous_occurrences.
     """
     from pckad import Malformed, extract_relevant, mahalanobis_term
 
@@ -119,15 +120,17 @@ def reference_verdict(model, payload, cfg):
     cls = model.classes.get((model.port, nck))
     if cls is None:
         return ("no_model", None, None, None)
+    if th_s is None:
+        th_s = model.th_s
     a_seqs = 0
     for gram, x in totals.items():
         st = cls.stats.get(gram)
-        if st is None or mahalanobis_term(st.mean, st.std, x, model.alpha) > model.th_s:
+        if st is None or mahalanobis_term(st.mean, st.std, x, model.alpha) > th_s:
             a_seqs += x
         elif cfg.chunks_enabled:
             for j, xj in per_chunk[gram].items():
                 mean, std = st.chunks.get(j, (0.0, 0.0))
-                if mahalanobis_term(mean, std, xj, model.alpha) > model.th_s:
+                if mahalanobis_term(mean, std, xj, model.alpha) > th_s:
                     a_seqs += xj
     score = a_seqs / tot * 100.0
     return ("anomalous" if score > cfg.score_threshold else "legit", score, a_seqs, tot)

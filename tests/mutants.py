@@ -37,8 +37,8 @@ MODEL = "src/pckad/model.py"
 DETECTOR = "src/pckad/detector.py"
 EVALUATE = "src/pckad/evaluate.py"
 
-# the deviation test of rules 2 and 3: training prunes by it, TrafficModel.usual_at_one
-# builds judge's sets by it, and judge decides the n-grams that repeat by it
+# the deviation test of rules 2 and 3: training prunes by it, the Scorer builds judge's
+# sets by it, and judge decides the n-grams that repeat by it
 DEVIATES = "return abs(mean - x) / (std + alpha) > th_s"
 PER_GRAM_RULE_2 = "if mahalanobis_term(mean, std, x_total, alpha) > th_s:"
 PER_GRAM_RULE_3 = "if mahalanobis_term(mean, std, x, alpha) > th_s:"
@@ -91,8 +91,8 @@ MUTANTS = [
      "if deviates(mean, std, x, alpha, th_s):", "if deviates(mean, std, repeats[gram], alpha, th_s):"),
     # an n-gram that occurs once has one occurrence to count, so only the repeats change
     ("an unseen n-gram counted once", DETECTOR,
-     "stats = cls.stats.get(gram)\n",
-     "stats = cls.stats.get(gram)\n            a_off -= (x - 1) * (stats is None)\n"),
+     "stats = by_gram.get(gram)\n",
+     "stats = by_gram.get(gram)\n            a_off -= (x - 1) * (stats is None)\n"),
     # a repeated n-gram judged by the sets too, once over the payload or once in each chunk
     ("repeats left in the payload's sets", DETECTOR, "once.difference_update(repeats)", "pass"),
     ("repeats left in the chunks' sets", DETECTOR,
@@ -121,12 +121,16 @@ MUTANTS = [
     *((">= everywhere in rules 2 and 3", DETECTOR, old, _ge(old)) for old in (
         PER_GRAM_RULE_2, PER_GRAM_RULE_3)),
     (">= everywhere in rules 2 and 3", MODEL, DEVIATES, _ge(DEVIATES)),
-    # judge's sets are built at the model's own th_s, which `dataclasses.replace` may lower
-    ("sets at the default th_s", MODEL,
-     "alpha, th_s = self.alpha, self.th_s", "alpha, th_s = self.alpha, DEFAULT_TH_S"),
+    # the Scorer builds judge's sets at its own th_s, which may be below the model's
+    ("the lowered th_s ignored", DETECTOR,
+     "absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)",
+     "th_s = model.th_s\n        absent_usual = not deviates(*ABSENT_CHUNK, 1, alpha, th_s)"),
+    # training left out entries that are sound to leave out only at or below its th_s
+    ("a th_s above the model's accepted", DETECTOR,
+     "if th_s > model.th_s:", "if th_s > 2 * model.th_s:"),
     # a chunk with no entry reads as ABSENT_CHUNK, which is usual at count 1 when th_s * alpha >= 1
-    ("chunks without an entry judged unusual", MODEL,
-     "rest = payload if absent_usual else set()", "rest = set()"),
+    ("chunks without an entry judged unusual", DETECTOR,
+     "rest = usual if absent_usual else set()", "rest = set()"),
 ]
 
 # test_mutants.py checks that this table's old texts occur in the source, so

@@ -20,6 +20,7 @@ from pckad import (
     GridSpec,
     LabelSet,
     Protocol,
+    Scorer,
     TrafficFilter,
     count_windows,
     evaluate,
@@ -159,9 +160,10 @@ def test_criterion_4_chunk_monotonicity(criterion, ftp_model):
         on = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
         off = DetectorConfig(score_threshold=40.0, chunks_enabled=False)
         compared = 0
+        scorer = Scorer(ftp_model)
         for rec in packets:
-            v_on = score_packet(ftp_model, rec, on)
-            v_off = score_packet(ftp_model, rec, off)
+            v_on = score_packet(scorer, rec, on)
+            v_off = score_packet(scorer, rec, off)
             assert v_on.kind in ("legit", "anomalous") and v_off.kind in ("legit", "anomalous")
             assert v_on.a_seqs >= v_off.a_seqs and v_on.score >= v_off.score
             compared += 1
@@ -201,6 +203,7 @@ def test_criterion_5_rule_targeting(criterion):
         packets = inject_corpus(packets, AnomalyKind.LOCATION_SHIFT, 100, seed=503)
 
         rates = {}
+        scorer = Scorer(model)
         for chunks_enabled in (True, False):
             cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=chunks_enabled)
             hits = Counter()
@@ -210,7 +213,7 @@ def test_criterion_5_rule_targeting(criterion):
                     continue
                 kind = attack_instance_of(rec.label).split("-")[0]
                 totals[kind] += 1
-                hits[kind] += score_packet(model, rec, cfg).kind in ALERT_KINDS
+                hits[kind] += score_packet(scorer, rec, cfg).kind in ALERT_KINDS
             assert sorted(totals.items()) == [("freq", 100), ("location", 100), ("unseen", 100)]
             rates[chunks_enabled] = {
                 kind: hits[kind] / totals[kind] * 100.0 for kind in totals
@@ -227,7 +230,7 @@ def test_criterion_6_false_positive_control(criterion, ftp_model, ftp_heldout_co
     with criterion("6", "FPR <= 1% on a held-out in-distribution corpus at protocol defaults"):
         labels = LabelSet(by_id={rec.id: "legit" for rec in ftp_heldout_corpus})
         cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
-        report = evaluate(ftp_model, ftp_heldout_corpus, labels, cfg)
+        report = evaluate(Scorer(ftp_model), ftp_heldout_corpus, labels, cfg)
         assert report.legit_packets > 0
         assert report.fpr is not None and report.fpr <= 1.0, f"FPR {report.fpr}"
 
@@ -287,7 +290,7 @@ def test_criterion_8_darpa_reproduction(criterion):
         )
         labels = LabelSet.from_csv(labels_csv)
         cfg = DetectorConfig(score_threshold=40.0, chunks_enabled=True)
-        report = evaluate(model, read_pcap(test_pcap, flt), labels, cfg)
+        report = evaluate(Scorer(model), read_pcap(test_pcap, flt), labels, cfg)
         assert report.dr == 100.0, f"DR {report.dr}"
         assert report.fpr < 1.0, f"FPR {report.fpr}"
         assert abs(report.fpr - 0.588) <= 0.4, f"FPR {report.fpr} outside 0.588 +/- 0.4"

@@ -331,9 +331,16 @@ class TestThSOverride:
         overridden = alerts(paths.model, "--th-s", "1.5")
         assert overridden == alerts(low_model)
         assert overridden != alerts(paths.model)
-        capsys.readouterr()
-        assert run(["eval", "--model", paths.model, "--in", paths.test, "--th-s", "1.5"]) == 0
-        assert " th_s=1.5 " in capsys.readouterr().out
+
+        def report(model, *flags):
+            capsys.readouterr()
+            assert run(["eval", "--model", model, "--in", paths.test, *flags]) == 0
+            return capsys.readouterr().out
+
+        lowered = report(paths.model, "--th-s", "1.5")
+        assert lowered == report(low_model)
+        assert lowered != report(paths.model)
+        assert " th_s=1.5 " in lowered
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     def test_th_s_above_the_models_is_usage_error(self, paths, capsys, command):

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -14,16 +16,21 @@ from pckad import (
     DetectionSummary,
     DetectorConfig,
     GenSpec,
+    GridSpec,
+    LabelSet,
     NGramStats,
     PacketRecord,
     Protocol,
+    Scorer,
     TrafficModel,
     Verdict,
     anomalous_occurrences,
     detect_stream,
+    evaluate,
     gen_legit,
     mahalanobis_term,
     score_packet,
+    sweep,
     train,
     verdict_line,
 )
@@ -33,6 +40,8 @@ from pckad.model import featurize
 from pckad.synth import AnomalyKind, inject_corpus
 
 from helpers import ftp_model, reference_verdict
+
+evaluate_module = importlib.import_module("pckad.evaluate")
 
 
 def ftp_record(payload, rec_id=0):
@@ -112,12 +121,12 @@ class TestScorePacket:
         model = ftp_model([b"USER alice\r\n"])
         record = PacketRecord(id=7, dst_port=80, payload=b"USER bob\r\n")
         with pytest.raises(ValueError, match="^record 7 is for port 80, model is for 21$"):
-            score_packet(model, record, DetectorConfig(40))
+            score_packet(Scorer(model), record, DetectorConfig(40))
         # train skips the same record: test_model.py's test_featurize_cause[ftp-other-port]
 
     def test_empty_payload_unclassifiable(self):
         model = ftp_model([b"USER alice\r\n"])
-        verdict = score_packet(model, ftp_record(b""), DetectorConfig(40))
+        verdict = score_packet(Scorer(model), ftp_record(b""), DetectorConfig(40))
         assert verdict.kind == "unclassifiable"
         assert verdict.kind not in ALERT_KINDS
 
@@ -126,18 +135,18 @@ class TestScorePacket:
         records = [PacketRecord(id=0, dst_port=80, payload=b"GET /x HTTP/1.0\r\n")]
         model = train(iter(records), protocol=Protocol.HTTP, chunking=ChunkingConfig(3, 15))
         empty = PacketRecord(id=1, dst_port=80, payload=b"")
-        assert score_packet(model, empty, DetectorConfig(30)).kind == "unclassifiable"
+        assert score_packet(Scorer(model), empty, DetectorConfig(30)).kind == "unclassifiable"
 
     def test_payload_shorter_than_n_unclassifiable(self):
         model = ftp_model([b"USER alice\r\n"], n=3)
-        verdict = score_packet(model, ftp_record(b"a"), DetectorConfig(40))
+        verdict = score_packet(Scorer(model), ftp_record(b"a"), DetectorConfig(40))
         assert verdict.kind == "unclassifiable"
 
     def test_malformed_http_alerts(self):
         records = [PacketRecord(id=0, dst_port=80, payload=b"GET /x HTTP/1.0\r\n")]
         model = train(iter(records), protocol=Protocol.HTTP, chunking=ChunkingConfig(3, 15))
         bad = PacketRecord(id=1, dst_port=80, payload=b"GET ../..")
-        verdict = score_packet(model, bad, DetectorConfig(30))
+        verdict = score_packet(Scorer(model), bad, DetectorConfig(30))
         assert verdict.kind == "malformed"
         assert verdict.kind in ALERT_KINDS
 
@@ -147,17 +156,17 @@ class TestScorePacket:
         features = featurize(long_payload, Protocol.FTP, 21, model.chunking)
         assert features.key == ClassKey(21, 3)
         assert ClassKey(21, 3) not in model.classes
-        verdict = score_packet(model, ftp_record(long_payload), DetectorConfig(40))
+        verdict = score_packet(Scorer(model), ftp_record(long_payload), DetectorConfig(40))
         assert verdict.kind == "no_model"
         assert verdict.kind in ALERT_KINDS
 
     def test_alert_threshold_is_strict(self):
         model = ftp_model([b"abcdef"])
         # ab bc cd seen; dz zz never seen: 2 of 5 occurrences => 40.0, not above 40
-        at_threshold = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(40))
+        at_threshold = score_packet(Scorer(model), ftp_record(b"abcdzz"), DetectorConfig(40))
         assert (at_threshold.kind, at_threshold.score, at_threshold.a_seqs,
                 at_threshold.tot_seqs) == ("legit", 40.0, 2, 5)
-        above = score_packet(model, ftp_record(b"abcdzz"), DetectorConfig(39.9))
+        above = score_packet(Scorer(model), ftp_record(b"abcdzz"), DetectorConfig(39.9))
         assert above.kind == "anomalous"
 
     # |mean - x| / (std + alpha) = 1 / 0.5 = 2.0 = th_s exactly: a tie is usual, not anomalous.
@@ -173,7 +182,7 @@ class TestScorePacket:
         gram, x = payload[:2], len(payload) - 1
         classes = {ClassKey(21, 1): ClassModel(1, {gram: stats})}
         model = TrafficModel(Protocol.FTP, 21, ChunkingConfig(2, 15), 0.5, 2.0, classes)
-        assert judge(model, payload) == Outcome(None, x, 0, 0)
+        assert judge(Scorer(model), payload) == Outcome(None, x, 0, 0)
         assert anomalous_occurrences(stats, x, {0: x}, model.alpha, model.th_s) == (0, 0)
 
     # an n-gram with no entry for chunk 1 deviates there by x / alpha, here 2.0 = th_s:
@@ -189,20 +198,20 @@ class TestScorePacket:
         nck, windows = -(-len(payload) // 2), len(payload) - 1
         classes = {ClassKey(21, nck): ClassModel(1, stats)}
         model = TrafficModel(Protocol.FTP, 21, ChunkingConfig(2, 2), alpha, 2.0, classes)
-        assert judge(model, payload) == Outcome(None, windows, 0, 0)
+        assert judge(Scorer(model), payload) == Outcome(None, windows, 0, 0)
         # one float step lower, the occurrences in chunk 1 are anomalous under rule 3 only
-        below = dataclasses.replace(model, th_s=math.nextafter(2.0, 0.0))
+        below = Scorer(model, math.nextafter(2.0, 0.0))
         assert judge(below, payload) == Outcome(None, windows, windows - 2, 0)
 
     def test_all_unseen_scores_exactly_100(self):
         model = ftp_model([b"abcdef"])
-        verdict = score_packet(model, ftp_record(b"zzzzzz"), DetectorConfig(40))
+        verdict = score_packet(Scorer(model), ftp_record(b"zzzzzz"), DetectorConfig(40))
         assert verdict.kind == "anomalous"
         assert verdict.score == 100.0
 
     def test_training_payload_scores_zero(self):
         model = ftp_model([b"USER alice\r\n"] * 5)
-        verdict = score_packet(model, ftp_record(b"USER alice\r\n"), DetectorConfig(40))
+        verdict = score_packet(Scorer(model), ftp_record(b"USER alice\r\n"), DetectorConfig(40))
         assert verdict.kind == "legit"
         assert verdict.score == 0.0
 
@@ -214,9 +223,10 @@ class TestScorePacket:
         )
         rng = random.Random(18)
         cfg = DetectorConfig(40)
+        scorer = Scorer(model)
         for i in range(300):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(3, 60)))
-            verdict = score_packet(model, ftp_record(payload, i), cfg)
+            verdict = score_packet(scorer, ftp_record(payload, i), cfg)
             if verdict.score is not None:
                 assert 0.0 <= verdict.score <= 100.0
                 assert verdict.a_seqs <= verdict.tot_seqs
@@ -234,11 +244,12 @@ class TestHttpLocationShift:
         on = DetectorConfig(30, chunks_enabled=True)
         off = DetectorConfig(30, chunks_enabled=False)
         hits_on = hits_off = 0
+        scorer = Scorer(model)
         for rec in packets:
             if not rec.is_attack:
                 continue
-            hits_on += (score_packet(model, rec, on).kind in ALERT_KINDS)
-            hits_off += (score_packet(model, rec, off).kind in ALERT_KINDS)
+            hits_on += (score_packet(scorer, rec, on).kind in ALERT_KINDS)
+            hits_off += (score_packet(scorer, rec, off).kind in ALERT_KINDS)
         assert hits_on == 20
         assert hits_off == 0
 
@@ -264,20 +275,100 @@ class TestReferenceScorer:
             th_s=3.0,
         )
         # the sweep's path: one judgement serves every cell
-        judged = [judge(model, rec.payload) for rec in test]
+        scorer = Scorer(model)
+        judged = [judge(scorer, rec.payload) for rec in test]
         for threshold in (0, 40, 100):
             for chunks_enabled in (True, False):
                 cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
                 kinds = set()
                 for rec, outcome in zip(test, judged):
                     want = reference_verdict(model, rec.payload, cfg)
-                    for got in (score_packet(model, rec, cfg), outcome.verdict(cfg)):
+                    for got in (score_packet(scorer, rec, cfg), outcome.verdict(cfg)):
                         assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == want, (rec, cfg)
                     assert outcome.is_alert(cfg) == (got.kind in ALERT_KINDS)
                     kinds.add(got.kind)
                 assert "no_model" in kinds and "unclassifiable" in kinds
                 if threshold < 100:
                     assert {"legit", "anomalous"} <= kinds
+
+
+class TestScorer:
+    """One Scorer holds all that judge reads, for one model at one th_s."""
+
+    @pytest.mark.parametrize("th_s, message", [
+        (0, "th_s must be > 0"),
+        (-1, "th_s must be > 0"),
+        (math.nan, "th_s must be > 0"),
+        (math.inf, "th_s must be > 0"),
+        (True, "th_s must be > 0"),
+        (5.5, "th_s 5.5 is above the model's th_s 5.0; "
+              "retrain the model at th_s 5.5 to judge at it"),
+    ], ids=["zero", "negative", "nan", "inf", "bool", "above-model"])
+    def test_refused_th_s(self, th_s, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scorer(ftp_model([b"USER alice\r\n"]), th_s)
+
+    @pytest.mark.parametrize("th_s", [None, 5.0, 0.5, 1e-9])
+    def test_judges_at_or_below_the_models_th_s(self, th_s):
+        model = ftp_model([b"USER alice\r\n"])
+        scorer = Scorer(model, th_s)
+        assert scorer.th_s == (model.th_s if th_s is None else th_s)
+        assert (scorer.protocol, scorer.port, scorer.chunking, scorer.alpha) == \
+            (model.protocol, model.port, model.chunking, model.alpha)
+        assert scorer.classes.keys() == model.classes.keys()
+
+    def test_lower_th_s_judges_as_the_reference(self):
+        """The sets and the repeated n-grams are both judged at the Scorer's th_s."""
+        model = train(iter(gen_legit(GenSpec(Protocol.FTP, 400, seed=41))),
+                      protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
+        test = gen_legit(GenSpec(Protocol.FTP, 200, seed=42))
+        for i, kind in enumerate(AnomalyKind):
+            test = inject_corpus(test, kind, 20, seed=43 + i)
+
+        def judged(th_s):
+            """Every verdict as reference_verdict gives it at th_s; the outcomes."""
+            scorer = Scorer(model, th_s)
+            for cfg in (DetectorConfig(40), DetectorConfig(40, chunks_enabled=False)):
+                for rec in test:
+                    got = score_packet(scorer, rec, cfg)
+                    assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
+                        reference_verdict(model, rec.payload, cfg, th_s), (th_s, rec, cfg)
+            return [judge(scorer, rec.payload) for rec in test]
+
+        def repeats_no_window(payload):
+            features = featurize(payload, model.protocol, model.port, model.chunking)
+            return not isinstance(features, str) and len(set(features.grams)) == len(features.grams)
+
+        # the lower th_s judges otherwise some payloads that the sets alone decide
+        assert any(high != low and repeats_no_window(rec.payload)
+                   for rec, high, low in zip(test, judged(model.th_s), judged(1.0)))
+
+    def test_judging_leaves_the_model_as_built(self, monkeypatch):
+        """detect_stream, evaluate and sweep write nothing to the model they judge.
+
+        A value cached on the model's instance dict would slow every later
+        attribute load on it.
+        """
+        training = gen_legit(GenSpec(Protocol.FTP, 200, seed=44))
+        test = inject_corpus(gen_legit(GenSpec(Protocol.FTP, 100, seed=45)),
+                             AnomalyKind.UNSEEN_GRAM, 10, seed=46)
+        labels = LabelSet.from_records(test)
+        cfg = DetectorConfig(40)
+        model = train(iter(training), protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
+        list(detect_stream(model, test, cfg, DetectionSummary()))
+        list(detect_stream(Scorer(model), test, cfg, DetectionSummary()))
+        evaluate(Scorer(model), test, labels, cfg)
+        swept = []
+
+        def recording_train(*args, **kwargs):
+            swept.append(train(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(evaluate_module, "train", recording_train)
+        sweep(training, test, labels, GridSpec((3,), (15,), (40.0,)), protocol=Protocol.FTP)
+        assert len(swept) == 1
+        for judged in (model, *swept):
+            assert vars(judged).keys() == {f.name for f in dataclasses.fields(TrafficModel)}
 
 
 class TestDetectStream:

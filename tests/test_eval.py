@@ -16,6 +16,7 @@ from pckad import (
     LabelSet,
     PacketRecord,
     Protocol,
+    Scorer,
     evaluate,
     gen_legit,
     inject_corpus,
@@ -46,7 +47,7 @@ class TestEvaluate:
             (b"USER alice\r\n", "attack:a1"),
             (b"\xde\xad\xbe\xef\xde\xad", "attack:a1"),  # all grams unseen
         ])
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.instances_total == 1
         assert report.instances_detected == 1
         assert report.dr == 100.0
@@ -54,7 +55,7 @@ class TestEvaluate:
     def test_undetected_instance(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = labeled([(b"USER alice\r\n", "attack:a1")])
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.dr == 0.0
 
     def test_scores_at_the_models_th_s(self):
@@ -64,8 +65,8 @@ class TestEvaluate:
         test = inject_corpus(gen_legit(GenSpec(Protocol.FTP, 300, seed=2)),
                              AnomalyKind.FREQ_SHIFT, 30, seed=3)
         labels = LabelSet.from_records(test)
-        direct = evaluate(model, test, labels, DetectorConfig(40))
-        assert direct == evaluate(model, test, labels, DetectorConfig.for_model(model, 40))
+        direct = evaluate(Scorer(model), test, labels, DetectorConfig(40))
+        assert direct == evaluate(Scorer(model), test, labels, DetectorConfig.for_model(model, 40))
         assert direct.fpr > 50
 
     def test_fpr_is_packet_level(self):
@@ -73,7 +74,7 @@ class TestEvaluate:
         corpus = labeled(
             [(b"USER alice\r\n", "legit")] * 995 + [(b"\xde\xad\xbe\xef\xde\xad", "legit")] * 5
         )
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.legit_packets == 1000
         assert report.false_alerts == 5
         assert report.fpr == 0.5
@@ -81,7 +82,7 @@ class TestEvaluate:
     def test_all_legit_no_alerts(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = labeled([(b"USER alice\r\n", "legit")] * 10)
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.dr is None
         assert report.fpr == 0.0
         assert report.instances_total == 0
@@ -89,7 +90,7 @@ class TestEvaluate:
     def test_unclassifiable_excluded_from_fpr(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = labeled([(b"USER alice\r\n", "legit"), (b"x", "legit"), (b"", "legit")])
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.legit_packets == 1
         assert report.unclassifiable == 2
         assert report.fpr == 0.0
@@ -105,7 +106,7 @@ class TestEvaluate:
                 payload=b"GET /" + b"a" * 200 + b" HTTP/1.0\r\n", label="attack:flood",
             ),
         ]
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), DetectorConfig(30))
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), DetectorConfig(30))
         assert report.instances_total == 2
         assert report.instances_detected == 2
 
@@ -113,14 +114,14 @@ class TestEvaluate:
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = [PacketRecord(id=0, dst_port=21, payload=b"USER alice\r\n")]
         with pytest.raises(EvaluationError, match="no label"):
-            evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+            evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
 
     def test_other_port_records_ignored(self):
         model = ftp_model([b"USER alice\r\n"] * 4)
         corpus = labeled([(b"USER alice\r\n", "legit")]) + [
             PacketRecord(id=99, dst_port=80, payload=b"GET / HTTP/1.0\r\n")  # unlabeled
         ]
-        report = evaluate(model, corpus, LabelSet.from_records(corpus), CFG)
+        report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.legit_packets == 1
 
 
@@ -363,8 +364,8 @@ class TestSweepGolden:
                 continue
             key = (row.n, row.chunk_len)
             if key not in models:
-                models[key] = train(iter(train_records), protocol=Protocol.FTP,
-                                    chunking=ChunkingConfig(*key), th_s=GOLDEN_TH_S)
+                models[key] = Scorer(train(iter(train_records), protocol=Protocol.FTP,
+                                           chunking=ChunkingConfig(*key), th_s=GOLDEN_TH_S))
             cfg = DetectorConfig(row.score_threshold, chunks_enabled=row.chunks_enabled)
             want = fold_verdicts(
                 (score_packet(models[key], rec, cfg), labels.by_id[rec.id])

@@ -12,7 +12,6 @@ counts and whose other n-grams it decides from the sets. `deviates`, the
 one deviation test of the rules, is checked against `mahalanobis_term`.
 """
 
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -26,27 +25,21 @@ from pckad import (
     ClassKey,
     ClassModel,
     DetectorConfig,
-    GenSpec,
     NGramStats,
     PacketRecord,
     Protocol,
+    Scorer,
     TrafficModel,
     anomalous_occurrences,
     count_windows,
     extract_relevant,
-    gen_legit,
-    inject_corpus,
-    load_model,
     mahalanobis_term,
-    save_model,
     score_packet,
-    train,
 )
 from pckad.chunking import slice_windows
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.model import deviates
 from pckad.protocols import Malformed
-from pckad.synth import AnomalyKind
 
 from helpers import chunk_pairs, reference_counts, reference_verdict
 
@@ -223,8 +216,9 @@ class TestFusedJudge:
         kinds = Counter()
         mixed_fired = Counter()
         for model, records in _cases(71):
+            scorer = Scorer(model)
             for rec in records:
-                outcome = judge(model, rec.payload)
+                outcome = judge(scorer, rec.payload)
                 assert outcome == per_gram_judge(model, rec.payload), rec
                 kinds[outcome.kind] += 1
                 if outcome.kind is None:
@@ -245,9 +239,10 @@ class TestFusedJudge:
     def test_verdicts_match_per_gram_judge_and_reference(self):
         alerts = Counter()
         for i, (model, records) in enumerate(_cases(72)):
+            scorer = Scorer(model)
             for cfg in _cfgs(model, (0.0, 20.0, 50.0)[i % 3]):
                 for rec in records:
-                    got = score_packet(model, rec, cfg)
+                    got = score_packet(scorer, rec, cfg)
                     assert got == per_gram_judge(model, rec.payload).verdict(cfg), (rec, cfg)
                     assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
                         reference_verdict(model, rec.payload, cfg), (rec, cfg)
@@ -259,49 +254,13 @@ class TestFusedJudge:
         differ = 0
         for model, records in _cases(73):
             on, off = _cfgs(model, 0.0)
+            scorer = Scorer(model)
             for rec in records:
-                outcome = judge(model, rec.payload)
-                assert outcome.verdict(off) == score_packet(model, rec, off), rec
-                assert outcome.verdict(on) == score_packet(model, rec, on), rec
+                outcome = judge(scorer, rec.payload)
+                assert outcome.verdict(off) == score_packet(scorer, rec, off), rec
+                assert outcome.verdict(on) == score_packet(scorer, rec, on), rec
                 differ += outcome.a_on != outcome.a_off
         assert differ
-
-
-class TestUsualSets:
-    """`TrafficModel.usual_at_one` is a cached property, built at its own model's settings."""
-
-    def test_sets_never_outlive_their_settings(self, tmp_path):
-        """A model judges at its own th_s, after the model it was replaced from has judged."""
-        model = train(iter(gen_legit(GenSpec(Protocol.FTP, 400, seed=41))),
-                      protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
-        save_model(model, tmp_path / "model")
-        test = gen_legit(GenSpec(Protocol.FTP, 200, seed=42))
-        for i, kind in enumerate(AnomalyKind):
-            test = inject_corpus(test, kind, 20, seed=43 + i)
-
-        def judged(judging):
-            """Every verdict as reference_verdict gives it at judging.th_s; the outcomes."""
-            for cfg in (DetectorConfig(40), DetectorConfig(40, chunks_enabled=False)):
-                for rec in test:
-                    got = score_packet(judging, rec, cfg)
-                    assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
-                        reference_verdict(judging, rec.payload, cfg), (judging.th_s, rec, cfg)
-            return [judge(judging, rec.payload) for rec in test]
-
-        at_model = judged(model)
-        lower = dataclasses.replace(model, th_s=1.0)  # made after model built its sets
-        at_lower = judged(lower)
-        assert model.usual_at_one.keys() == lower.usual_at_one.keys() == model.classes.keys()
-        # the lower th_s judges otherwise some payloads that the sets alone decide
-        assert any(high != low and not repeats_a_window(model, rec.payload)
-                   for rec, high, low in zip(test, at_model, at_lower))
-        # the sets are no field: neither compared, shown nor saved
-        assert "usual_at_one" not in {f.name for f in dataclasses.fields(TrafficModel)}
-        assert load_model(tmp_path / "model") == model
-        assert "usual_at_one" not in repr(model)
-        # nor can a setting change under them
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.th_s = 1.0
 
 
 # --- the deviation test ----------------------------------------------------------

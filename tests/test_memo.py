@@ -30,6 +30,7 @@ from pckad import (
     LabelSet,
     PacketRecord,
     Protocol,
+    Scorer,
     TrainingSummary,
     detect_stream,
     evaluate,
@@ -159,7 +160,8 @@ def test_corpus_has_every_odd_kind(protocol):
     """The corpora reach every verdict kind and skip cause that the memos must keep apart."""
     training, test = corpora(protocol)
     model = trained(protocol, training)
-    kinds = Counter(score_packet(model, r, DetectorConfig.for_model(model)).kind
+    scorer = Scorer(model)
+    kinds = Counter(score_packet(scorer, r, DetectorConfig.for_model(model)).kind
                     for r in test if r.dst_port == model.port)
     want = {"legit", "anomalous", "unclassifiable", "no_model"}
     if protocol is Protocol.HTTP:
@@ -179,14 +181,15 @@ class TestJudgementMemo:
                                                      budget, monkeypatch):
         training, test = corpora(protocol)
         model = trained(protocol, training)
+        scorer = Scorer(model)
         cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
         on_port = [r for r in test if r.dst_port == model.port]
-        want = [(r.id, score_packet(model, r, cfg)) for r in on_port]
+        want = [(r.id, score_packet(scorer, r, cfg)) for r in on_port]
         apply(budget, which)
         scored = counting(monkeypatch, detector, "score_packet")
 
         summary = DetectionSummary()
-        assert list(detect_stream(model, test, cfg, summary)) == want
+        assert list(detect_stream(scorer, test, cfg, summary)) == want
         tally = Counter(v.kind for _, v in want)
         assert summary == DetectionSummary(**tally, skipped_other_port=len(test) - len(on_port))
         distinct = len({r.payload for r in on_port})
@@ -206,15 +209,16 @@ class TestJudgementMemo:
                                                 budget, monkeypatch):
         training, test = corpora(protocol)
         model = trained(protocol, training)
+        scorer = Scorer(model)
         labels = LabelSet.from_records(test)
         cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
         on_port = [r for r in test if r.dst_port == model.port]
-        want = [(attack_instance_of(r.label), judge(model, r.payload)) for r in on_port]
+        want = [(attack_instance_of(r.label), judge(scorer, r.payload)) for r in on_port]
         apply(budget, which)
         judged = counting(monkeypatch, evaluate_module, "judge")
 
-        assert _outcomes(model, test, labels) == want
-        assert evaluate(model, test, labels, cfg) == _fold(want, cfg)
+        assert _outcomes(scorer, test, labels) == want
+        assert evaluate(scorer, test, labels, cfg) == _fold(want, cfg)
         if which == "default":
             # one judgement per distinct payload in each of the two calls
             assert len(judged) == 2 * len({r.payload for r in on_port})
@@ -228,9 +232,9 @@ class TestJudgementMemo:
         want = []
         for n in grid.ns:
             for chunk_len in grid.chunk_lens:
-                model = trained(protocol, training, ChunkingConfig(n, chunk_len))
-                outcomes = [(attack_instance_of(r.label), judge(model, r.payload))
-                            for r in test if r.dst_port == model.port]
+                scorer = Scorer(trained(protocol, training, ChunkingConfig(n, chunk_len)))
+                outcomes = [(attack_instance_of(r.label), judge(scorer, r.payload))
+                            for r in test if r.dst_port == scorer.port]
                 for threshold in grid.score_thresholds:
                     for chunks_enabled in grid.chunk_modes:
                         cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)

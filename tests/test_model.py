@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -25,7 +26,7 @@ from pckad import (
     train,
     write_jsonl,
 )
-from pckad.detector import Outcome, judge
+from pckad.detector import Outcome, Scorer, judge
 from pckad.model import featurize
 
 from helpers import ftp_model, ftp_records, reference_counts
@@ -172,6 +173,17 @@ class TestTrainSkips:
         with pytest.raises(ValueError, match=f"{setting} must be > 0"):
             train(records(), protocol=Protocol.FTP, chunking=CFG, **{setting: value})
         assert read == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ("alpha", "alpha must be > 0"),
+        ("th_s", "th_s must be > 0"),
+        ("port", "port must be within [0, 65535]"),
+    ])
+    def test_bool_setting_rejected(self, setting, message):
+        """A bool passes as a number, but would save as true, which `load_model` refuses."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(iter(ftp_records([b"USER x\r\n"])), protocol=Protocol.FTP, chunking=CFG,
+                  **{setting: True})
 
 
 class TestPersistence:
@@ -525,12 +537,12 @@ class TestLoadRejections:
         assert model.classes[ClassKey(21, 10**400)].stats[b"US"].chunks == {0: (1.0, 0.0)}
 
     def test_chunk_count_beyond_float_range_judges(self, tmp_path):
-        """The first judgement builds every class's sets: a chunk count costs nothing there."""
+        """The Scorer builds every class's sets: a chunk count costs nothing there."""
         doc = _valid_doc()
         doc["classes"].append(dict(copy.deepcopy(_cls(doc)), nck_total=10**400))
         model = load_model(self.write(tmp_path, doc))
         # one chunk of 5 windows: "US" is usual at count 1 there, the other 4 never seen
-        assert judge(model, b"USER\r\n") == Outcome(None, 5, 4, 4)
+        assert judge(Scorer(model), b"USER\r\n") == Outcome(None, 5, 4, 4)
 
     def test_deep_nesting_rejected(self, tmp_path):
         path = tmp_path / "m.model"

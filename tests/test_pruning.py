@@ -23,6 +23,7 @@ from pckad import (
     GenSpec,
     PacketRecord,
     Protocol,
+    Scorer,
     gen_legit,
     inject_corpus,
     load_model,
@@ -32,7 +33,7 @@ from pckad import (
     train,
 )
 from pckad.detector import ANOMALOUS, LEGIT, judge
-from pckad.model import check_th_s_override, featurize
+from pckad.model import featurize
 
 from helpers import ftp_model, ftp_records, reference_verdict, unpruned_model
 
@@ -113,8 +114,8 @@ class TestAgainstUnprunedModel:
         protocol, training, scored, full = corpora(corpus, chunking)
         model = train(training, protocol=protocol, chunking=chunking, alpha=alpha, th_s=th_s)
         judged_at = th_s * lower
-        pruned = dataclasses.replace(model, th_s=judged_at)
-        unpruned = dataclasses.replace(full, alpha=alpha, th_s=judged_at)
+        pruned = Scorer(model, judged_at)
+        unpruned = Scorer(dataclasses.replace(full, alpha=alpha, th_s=th_s), judged_at)
         for rec in scored:
             assert judge(pruned, rec.payload) == judge(unpruned, rec.payload)
 
@@ -145,8 +146,9 @@ def test_judge_on_pruned_model_matches_reference_verdict(corpus, threshold, chun
     if threshold is None:
         threshold = protocol.default_score_threshold
     cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+    scorer = Scorer(model)
     for rec in scored:
-        got = score_packet(model, rec, cfg)
+        got = score_packet(scorer, rec, cfg)
         assert (got.kind, got.score, got.a_seqs, got.tot_seqs) == \
             reference_verdict(model, rec.payload, cfg), rec
 
@@ -172,10 +174,10 @@ class TestFullyPrunedClass:
 
     @pytest.mark.parametrize("payload", FULLY_PRUNED + [b"ab!"])
     def test_every_ngram_is_rule_1(self, payload):
-        model = fully_pruned_model()
+        scorer = Scorer(fully_pruned_model())
         rec = PacketRecord(id=0, dst_port=21, payload=payload)
-        assert judge(model, payload) == (None, 2, 2, 2)
-        assert score_packet(model, rec, DetectorConfig(40.0)).kind == ANOMALOUS
+        assert judge(scorer, payload) == (None, 2, 2, 2)
+        assert score_packet(scorer, rec, DetectorConfig(40.0)).kind == ANOMALOUS
 
 
 def tie_model():
@@ -195,16 +197,5 @@ class TestPruningTie:
 
     def test_tie_ngram_is_legit(self):
         rec = PacketRecord(id=0, dst_port=21, payload=b"ab")
-        got = score_packet(tie_model(), rec, DetectorConfig(40.0))
+        got = score_packet(Scorer(tie_model()), rec, DetectorConfig(40.0))
         assert (got.kind, got.score, got.a_seqs) == (LEGIT, 0.0, 0)
-
-
-class TestThSOverride:
-    @pytest.mark.parametrize("th_s", [0.5, 0.25, 1e-9])
-    def test_at_or_below_the_trained_th_s_is_accepted(self, th_s):
-        check_th_s_override(fully_pruned_model(), th_s)
-
-    @pytest.mark.parametrize("th_s", [0.75, 5.0])
-    def test_above_the_trained_th_s_is_refused(self, th_s):
-        with pytest.raises(ValueError, match=f"retrain the model at th_s {th_s}"):
-            check_th_s_override(fully_pruned_model(), th_s)
