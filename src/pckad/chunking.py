@@ -10,23 +10,23 @@ byte, so every occurrence lands in exactly one chunk.
 hands each chunk its windows. It is the one place that assigns a window to
 a chunk: training and the detector both take each chunk's windows from it.
 `count_windows` slices and counts the windows, over the payload and per
-chunk. Training, scoring and the sweep all slice through `slice_windows`
-(in `model.featurize`). `distinct_windows` tells whether a payload
-repeats a window, for training and the detector alike. Training counts
-every payload's window lists itself (`model._ClassAccumulator.add`): a
-single sample that repeats no window with one C-level count per list,
-since each of its counts is 1, and any other with a `Counter` per list.
-The detector counts a payload only when it repeats a window, and judges
-only the repeated n-grams at their counts (see `detector.judge`).
-`split_chunks` (chunk spans) and `extract_ngrams` (`count_windows`' counts
-grouped per n-gram) restate that result, and nothing in the package calls
-them. They stay because the benchmark's tracer (`bench/tracing.py`,
-`TRACED`) binds both by name, though it never calls them: without either
-one, the first traced round of `bench/run.py --trace 1` raises
-AttributeError, and the run exits 1 with no result (`bench: no complete
-round`). The tests run such a round (`bench/test_smoke.py`), and so does
-CI's full-scale benchmark step. They can go once the tracer binds the
-stages that run instead (see ROADMAP.md).
+chunk. A payload's class needs no window (`model.featurize`): training
+slices each payload it counts, `detector.judge` only one whose class has a
+model. `distinct_windows` tells whether a payload repeats a window, for
+training and the detector alike. Training counts every payload's window
+lists itself (`model._ClassAccumulator.add`): a single sample that repeats
+no window with one C-level count per list, since each of its counts is 1,
+and any other with a `Counter` per list. The detector counts a payload only
+when it repeats a window, and judges only the repeated n-grams at their
+counts (see `detector.judge`). `split_chunks` (chunk spans) and
+`extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
+result, and nothing in the package calls them. They stay because the
+benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,
+though it never calls them: without either one, the first traced round of
+`bench/run.py --trace 1` raises AttributeError, and the run exits 1 with no
+result (`bench: no complete round`). The tests run such a round
+(`bench/test_smoke.py`), and so does CI's full-scale benchmark step. They
+can go once the tracer binds the stages that run instead (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ class ChunkingConfig:
     chunk_len: int
 
     def __post_init__(self):
-        if self.n < 1:
+        # a bool is refused: saved as true or false, it would not load
+        if isinstance(self.n, bool) or self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.chunk_len < 1:
+        if isinstance(self.chunk_len, bool) or self.chunk_len < 1:
             raise ValueError("chunk_len must be >= 1")
         if self.n > self.chunk_len:
             # keeps any window inside at most two consecutive chunks
@@ -96,14 +97,10 @@ class WindowCounts(NamedTuple):
     chunks: list[Counter]
 
 
-def slice_windows(payload: bytes, cfg: ChunkingConfig) -> tuple[list[bytes], int]:
-    """Every length-n window of the payload in order, and its chunk count.
-
-    Window i starts at byte i. The payload holds ceil(len / chunk_len) chunks.
-    """
+def slice_windows(payload: bytes, cfg: ChunkingConfig) -> list[bytes]:
+    """Every length-n window of the payload in order: window i starts at byte i."""
     n = cfg.n
-    nck = -(-len(payload) // cfg.chunk_len)
-    return [payload[i:i + n] for i in range(len(payload) - n + 1)], nck
+    return [payload[i:i + n] for i in range(len(payload) - n + 1)]
 
 
 def chunk_windows(grams: list[bytes], chunk_len: int) -> list[list[bytes]]:
@@ -128,7 +125,7 @@ def distinct_windows(grams: list[bytes]) -> tuple[set[bytes], bool]:
 
 def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
     """Count every window, whole-payload and in the `chunk_windows` chunk of its first byte."""
-    grams = slice_windows(payload, cfg)[0]
+    grams = slice_windows(payload, cfg)
     return WindowCounts(Counter(grams), list(map(Counter, chunk_windows(grams, cfg.chunk_len))))
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunking import chunk_windows, distinct_windows
+from .chunking import chunk_windows, distinct_windows, slice_windows
 from .corpus import PacketRecord
 from .model import (
     ABSENT_CHUNK,
@@ -50,7 +50,7 @@ class DetectorConfig:
     chunks_enabled: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
-        if not 0 <= self.score_threshold <= 100:
+        if isinstance(self.score_threshold, bool) or not 0 <= self.score_threshold <= 100:
             raise ValueError("score_threshold must be within [0, 100]")
 
     @classmethod
@@ -187,6 +187,8 @@ class Scorer:
 def judge(scorer: Scorer, payload: bytes) -> Outcome:
     """Featurize one on-port payload and apply the per-gram rules once, at scorer.th_s.
 
+    The class is looked up from the relevant length before any window is
+    cut, so a payload whose class has no model costs no `slice_windows`.
     The outcome serves both chunk modes: it is the `Outcome` that
     `anomalous_occurrences` summed over the payload's n-grams gives. Both
     sums start at every window and lose the occurrences no rule marks.
@@ -205,10 +207,11 @@ def judge(scorer: Scorer, payload: bytes) -> Outcome:
     features = featurize(payload, scorer.protocol, scorer.port, scorer.chunking)
     if isinstance(features, str):
         return Outcome(MALFORMED if features == "malformed" else UNCLASSIFIABLE)
-    key, grams = features
+    key, part = features
     entry = scorer.classes.get(key)
     if entry is None:
         return Outcome(NO_MODEL)
+    grams = slice_windows(part, scorer.chunking)
     by_gram, usual, usual_in_chunk, usual_rest = entry
     tot_seqs = len(grams)
     a_on = a_off = tot_seqs

@@ -58,21 +58,22 @@ class ClassModel:
 
 
 class Features(NamedTuple):
-    """Class key and windows of one classifiable payload."""
+    """Class key and relevant bytes of one classifiable payload."""
 
     key: ClassKey
-    grams: list[bytes]  # every window in payload order, as `slice_windows` cuts them
+    part: bytes  # the relevant bytes, which `slice_windows` cuts into windows
 
 
 def featurize(
     payload: bytes, protocol: Protocol, port: int, chunking: ChunkingConfig
 ) -> Features | str:
-    """The one path from an on-port payload to its class key and windows.
+    """The one path from an on-port payload to its class key and relevant bytes.
 
     Training, scoring and the sweep all featurize through here, once each
-    has set aside the records for other ports. A payload with no window
-    gives its cause instead: "empty", "malformed" or "short", which names
-    the TrainingSummary counter `skipped_<cause>`.
+    has set aside the records for other ports. The class key reads the
+    relevant length alone, ceil(len / chunk_len) chunks: no window is cut
+    here. A payload with no window gives its cause instead: "empty",
+    "malformed" or "short", naming the TrainingSummary counter `skipped_<cause>`.
     """
     if not payload:
         return "empty"
@@ -80,10 +81,9 @@ def featurize(
     if isinstance(relevant, Malformed):
         return "malformed"
     (part,) = relevant.components
-    grams, nck = slice_windows(part, chunking)
-    if not grams:
+    if len(part) < chunking.n:
         return "short"
-    return Features(ClassKey(port, nck), grams)
+    return Features(ClassKey(port, -(-len(part) // chunking.chunk_len)), part)
 
 
 @dataclass
@@ -292,10 +292,10 @@ def train(
                 counter = "skipped_" + features
                 setattr(summary, counter, getattr(summary, counter) + w)
                 continue
-            key, grams = features
+            key, part = features
             if key not in accumulators:
                 accumulators[key] = _ClassAccumulator(key.chunk_count)
-            accumulators[key].add(grams, chunking.chunk_len, w)
+            accumulators[key].add(slice_windows(part, chunking), chunking.chunk_len, w)
             summary.trained += w
 
     memo = PayloadMemo()

@@ -33,7 +33,7 @@ class Protocol(enum.Enum):
 class RelevantPayload:
     """The protocol-relevant part of one payload, as a 1-tuple.
 
-    Every rule selects exactly one part, and `featurize` slices that one.
+    Every rule selects exactly one part, and `featurize` classifies that one.
     The tuple stays because the benchmark's reference scorer reads
     `components`.
     """

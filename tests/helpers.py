@@ -1,4 +1,4 @@
-"""Synthetic pcap fixtures, small FTP models and plain reference counters for the tests."""
+"""Synthetic pcap fixtures, small FTP models, a call spy and plain reference counters."""
 
 import struct
 
@@ -67,6 +67,19 @@ def ftp_model(payloads, n=2, **settings):
 
     return train(iter(ftp_records(payloads)), protocol=Protocol.FTP,
                  chunking=ChunkingConfig(n, 15), **settings)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted: the list of each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def chunk_pairs(counts):

@@ -50,8 +50,10 @@ def _ge(text: str) -> str:
 
 # (name, file, old text, new text)
 MUTANTS = [
-    ("floor chunk count", CHUNKING,
-     "nck = -(-len(payload) // cfg.chunk_len)", "nck = len(payload) // cfg.chunk_len"),
+    # featurize is the one statement of the class rule, read from the relevant length
+    ("floor chunk count", MODEL,
+     "ClassKey(port, -(-len(part) // chunking.chunk_len))",
+     "ClassKey(port, len(part) // chunking.chunk_len)"),
     # chunk_windows is the one attribution: training and judge's sets and counts move together
     ("last-byte attribution", CHUNKING,
      "return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]",
@@ -109,7 +111,13 @@ MUTANTS = [
      "ALERT_KINDS = frozenset({ANOMALOUS, MALFORMED})"),
     ("an absent chunk with std 1", MODEL,
      "ABSENT_CHUNK = (0.0, 0.0)", "ABSENT_CHUNK = (0.0, 1.0)"),
-    ("short at one window", MODEL, "if not grams:", "if len(grams) <= 1:"),
+    ("short at one window", MODEL, "if len(part) < chunking.n:", "if len(part) <= chunking.n:"),
+    # judge looks the class up before it cuts a window: a no-model payload costs none
+    ("windows cut before the class lookup", DETECTOR,
+     "    entry = scorer.classes.get(key)\n    if entry is None:\n        return Outcome(NO_MODEL)\n"
+     "    grams = slice_windows(part, scorer.chunking)\n",
+     "    grams = slice_windows(part, scorer.chunking)\n    entry = scorer.classes.get(key)\n"
+     "    if entry is None:\n        return Outcome(NO_MODEL)\n"),
     ("pruning guard dropped", MODEL,
      "if mean <= 1 and deviates(mean, std, 1, alpha, th_s):",
      "if deviates(mean, std, 1, alpha, th_s):"),

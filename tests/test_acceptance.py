@@ -38,6 +38,7 @@ from pckad import (
 from pckad.chunking import slice_windows
 from pckad.cli import run
 from pckad.corpus import attack_instance_of
+from pckad.model import featurize
 from pckad.synth import AnomalyKind
 
 from helpers import chunk_pairs
@@ -84,10 +85,13 @@ def test_criterion_1_oracle_equivalence(criterion):
                 (payload[start:start + n], start // cfg.chunk_len)
                 for start in range(len(payload) - n + 1)
             )
-            # featurize takes the windows and the class's chunk count from here
-            grams, nck = slice_windows(payload, cfg)
-            assert Counter(grams) == expected
-            assert nck == -(-len(payload) // cfg.chunk_len)
+            # training and judge cut their windows here; featurize gives the class
+            assert Counter(slice_windows(payload, cfg)) == expected
+            features = featurize(payload, Protocol.FTP, 21, cfg)
+            if len(payload) < n:
+                assert features == "short"
+            else:
+                assert features.key.chunk_count == -(-len(payload) // cfg.chunk_len)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -97,7 +101,7 @@ def test_criterion_2_layout_properties(criterion):
                         "worked 50-byte split"):
         # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
         counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
-        assert slice_windows(GET_LINE, ChunkingConfig(3, 15))[1] == 4
+        assert featurize(GET_LINE, Protocol.HTTP, 80, ChunkingConfig(3, 15)).key.chunk_count == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
         assert {j: x for (gram, j), x in chunk_pairs(counts).items() if gram == b"val"} == {0: 1}
         assert chunk_pairs(counts)[b"0\r\n", 3] == 1
@@ -108,7 +112,11 @@ def test_criterion_2_layout_properties(criterion):
             n = rng.randrange(1, chunk_len + 1)
             cfg = ChunkingConfig(n, chunk_len)
             counts = count_windows(payload, cfg)
-            assert slice_windows(payload, cfg)[1] == -(-len(payload) // chunk_len)
+            features = featurize(payload, Protocol.FTP, 21, cfg)
+            if len(payload) < n:
+                assert features == "short"
+            else:
+                assert features.key.chunk_count == -(-len(payload) // chunk_len)
             assert chunk_pairs(counts) == Counter(
                 (payload[start:start + n], start // chunk_len)
                 for start in range(len(payload) - n + 1)

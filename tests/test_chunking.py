@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from pckad import ChunkingConfig, count_windows, sliding_window_oracle
+from pckad import ChunkingConfig, Protocol, count_windows, sliding_window_oracle
 from pckad.chunking import (
     NGramCounts,
     chunk_windows,
@@ -11,6 +11,7 @@ from pckad.chunking import (
     slice_windows,
     split_chunks,
 )
+from pckad.model import featurize
 
 from helpers import reference_counts
 
@@ -29,6 +30,15 @@ class TestConfig:
 
     def test_n_equal_chunk_len_ok(self):
         ChunkingConfig(n=5, chunk_len=5)
+
+    @pytest.mark.parametrize("n, chunk_len, message", [
+        (True, 15, "n must be >= 1"),
+        (1, True, "chunk_len must be >= 1"),
+    ], ids=["n-true", "chunk-len-true"])
+    def test_bool_refused(self, n, chunk_len, message):
+        # a model trained at it would save "n":true, which load_model refuses
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChunkingConfig(n, chunk_len)
 
 
 class TestSplitChunks:
@@ -77,8 +87,9 @@ class TestCountWindows:
 class TestChunkWindows:
     def test_no_chunk_for_a_tail_no_window_starts_in(self):
         # 16 bytes hold two chunks of 15, but the 14 windows all start in the first
-        grams, nck = slice_windows(b"x" * 16, ChunkingConfig(3, 15))
-        assert nck == 2
+        cfg = ChunkingConfig(3, 15)
+        assert featurize(b"x" * 16, Protocol.FTP, 21, cfg).key.chunk_count == 2
+        grams = slice_windows(b"x" * 16, cfg)
         assert chunk_windows(grams, 15) == [grams]
 
 

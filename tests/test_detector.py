@@ -34,14 +34,26 @@ from pckad import (
     train,
     verdict_line,
 )
+from pckad import detector as detector_module
+from pckad.chunking import slice_windows
 from pckad.corpus import COMPACT_JSON
-from pckad.detector import Outcome, judge
+from pckad.detector import NO_MODEL, UNCLASSIFIABLE, Outcome, judge
 from pckad.model import featurize
 from pckad.synth import AnomalyKind, inject_corpus
 
-from helpers import ftp_model, reference_verdict
+from helpers import counting, ftp_model, reference_verdict
 
 evaluate_module = importlib.import_module("pckad.evaluate")
+
+
+@pytest.fixture(scope="module")
+def bench_ftp_scorer():
+    """The benchmark's ftp-jsonl model at seed 5 (`bench/inputs.py`): classes of 1-3 chunks."""
+    seed = random.Random("ftp-train:5").getrandbits(64)
+    records = gen_legit(GenSpec(Protocol.FTP, 1500, seed))
+    model = train(iter(records), protocol=Protocol.FTP, chunking=ChunkingConfig(3, 15))
+    assert {key.chunk_count for key in model.classes} == {1, 2, 3}
+    return Scorer(model)
 
 
 def ftp_record(payload, rec_id=0):
@@ -159,6 +171,18 @@ class TestScorePacket:
         verdict = score_packet(Scorer(model), ftp_record(long_payload), DetectorConfig(40))
         assert verdict.kind == "no_model"
         assert verdict.kind in ALERT_KINDS
+
+    @pytest.mark.parametrize("payload, kind, cuts", [
+        (bytes(range(0x21, 0x7f)) * 15 + bytes(range(0x21, 0x21 + 50)), NO_MODEL, 0),
+        (b"USER anonymous\r\n", None, 1),
+        (b"US", UNCLASSIFIABLE, 0),
+    ], ids=["no-model-1460-bytes", "classified", "short"])
+    def test_windows_cut_only_for_a_class_with_a_model(self, bench_ftp_scorer, monkeypatch,
+                                                        payload, kind, cuts):
+        # the class comes from the relevant length, before any window is cut
+        cut = counting(monkeypatch, detector_module, "slice_windows")
+        assert judge(bench_ftp_scorer, payload).kind == kind
+        assert cut == [(payload, bench_ftp_scorer.chunking)] * cuts
 
     def test_alert_threshold_is_strict(self):
         model = ftp_model([b"abcdef"])
@@ -337,7 +361,10 @@ class TestScorer:
 
         def repeats_no_window(payload):
             features = featurize(payload, model.protocol, model.port, model.chunking)
-            return not isinstance(features, str) and len(set(features.grams)) == len(features.grams)
+            if isinstance(features, str):
+                return False
+            grams = slice_windows(features.part, model.chunking)
+            return len(set(grams)) == len(grams)
 
         # the lower th_s judges otherwise some payloads that the sets alone decide
         assert any(high != low and repeats_no_window(rec.payload)
@@ -451,6 +478,15 @@ class TestDetectorConfig:
         # th_s belongs to the model, which checks its own range
         with pytest.raises(ValueError):
             dataclasses.replace(ftp_model([b"USER alice\r\n"]), th_s=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda threshold: DetectorConfig(threshold),
+        lambda threshold: DetectorConfig.for_model(ftp_model([b"USER alice\r\n"]), threshold),
+    ], ids=["init", "for-model"])
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_bool_threshold_refused(self, make, threshold):
+        with pytest.raises(ValueError, match=r"^score_threshold must be within \[0, 100\]$"):
+            make(threshold)
 
     @pytest.mark.parametrize("th_s", [math.nan, math.inf])
     def test_non_finite_th_s_rejected(self, th_s):

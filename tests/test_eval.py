@@ -268,6 +268,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="repeats a value"):
             GridSpec(**axes)
 
+    @pytest.mark.parametrize("axes, message", [
+        (dict(ns=(True,), chunk_lens=(15,), score_thresholds=(40.0,)), "n must be >= 1"),
+        (dict(ns=(1,), chunk_lens=(True,), score_thresholds=(40.0,)), "chunk_len must be >= 1"),
+        (dict(ns=(3,), chunk_lens=(15,), score_thresholds=(True,)),
+         r"score_threshold must be within \[0, 100\]"),
+    ], ids=["n", "chunk_len", "score"])
+    def test_bool_axis_value_is_refused(self, axes, message):
+        # a bool would reach the sweep's rows, and the CSV would read True
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(**axes)
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         path = tmp_path / "report.csv"
         write_sweep_csv([], path)

@@ -38,7 +38,7 @@ from pckad import (
 )
 from pckad.chunking import slice_windows
 from pckad.detector import MALFORMED, NO_MODEL, UNCLASSIFIABLE, Outcome, judge
-from pckad.model import deviates
+from pckad.model import deviates, featurize
 from pckad.protocols import Malformed
 
 from helpers import chunk_pairs, reference_counts, reference_verdict
@@ -70,10 +70,13 @@ def test_count_windows_matches_oracle(payload, cfg):
     for (gram, _), x in counted.items():
         per_gram[gram] += x
     assert per_gram == counts.totals
-    # featurize takes the class's chunk count from slice_windows
-    grams, sliced_nck = slice_windows(payload, cfg)
-    assert sliced_nck == nck
-    assert len(grams) == sum(totals.values())
+    # training and judge cut their windows with slice_windows; featurize gives the class
+    assert len(slice_windows(payload, cfg)) == sum(totals.values())
+    features = featurize(payload, Protocol.FTP, 21, cfg)
+    if len(payload) < cfg.n:
+        assert features == "short"
+    else:
+        assert features.key.chunk_count == nck
 
 
 # --- the per-gram judge that the fused pass replaced ------------------------------

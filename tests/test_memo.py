@@ -47,7 +47,7 @@ from pckad.detector import judge
 from pckad.evaluate import _fold, _outcomes
 from pckad.model import MEMO_ENTRY_BYTES, PayloadMemo, featurize
 
-from helpers import ftp_records, unpruned_model
+from helpers import counting, ftp_records, unpruned_model
 
 PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
 CHUNKING = ChunkingConfig(3, 15)
@@ -140,19 +140,6 @@ def apply(budget, which):
         budget.set(2 * MEMO_ENTRY_BYTES - 1)
     elif which == "none":
         budget.set(0)
-
-
-def counting(monkeypatch, module, name):
-    """Wrap module.name so that each call is counted."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -129,13 +129,18 @@ class TestTrainSkips:
         (Protocol.HTTP, 80, b"GET ../..", "malformed"),
         (Protocol.FTP, 21, b"USER\r\n", "short"),
         (Protocol.HTTP, 80, b"GET / HTTP/1.0\r\n", "short"),
+        # the boundary: n relevant bytes hold one window, n - 1 none
+        (Protocol.FTP, 21, b"x" * 20, None),
+        (Protocol.FTP, 21, b"x" * 19, "short"),
     ], ids=["ftp-other-port", "http-other-port", "ftp-empty", "http-empty", "http-malformed",
-            "ftp-short", "http-short"])
+            "ftp-short", "http-short", "ftp-n-bytes", "ftp-n-minus-1-bytes"])
     def test_featurize_cause(self, protocol, dst_port, payload, cause):
-        # n=20 is longer than every payload above
+        # n=20 is longer than every payload above but the one of n bytes, which classifies
         chunking = ChunkingConfig(20, 20)
         port = protocol.default_port
-        if dst_port == port:
+        if cause is None:
+            assert featurize(payload, protocol, port, chunking) == (ClassKey(port, 1), payload)
+        elif dst_port == port:
             assert featurize(payload, protocol, port, chunking) == cause
         # train sets an off-port record aside before featurize; each record is
         # skipped for exactly its cause, next to one trainable record
@@ -150,7 +155,7 @@ class TestTrainSkips:
         s = train(iter(records), protocol=protocol, chunking=chunking).summary
         causes = ("other_port", "empty", "malformed", "short")
         assert {c: getattr(s, "skipped_" + c) for c in causes} == {c: int(c == cause) for c in causes}
-        assert (s.read, s.trained) == (2, 1)
+        assert (s.read, s.trained) == (2, 1 + (cause is None))
 
     def test_empty_usable_corpus_is_fatal(self):
         with pytest.raises(CorpusError, match="no trainable packets"):

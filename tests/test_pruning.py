@@ -32,6 +32,7 @@ from pckad import (
     score_packet,
     train,
 )
+from pckad.chunking import slice_windows
 from pckad.detector import ANOMALOUS, LEGIT, judge
 from pckad.model import featurize
 
@@ -130,8 +131,8 @@ class TestAgainstUnprunedModel:
         }
         features = [featurize(rec.payload, protocol, model.port, model.chunking)
                     for rec in scored]
-        hits = sum(not left_out.isdisjoint(f.grams) for f in features
-                   if not isinstance(f, str))
+        hits = sum(not left_out.isdisjoint(slice_windows(f.part, model.chunking))
+                   for f in features if not isinstance(f, str))
         assert hits >= 10, corpus
 
 
