@@ -7,8 +7,6 @@ occurrences in their protocol-relevant payload.
 
 from .chunking import (
     ChunkingConfig,
-    WindowCounts,
-    count_windows,
     sliding_window_oracle,
 )
 from .corpus import (
@@ -102,9 +100,7 @@ __all__ = [
     "TrafficModel",
     "TrainingSummary",
     "Verdict",
-    "WindowCounts",
     "anomalous_occurrences",
-    "count_windows",
     "detect_stream",
     "evaluate",
     "extract_relevant",

@@ -9,31 +9,29 @@ byte, so every occurrence lands in exactly one chunk.
 `slice_windows` cuts a payload into its windows once, and `chunk_windows`
 hands each chunk its windows. It is the one place that assigns a window to
 a chunk: training and the detector both take each chunk's windows from it.
-`count_windows` slices and counts the windows, over the payload and per
-chunk. A payload's class needs no window (`model.featurize`): training
-slices each payload it counts, `detector.judge` only one whose class has a
-model. `distinct_windows` tells whether a payload repeats a window, for
-training and the detector alike. Training counts every payload's window
-lists itself (`model._ClassAccumulator.add`): a single sample that repeats
-no window with one C-level count per list, since each of its counts is 1,
-and any other with a `Counter` per list. The detector counts a payload only
-when it repeats a window, and judges only the repeated n-grams at their
-counts (see `detector.judge`). `split_chunks` (chunk spans) and
-`extract_ngrams` (`count_windows`' counts grouped per n-gram) restate that
-result, and nothing in the package calls them. They stay because the
-benchmark's tracer (`bench/tracing.py`, `TRACED`) binds both by name,
-though it never calls them: without either one, the first traced round of
-`bench/run.py --trace 1` raises AttributeError, and the run exits 1 with no
-result (`bench: no complete round`). The tests run such a round
-(`bench/test_smoke.py`), and so does CI's full-scale benchmark step. They
-can go once the tracer binds the stages that run instead (see ROADMAP.md).
+A payload's class needs no window (`model.featurize`): training slices each
+payload it counts, `detector.judge` only one whose class has a model.
+`distinct_windows` tells whether a payload repeats a window, for training
+and the detector alike. Training counts every payload's window lists itself
+(`model._ClassAccumulator.add`): a single sample that repeats no window
+with one C-level count per list, since each of its counts is 1, and any
+other with a `Counter` per list. The detector counts a payload only when it
+repeats a window, and judges only the repeated n-grams at their counts (see
+`detector.judge`). `split_chunks` (chunk spans) and `extract_ngrams` (the
+counts grouped per n-gram) restate that result, and nothing in the package
+calls them. They stay because the benchmark's tracer (`bench/tracing.py`,
+`TRACED`) binds both by name, though it never calls them: without either
+one, the first traced round of `bench/run.py --trace 1` raises
+AttributeError, and the run exits 1 with no result (`bench: no complete
+round`). The tests run such a round (`bench/test_smoke.py`), and so does
+CI's full-scale benchmark step. They can go once the tracer binds the
+stages that run instead (see ROADMAP.md).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -84,19 +82,6 @@ class NGramCounts:
     tot_seqs: int
 
 
-class WindowCounts(NamedTuple):
-    """Occurrence counts for one payload, as `count_windows` returns them.
-
-    totals maps n-gram -> occurrences over the whole relevant payload;
-    chunks[j] maps n-gram -> occurrences in chunk j. Each keeps
-    first-occurrence order. A trailing chunk that no window starts in has
-    no entry.
-    """
-
-    totals: Counter
-    chunks: list[Counter]
-
-
 def slice_windows(payload: bytes, cfg: ChunkingConfig) -> list[bytes]:
     """Every length-n window of the payload in order: window i starts at byte i."""
     n = cfg.n
@@ -123,24 +108,18 @@ def distinct_windows(grams: list[bytes]) -> tuple[set[bytes], bool]:
     return distinct, len(distinct) == len(grams)
 
 
-def count_windows(payload: bytes, cfg: ChunkingConfig) -> WindowCounts:
-    """Count every window, whole-payload and in the `chunk_windows` chunk of its first byte."""
-    grams = slice_windows(payload, cfg)
-    return WindowCounts(Counter(grams), list(map(Counter, chunk_windows(grams, cfg.chunk_len))))
-
-
 def extract_ngrams(payload: bytes, layout: ChunkLayout, cfg: ChunkingConfig) -> NGramCounts:
-    """`count_windows`'s counts grouped per n-gram, for the tests and the benchmark.
+    """The payload's window counts grouped per n-gram; it stays for the benchmark's tracer alone.
 
-    layout is not read: `count_windows` numbers the chunks as `split_chunks`
+    layout is not read: `chunk_windows` numbers the chunks as `split_chunks`
     does. n-grams and each n-gram's chunk indices keep first-occurrence order.
     """
-    counts = count_windows(payload, cfg)
+    grams = slice_windows(payload, cfg)
     chunk_counts: dict[bytes, dict[int, int]] = {}
-    for j, chunk in enumerate(counts.chunks):
-        for gram, x in chunk.items():
+    for j, chunk in enumerate(chunk_windows(grams, cfg.chunk_len)):
+        for gram, x in Counter(chunk).items():
             chunk_counts.setdefault(gram, {})[j] = x
-    return NGramCounts(dict(counts.totals), chunk_counts, counts.totals.total())
+    return NGramCounts(dict(Counter(grams)), chunk_counts, len(grams))
 
 
 def sliding_window_oracle(payload: bytes, n: int) -> Counter:

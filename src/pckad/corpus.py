@@ -38,8 +38,12 @@ COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def check_port(port: int) -> None:
-    """Range-check a TCP port. Raises ValueError."""
-    if not 0 <= port <= 65535:
+    """Range-check a TCP port. Raises ValueError.
+
+    A bool is refused: written as true or false, neither a corpus line nor a
+    model file would read back.
+    """
+    if isinstance(port, bool) or not 0 <= port <= 65535:
         raise ValueError("port must be within [0, 65535]")
 
 
@@ -92,6 +96,9 @@ class PacketRecord:
         check_port(self.dst_port)
         if self.label is not None:
             validate_label(self.label)
+        # read_jsonl's rule too: write_jsonl would write a bool or a float that no reader takes
+        if self.ts is not None and type(self.ts) is not int:
+            raise ValueError("ts must be an integer")
 
     @property
     def is_attack(self) -> bool:
@@ -269,7 +276,8 @@ def read_jsonl(path) -> Iterator[PacketRecord]:
 def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     """Parse one JSONL line; a ValueError says what is wrong with it.
 
-    The JSON types are checked here, their values by PacketRecord.
+    The JSON types are checked here, their values and ts's type by
+    PacketRecord.
     """
     line = line.rstrip("\r\n")
     # a lone surrogate is not ASCII, so an ASCII line needs no scan
@@ -303,11 +311,8 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("label must be a string")
-    ts = obj.get("ts")
-    if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
-        raise ValueError("ts must be an integer")
     # positional: a keyword call costs more per record
-    return PacketRecord(rec_id, port, payload, label, ts)
+    return PacketRecord(rec_id, port, payload, label, obj.get("ts"))
 
 
 def write_jsonl(records: Iterable[PacketRecord], path) -> int:

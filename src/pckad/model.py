@@ -174,7 +174,7 @@ def check_model_settings(
     A bool is refused: saved as true or false, it would not load.
     """
     if port is not None:
-        check_port(-1 if isinstance(port, bool) else port)
+        check_port(port)
     for name, value in (("alpha", alpha), ("th_s", th_s)):
         if value is not None and (isinstance(value, bool) or not 0 < value <= _FLOAT_MAX):
             raise ValueError(f"{name} must be > 0")

@@ -23,9 +23,10 @@ import enum
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
-from .chunking import DEFAULT_CHUNKING, ChunkingConfig, count_windows
+from .chunking import DEFAULT_CHUNKING, ChunkingConfig, slice_windows
 from .corpus import PacketRecord
 from .errors import InjectionError
 from .protocols import Protocol, protocol_for_port, request_target_span
@@ -157,7 +158,7 @@ def _inject_location(payload: bytes, cfg: ChunkingConfig) -> bytes:
         + payload[a.end(1):b.start(1)] + payload[a.start(1):a.end(1)]
         + payload[b.end(1):]
     )
-    if count_windows(swapped, cfg).totals != count_windows(payload, cfg).totals:
+    if Counter(slice_windows(swapped, cfg)) != Counter(slice_windows(payload, cfg)):
         raise InjectionError(
             f"token swap would change the n={cfg.n} occurrence multiset; "
             "shared affixes are too short for this n"

@@ -82,12 +82,18 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def chunk_pairs(counts):
-    """A `WindowCounts`' per-chunk counts flattened to a Counter of (n-gram, chunk index)."""
+def chunk_pairs(payload, cfg):
+    """A Counter of (n-gram, chunk index) over the windows that training and judge cut.
+
+    The windows come from `slice_windows`, and `chunk_windows` gives each its chunk.
+    """
     from collections import Counter
 
-    return Counter({(gram, j): x for j, chunk in enumerate(counts.chunks)
-                    for gram, x in chunk.items()})
+    from pckad.chunking import chunk_windows, slice_windows
+
+    return Counter((gram, j)
+                   for j, chunk in enumerate(chunk_windows(slice_windows(payload, cfg), cfg.chunk_len))
+                   for gram in chunk)
 
 
 def reference_counts(payload, cfg):

@@ -22,7 +22,6 @@ from pckad import (
     Protocol,
     Scorer,
     TrafficFilter,
-    count_windows,
     evaluate,
     gen_legit,
     inject_corpus,
@@ -78,15 +77,13 @@ def test_criterion_1_oracle_equivalence(criterion):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 150)))
             n = rng.randrange(1, 9)
             cfg = ChunkingConfig(n=n, chunk_len=rng.randrange(n, 48))
-            counts = count_windows(payload, cfg)
-            expected = sliding_window_oracle(payload, n)
-            assert counts.totals == expected
-            assert chunk_pairs(counts) == Counter(
+            # training and judge cut windows as slice_windows and chunk_pairs do;
+            # featurize gives the class
+            assert Counter(slice_windows(payload, cfg)) == sliding_window_oracle(payload, n)
+            assert chunk_pairs(payload, cfg) == Counter(
                 (payload[start:start + n], start // cfg.chunk_len)
                 for start in range(len(payload) - n + 1)
             )
-            # training and judge cut their windows here; featurize gives the class
-            assert Counter(slice_windows(payload, cfg)) == expected
             features = featurize(payload, Protocol.FTP, 21, cfg)
             if len(payload) < n:
                 assert features == "short"
@@ -100,24 +97,23 @@ def test_criterion_2_layout_properties(criterion):
     with criterion("2", "ceiling chunk counts, each window in its first byte's chunk, "
                         "worked 50-byte split"):
         # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
-        counts = count_windows(GET_LINE, ChunkingConfig(3, 15))
+        pairs = chunk_pairs(GET_LINE, ChunkingConfig(3, 15))
         assert featurize(GET_LINE, Protocol.HTTP, 80, ChunkingConfig(3, 15)).key.chunk_count == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
-        assert {j: x for (gram, j), x in chunk_pairs(counts).items() if gram == b"val"} == {0: 1}
-        assert chunk_pairs(counts)[b"0\r\n", 3] == 1
+        assert {j: x for (gram, j), x in pairs.items() if gram == b"val"} == {0: 1}
+        assert pairs[b"0\r\n", 3] == 1
         rng = random.Random(2)
         for _ in range(500):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
             chunk_len = rng.randrange(1, 40)
             n = rng.randrange(1, chunk_len + 1)
             cfg = ChunkingConfig(n, chunk_len)
-            counts = count_windows(payload, cfg)
             features = featurize(payload, Protocol.FTP, 21, cfg)
             if len(payload) < n:
                 assert features == "short"
             else:
                 assert features.key.chunk_count == -(-len(payload) // chunk_len)
-            assert chunk_pairs(counts) == Counter(
+            assert chunk_pairs(payload, cfg) == Counter(
                 (payload[start:start + n], start // chunk_len)
                 for start in range(len(payload) - n + 1)
             )

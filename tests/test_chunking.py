@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from pckad import ChunkingConfig, Protocol, count_windows, sliding_window_oracle
+from pckad import ChunkingConfig, Protocol, sliding_window_oracle
 from pckad.chunking import (
     NGramCounts,
     chunk_windows,
@@ -71,20 +71,16 @@ class TestSplitChunks:
             assert 1 <= sizes[-1] <= chunk_len
 
 
-class TestCountWindows:
-    def test_ooddod_bigrams(self):
-        counts = count_windows(b"ooddod", ChunkingConfig(2, 6))
-        assert counts.totals == {b"oo": 1, b"od": 2, b"dd": 1, b"do": 1}
-        # six bytes in one chunk of 6: all five windows count in chunk 0
-        assert counts.chunks == [counts.totals]
-        assert sum(counts.chunks[0].values()) == 5
-
-    def test_payload_shorter_than_n(self):
-        counts = count_windows(b"xy", ChunkingConfig(3, 15))
-        assert counts == (Counter(), [])
-
-
 class TestChunkWindows:
+    @pytest.mark.parametrize("payload, cfg, want", [
+        # six bytes in one chunk of 6: all five windows land in chunk 0
+        (b"ooddod", ChunkingConfig(2, 6), [[b"oo", b"od", b"dd", b"do", b"od"]]),
+        # a payload shorter than n cuts no window
+        (b"xy", ChunkingConfig(3, 15), []),
+    ], ids=["ooddod-bigrams", "payload-shorter-than-n"])
+    def test_windows_per_chunk(self, payload, cfg, want):
+        assert chunk_windows(slice_windows(payload, cfg), cfg.chunk_len) == want
+
     def test_no_chunk_for_a_tail_no_window_starts_in(self):
         # 16 bytes hold two chunks of 15, but the 14 windows all start in the first
         cfg = ChunkingConfig(3, 15)

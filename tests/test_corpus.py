@@ -35,6 +35,21 @@ class TestPacketRecord:
         with pytest.raises(ValueError):
             PacketRecord(id=0, dst_port=70000, payload=b"x")
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(dst_port=True), r"port must be within \[0, 65535\]"),
+        (dict(ts=True), "ts must be an integer"),
+        (dict(ts=1.5), "ts must be an integer"),
+    ], ids=["port-bool", "ts-bool", "ts-float"])
+    def test_field_that_would_not_read_back_refused(self, fields, message):
+        # write_jsonl would write it, and read_jsonl would refuse the line
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PacketRecord(**{"id": 0, "dst_port": 21, "payload": b"USER x\r\n", **fields})
+
+    def test_negative_ts_round_trips(self, tmp_path):
+        rec = PacketRecord(id=0, dst_port=21, payload=b"x", ts=-1)
+        write_jsonl([rec], tmp_path / "c.jsonl")
+        assert list(read_jsonl(tmp_path / "c.jsonl")) == [rec]
+
     def test_label_must_be_legit_or_attack(self):
         with pytest.raises(ValueError):
             PacketRecord(id=0, dst_port=21, payload=b"x", label="bogus")
@@ -378,9 +393,11 @@ class TestReadPcap:
         (20, struct.pack(">H", 0x2005), "non_ipv4_tcp"),  # a middle fragment
         (20, struct.pack(">H", 0x0005), "non_ipv4_tcp"),  # the last fragment
         (20, struct.pack(">H", 0x4000), "yielded"),  # don't fragment: a whole datagram
+        (36, struct.pack(">H", 80), "filtered_out"),  # TCP destination port 80, filter 21
     ], ids=["ihl-below-20", "ihl-past-frame", "total-length-below-headers",
             "data-offset-below-20", "data-offset-past-segment", "ip-version-6",
-            "first-fragment", "middle-fragment", "last-fragment", "dont-fragment"])
+            "first-fragment", "middle-fragment", "last-fragment", "dont-fragment",
+            "port-filtered-out"])
     def test_edited_header_field(self, tmp_path, pos, value, outcome):
         frame = bytearray(tcp_frame(b"USER x\r\n", 21))
         frame[pos:pos + len(value)] = value
@@ -390,7 +407,7 @@ class TestReadPcap:
         records = list(read_pcap(path, filt(21), summary))
         kept = outcome == "yielded"
         assert [r.payload for r in records] == [b"USER x\r\n"] * kept + [b"PASV\r\n"]
-        want = {"truncated": 0, "non_ipv4_tcp": 0, "yielded": 1}
+        want = {"truncated": 0, "non_ipv4_tcp": 0, "filtered_out": 0, "yielded": 1}
         want[outcome] += 1
         assert want == {key: getattr(summary, key) for key in want}
 
@@ -466,7 +483,7 @@ def test_traffic_filter_requires_ports():
         TrafficFilter(ports=frozenset())
 
 
-@pytest.mark.parametrize("port", [-1, 65536, 99999])
+@pytest.mark.parametrize("port", [-1, 65536, 99999, True])
 def test_traffic_filter_range_checks_ports(port):
     with pytest.raises(ValueError, match=r"port must be within \[0, 65535\]"):
         TrafficFilter(ports=frozenset({21, port}))

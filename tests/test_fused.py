@@ -1,7 +1,9 @@
 """The one counting pass and the inlined rules, checked against plain references.
 
-`count_windows` is checked against `tests/helpers.py:reference_counts`,
-which counts with `sliding_window_oracle` alone. The fused `judge` is
+The windows that training and `judge` cut (`slice_windows`, then
+`chunk_windows` for each window's chunk) are checked against
+`tests/helpers.py:reference_counts`, which counts with
+`sliding_window_oracle` alone. The fused `judge` is
 checked against a test-local copy of the per-gram judge it replaced
 (`reference_counts`, then one `anomalous_occurrences` call per n-gram) and
 against `tests/helpers.py:reference_verdict`, on randomized models whose
@@ -31,7 +33,6 @@ from pckad import (
     Scorer,
     TrafficModel,
     anomalous_occurrences,
-    count_windows,
     extract_relevant,
     mahalanobis_term,
     score_packet,
@@ -47,7 +48,7 @@ ALPHABET = b"ab\x00"  # few symbols, so n-grams repeat within and across chunks
 DISTINCT_ALPHABET = bytes(range(0x21, 0x21 + 48))  # drawn without replacement
 
 
-# --- count_windows ------------------------------------------------------------
+# --- slice_windows and chunk_windows -----------------------------------------
 
 _PAYLOADS = st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=120).map(bytes)
 
@@ -59,19 +60,13 @@ def _chunking(draw):
 
 
 @given(payload=_PAYLOADS, cfg=_chunking())
-def test_count_windows_matches_oracle(payload, cfg):
-    counts = count_windows(payload, cfg)
+def test_window_chunks_match_oracle(payload, cfg):
     totals, per_chunk, nck = reference_counts(payload, cfg)
-    pairs = {(gram, j): x for gram, xs in per_chunk.items() for j, x in xs.items()}
-    counted = chunk_pairs(counts)
-    assert counts.totals == totals
-    assert counted == pairs
-    per_gram = Counter()
-    for (gram, _), x in counted.items():
-        per_gram[gram] += x
-    assert per_gram == counts.totals
-    # training and judge cut their windows with slice_windows; featurize gives the class
-    assert len(slice_windows(payload, cfg)) == sum(totals.values())
+    assert Counter(slice_windows(payload, cfg)) == totals
+    assert chunk_pairs(payload, cfg) == {
+        (gram, j): x for gram, xs in per_chunk.items() for j, x in xs.items()
+    }
+    # featurize gives the class
     features = featurize(payload, Protocol.FTP, 21, cfg)
     if len(payload) < cfg.n:
         assert features == "short"

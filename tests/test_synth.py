@@ -9,12 +9,12 @@ from pckad import (
     InjectionError,
     Protocol,
     RelevantPayload,
-    count_windows,
     extract_relevant,
     gen_legit,
     inject_corpus,
     sliding_window_oracle,
 )
+from pckad.chunking import slice_windows
 from pckad.corpus import attack_instance_of
 from pckad.synth import AnomalyKind, inject
 
@@ -23,8 +23,9 @@ from helpers import chunk_pairs
 CFG = ChunkingConfig(n=3, chunk_len=15)
 
 
-def counts_for(payload: bytes, cfg: ChunkingConfig = CFG):
-    return count_windows(payload, cfg)
+def counts_for(payload: bytes) -> Counter:
+    """The payload's n-gram counts over the windows that training and judge cut."""
+    return Counter(slice_windows(payload, CFG))
 
 
 def vocabulary_closure(protocol: Protocol, n: int) -> set[bytes]:
@@ -120,8 +121,8 @@ class TestInjectLocation:
         assert injected.payload != original.payload
         assert sliding_window_oracle(injected.payload, CFG.n) == \
             sliding_window_oracle(original.payload, CFG.n)
-        assert counts_for(injected.payload).totals == counts_for(original.payload).totals
-        assert chunk_pairs(counts_for(injected.payload)) != chunk_pairs(counts_for(original.payload))
+        assert counts_for(injected.payload) == counts_for(original.payload)
+        assert chunk_pairs(injected.payload, CFG) != chunk_pairs(original.payload, CFG)
 
     def test_invariance_over_many_records(self):
         count = 0
