@@ -30,6 +30,8 @@ from .errors import CorpusError
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 _PCAP_ENDIAN = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}
+# a record header by the capture's endianness: ts_sec, ts_usec, incl_len, orig_len
+_RECORD_HEADER = {endian: struct.Struct(endian + "IIII") for endian in _PCAP_ENDIAN.values()}
 _LINKTYPE_ETHERNET = 1
 
 # one compact encoder for every corpus record that write_jsonl writes: json.dumps
@@ -82,9 +84,25 @@ def attack_instance_of(label: str | None) -> str | None:
     return label[len("attack:"):]
 
 
+def _check_record_values(dst_port: int, label: str | None, ts: int | None) -> None:
+    """The value checks of a record's port, label and ts. Raises ValueError."""
+    check_port(dst_port)
+    if label is not None:
+        validate_label(label)
+    # write_jsonl would write a bool or a float that no reader takes
+    if ts is not None and type(ts) is not int:
+        raise ValueError("ts must be an integer")
+
+
 @dataclass(frozen=True)
 class PacketRecord:
-    """One captured packet: destination port, raw payload, optional label."""
+    """One captured packet: destination port, raw payload, optional label.
+
+    The constructor checks every value (`_check_record_values`). The readers
+    build their records after their own checks, with `_unchecked_record`,
+    which skips `__post_init__`: a capture's port is bound by its 16 bits and
+    it has no label, and `_record_from_line` calls `_check_record_values`.
+    """
 
     id: int
     dst_port: int
@@ -93,17 +111,34 @@ class PacketRecord:
     ts: int | None = None
 
     def __post_init__(self):
-        check_port(self.dst_port)
-        if self.label is not None:
-            validate_label(self.label)
-        # read_jsonl's rule too: write_jsonl would write a bool or a float that no reader takes
-        if self.ts is not None and type(self.ts) is not int:
-            raise ValueError("ts must be an integer")
+        _check_record_values(self.dst_port, self.label, self.ts)
 
     @property
     def is_attack(self) -> bool:
         # `validate_label` admits only "legit" and "attack:<id>": no slice per record
         return self.label is not None and self.label != "legit"
+
+
+# bound once: looked up for each field, they would cost about 0.15 us a record
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _unchecked_record(rec_id: int, dst_port: int, payload: bytes, label: str | None,
+                      ts: int | None) -> PacketRecord:
+    """A PacketRecord of values its reader has checked, built without `__post_init__`.
+
+    Each field is set as the frozen dataclass's `__init__` sets it, in field
+    order, so records share their instance dicts' keys: updating `__dict__`
+    in one step is faster but costs each record about twice the memory.
+    """
+    record = _new(PacketRecord)
+    _set(record, "id", rec_id)
+    _set(record, "dst_port", dst_port)
+    _set(record, "payload", payload)
+    _set(record, "label", label)
+    _set(record, "ts", ts)
+    return record
 
 
 @dataclass(frozen=True)
@@ -140,44 +175,52 @@ class _TruncatedFrame(Exception):
     pass
 
 
+# from the IPv4 header at byte 14: version/IHL, total length, flags/fragment offset,
+# protocol and destination address
+_IPV4_HEADER = struct.Struct(">BxH2xHxB6x4s")
+# from the TCP header: destination port and data offset
+_TCP_HEADER = struct.Struct(">2xH8xB")
+
+
 def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | None:
     """Decapsulate Ethernet/IPv4/TCP; (dst_port, dst_addr, payload) or None.
 
     Returns None for frames of other protocols (non-IPv4 ethertype, non-TCP)
     and for IP fragments. Raises _TruncatedFrame when a header is cut off.
+    The frame is read in place: each header's fields by one `unpack_from`
+    at its offset, and the payload by one slice. 16 bits bound the port, so
+    `read_pcap` builds its record without the constructor's re-check.
     """
     if len(data) < 14:
         raise _TruncatedFrame
     if data[12:14] != b"\x08\x00":
         return None
-    ip = data[14:]
-    if len(ip) < 20:
+    if len(data) < 34:
         raise _TruncatedFrame
-    if ip[0] >> 4 != 4:
+    version_ihl, total_len, fragment, protocol, dst_addr = _IPV4_HEADER.unpack_from(data, 14)
+    if version_ihl >> 4 != 4:
         return None
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20 or len(data) < 14 + ihl:
         raise _TruncatedFrame
-    if ip[9] != 6:
+    if protocol != 6:
         return None
-    if int.from_bytes(ip[6:8], "big") & 0x3FFF:
+    if fragment & 0x3FFF:
         # a fragment (MF set or a nonzero offset) holds part of a segment at most,
         # and as with a snaplen-cut datagram below, a partial payload would skew counts
         return None
-    total_len = int.from_bytes(ip[2:4], "big")
     if total_len < ihl + 20:
         raise _TruncatedFrame
-    if len(ip) < total_len:
+    if len(data) < 14 + total_len:
         # snaplen cut the datagram short; a partial payload would skew counts
         raise _TruncatedFrame
-    # trailing link-layer padding (minimum frame size) is not payload
-    datagram = ip[:total_len]
-    tcp = datagram[ihl:]  # at least 20 bytes, by the total length check
-    data_off = (tcp[12] >> 4) * 4
-    if data_off < 20 or data_off > len(tcp):
+    # the TCP header's 20 bytes lie within the datagram, by the total length check
+    dst_port, offset_byte = _TCP_HEADER.unpack_from(data, 14 + ihl)
+    data_off = (offset_byte >> 4) * 4
+    if data_off < 20 or ihl + data_off > total_len:
         raise _TruncatedFrame
-    dst_port = int.from_bytes(tcp[2:4], "big")
-    return dst_port, ip[16:20], tcp[data_off:]
+    # trailing link-layer padding (minimum frame size) is not payload
+    return dst_port, dst_addr, data[14 + ihl + data_off:14 + total_len]
 
 
 def read_pcap(
@@ -211,6 +254,7 @@ def read_pcap(
         if link_type != _LINKTYPE_ETHERNET:
             raise CorpusError(f"{path}: unsupported link type {link_type} (Ethernet required)")
 
+        record_header = _RECORD_HEADER[endian]
         offset = 24  # where the next record starts, counted because a pipe cannot tell()
         next_id = 0
         while True:
@@ -220,7 +264,7 @@ def read_pcap(
             if len(rec_hdr) < 16:
                 summary.truncated += 1
                 break
-            ts_sec, ts_usec, incl_len, _ = struct.unpack(endian + "IIII", rec_hdr)
+            ts_sec, ts_usec, incl_len, _ = record_header.unpack(rec_hdr)
             if incl_len > snaplen:
                 # a corrupt length; checked before it sizes a read
                 raise CorpusError(
@@ -250,7 +294,8 @@ def read_pcap(
                 summary.filtered_out += 1
                 continue
             summary.yielded += 1
-            yield PacketRecord(next_id, dst_port, payload, None, ts_sec * 1_000_000 + ts_usec)
+            # 16 bits bound the port, a capture has no label, and ts is an int
+            yield _unchecked_record(next_id, dst_port, payload, None, ts_sec * 1_000_000 + ts_usec)
             next_id += 1
 
 
@@ -277,7 +322,7 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     """Parse one JSONL line; a ValueError says what is wrong with it.
 
     The JSON types are checked here, their values and ts's type by
-    PacketRecord.
+    `_check_record_values`, as PacketRecord's constructor checks them.
     """
     line = line.rstrip("\r\n")
     # a lone surrogate is not ASCII, so an ASCII line needs no scan
@@ -311,8 +356,9 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("label must be a string")
-    # positional: a keyword call costs more per record
-    return PacketRecord(rec_id, port, payload, label, obj.get("ts"))
+    ts = obj.get("ts")
+    _check_record_values(port, label, ts)
+    return _unchecked_record(rec_id, port, payload, label, ts)
 
 
 def write_jsonl(records: Iterable[PacketRecord], path) -> int:

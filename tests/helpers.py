@@ -1,4 +1,5 @@
-"""Synthetic pcap fixtures, small FTP models, a call spy and plain reference counters."""
+"""Synthetic pcap fixtures and a reference frame decoder, small FTP models, a call spy and plain
+reference counters."""
 
 import struct
 
@@ -14,14 +15,21 @@ def tcp_frame(
     dst_ip: str = "172.16.0.5",
     src_ip: str = "10.0.0.9",
     pad_to: int | None = None,
+    ip_options: bytes = b"",
+    tcp_options: bytes = b"",
 ) -> bytes:
+    """An Ethernet/IPv4/TCP frame; each header's options are 32-bit words, 40 bytes at most."""
+    assert len(ip_options) % 4 == 0 and len(ip_options) <= 40
+    assert len(tcp_options) % 4 == 0 and len(tcp_options) <= 40
     eth = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00"
     ip = struct.pack(
         ">BBHHHBBH4s4s",
-        0x45, 0, 20 + 20 + len(payload), 0x1234, 0, 64, 6, 0,
+        0x40 | (5 + len(ip_options) // 4), 0,
+        20 + len(ip_options) + 20 + len(tcp_options) + len(payload), 0x1234, 0, 64, 6, 0,
         ipv4(src_ip), ipv4(dst_ip),
-    )
-    tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, 1, 1, 5 << 4, 0x18, 65535, 0, 0)
+    ) + ip_options
+    tcp = struct.pack(">HHIIBBHHH", src_port, dst_port, 1, 1, (5 + len(tcp_options) // 4) << 4,
+                      0x18, 65535, 0, 0) + tcp_options
     frame = eth + ip + tcp + payload
     if pad_to is not None and len(frame) < pad_to:
         frame += b"\x00" * (pad_to - len(frame))
@@ -37,6 +45,41 @@ def udp_frame(payload: bytes, dst_port: int, dst_ip: str = "172.16.0.5") -> byte
     )
     udp = struct.pack(">HHHH", 40000, dst_port, 8 + len(payload), 0)
     return eth + ip + udp + payload
+
+
+def reference_decode(frame: bytes):
+    """What ingest makes of one frame: (dst_port, dst_addr, payload), "truncated" or "non_ipv4_tcp".
+
+    A plain restatement by slices: each header is cut out of the frame and
+    read field by field.
+    """
+    if len(frame) < 14:
+        return "truncated"
+    if frame[12:14] != b"\x08\x00":
+        return "non_ipv4_tcp"
+    ip = frame[14:]
+    if len(ip) < 20:
+        return "truncated"
+    if ip[0] >> 4 != 4:
+        return "non_ipv4_tcp"
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20 or len(ip) < ihl:
+        return "truncated"
+    if ip[9] != 6:
+        return "non_ipv4_tcp"
+    more_fragments = ip[6] & 0x20
+    fragment_offset = int.from_bytes(ip[6:8], "big") & 0x1FFF
+    if more_fragments or fragment_offset:
+        return "non_ipv4_tcp"
+    total_len = int.from_bytes(ip[2:4], "big")
+    if total_len < ihl + 20 or len(ip) < total_len:
+        return "truncated"
+    datagram = ip[:total_len]  # what follows is link-layer padding
+    tcp = datagram[ihl:]
+    data_off = (tcp[12] >> 4) * 4
+    if data_off < 20 or data_off > len(tcp):
+        return "truncated"
+    return int.from_bytes(tcp[2:4], "big"), ip[16:20], tcp[data_off:]
 
 
 def pcap_bytes(

@@ -36,6 +36,7 @@ CHUNKING = "src/pckad/chunking.py"
 MODEL = "src/pckad/model.py"
 DETECTOR = "src/pckad/detector.py"
 EVALUATE = "src/pckad/evaluate.py"
+CORPUS = "src/pckad/corpus.py"
 
 # the deviation test of rules 2 and 3: training prunes by it, the Scorer builds judge's
 # sets by it, and judge decides the n-grams that repeat by it
@@ -139,6 +140,13 @@ MUTANTS = [
     # a chunk with no entry reads as ABSENT_CHUNK, which is usual at count 1 when th_s * alpha >= 1
     ("chunks without an entry judged unusual", DETECTOR,
      "rest = usual if absent_usual else set()", "rest = set()"),
+    # pcap ingest reads each header at the offset the one before it gives, and no further
+    # than the datagram's total length
+    ("TCP header at a fixed offset", CORPUS,
+     "_TCP_HEADER.unpack_from(data, 14 + ihl)", "_TCP_HEADER.unpack_from(data, 34)"),
+    ("padding read as payload", CORPUS,
+     "data[14 + ihl + data_off:14 + total_len]", "data[14 + ihl + data_off:]"),
+    ("fragments accepted", CORPUS, "if fragment & 0x3FFF:", "if False:"),
 ]
 
 # test_mutants.py checks that this table's old texts occur in the source, so

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import ipaddress
 import json
 import os
@@ -20,9 +22,10 @@ from pckad import (
     read_pcap,
     write_jsonl,
 )
+from pckad import corpus
 from pckad.corpus import _record_from_line, attack_instance_of
 
-from helpers import pcap_bytes, tcp_frame, udp_frame
+from helpers import pcap_bytes, reference_decode, tcp_frame, udp_frame
 
 
 def filt(*ports, prefix=None):
@@ -411,6 +414,29 @@ class TestReadPcap:
         want[outcome] += 1
         assert want == {key: getattr(summary, key) for key in want}
 
+    def test_padding_after_an_empty_segment_not_payload(self, tmp_path):
+        # 54 bytes of headers padded to the 60-byte Ethernet minimum
+        path = tmp_path / "c.pcap"
+        path.write_bytes(pcap_bytes([tcp_frame(b"", 21, pad_to=60)]))
+        (rec,) = read_pcap(path, filt(21))
+        assert rec.payload == b""
+
+    # a TCP header read at byte 34 whatever the IHL would take its port, 257, from the NOPs
+    @pytest.mark.parametrize("ip_options, tcp_options", [
+        (b"\x01\x01\x01\x00", b""),  # three NOPs and an end of list
+        (b"", b"\x02\x04\x05\xb4"),  # maximum segment size 1460
+        (b"\x01" * 40, b"\x01" * 36 + b"\x00" * 4),  # the most each header holds
+    ], ids=["ip-options", "tcp-options", "both-at-most"])
+    def test_header_options_skipped(self, tmp_path, ip_options, tcp_options):
+        payload = b"GET / HTTP/1.0\r\n\r\n"
+        frame = tcp_frame(payload, 80, ip_options=ip_options, tcp_options=tcp_options)
+        path = tmp_path / "c.pcap"
+        path.write_bytes(pcap_bytes([frame, tcp_frame(b"QUIT\r\n", 21, ip_options=ip_options)]))
+        summary = IngestSummary()
+        records = list(read_pcap(path, filt(21, 80), summary))
+        assert [(r.dst_port, r.payload) for r in records] == [(80, payload), (21, b"QUIT\r\n")]
+        assert summary.yielded == 2
+
     def test_snaplen_cut_payload_skipped(self, tmp_path):
         # capture is 4 bytes shorter than the IP datagram claims
         snapped = tcp_frame(b"USER alice\r\n", 21)[:-4]
@@ -476,6 +502,119 @@ class TestReadPcap:
         records = list(read_pcap(path, filt(*wanted_ports, prefix="172.16.0.0/16")))
         assert [(r.dst_port, r.payload) for r in records] == expected
         assert [r.id for r in records] == list(range(len(expected)))
+
+
+class TestReaderRecords:
+    """Records the readers build skip the constructor's re-check and differ in nothing else."""
+
+    COUNT = 3000
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        rng = random.Random(7)
+        payloads = [rng.randbytes(rng.randrange(0, 40)) for _ in range(self.COUNT)]
+        pcap = tmp_path / "c.pcap"
+        pcap.write_bytes(pcap_bytes([tcp_frame(p, 80) for p in payloads], ts=(1_000_000_000, 5)))
+        jsonl = tmp_path / "c.jsonl"
+        write_jsonl([PacketRecord(i, 21, p, rng.choice([None, "legit", "attack:a"]),
+                                  rng.choice([None, rng.randrange(-2**40, 2**40)]))
+                     for i, p in enumerate(payloads)], jsonl)
+        return {"pcap": lambda: read_pcap(pcap, filt(80)), "jsonl": lambda: read_jsonl(jsonl)}
+
+    @pytest.mark.parametrize("reader", ["pcap", "jsonl"])
+    def test_equal_to_constructor_records(self, paths, reader):
+        records = list(paths[reader]())
+        assert len(records) == self.COUNT
+        for rec in records:
+            built = PacketRecord(rec.id, rec.dst_port, rec.payload, rec.label, rec.ts)
+            assert type(rec) is PacketRecord
+            assert rec == built and hash(rec) == hash(built)
+
+    @pytest.mark.parametrize("reader", ["pcap", "jsonl"])
+    def test_frozen(self, paths, reader):
+        rec = next(iter(paths[reader]()))
+        for field in dataclasses.fields(PacketRecord):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field.name, None)
+
+    @pytest.mark.parametrize("reader", ["pcap", "jsonl"])
+    def test_no_larger_than_constructor_records(self, paths, reader, monkeypatch):
+        # the same read with each record built by the constructor: payloads, ids and ts
+        # cost the same both ways, so only the records' own memory can differ
+        def retained_per_record():
+            list(paths[reader]())  # a first read fills whatever caches a read fills
+            gc.collect()
+            tracemalloc.start()
+            try:
+                records = list(paths[reader]())
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return retained / len(records)
+
+        read = retained_per_record()
+        monkeypatch.setattr(corpus, "_unchecked_record", PacketRecord)
+        # a byte a record spares one-off allocations; a dict that shares no keys costs 100 or more
+        assert read <= retained_per_record() + 1
+
+
+_FILTERED = filt(21, 80, prefix="172.16.0.0/16")
+
+
+# one draw in four: most frames keep most fields honest, so every outcome occurs often
+_SOMETIMES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _edited_frames(draw):
+    """A TCP frame with options or none, its lengths and flags said freely, edited and cut."""
+    ip_options = draw(st.sampled_from([b"", b"\x01\x01\x01\x00", b"\x01" * 40]))
+    frame = bytearray(tcp_frame(
+        draw(st.binary(max_size=12)),
+        draw(st.sampled_from([21, 80, 443])),
+        dst_ip=draw(st.sampled_from(["172.16.0.5", "10.0.0.1"])),
+        pad_to=draw(st.sampled_from([None, 60, 120])),
+        ip_options=ip_options,
+        tcp_options=draw(st.sampled_from([b"", b"\x02\x04\x05\xb4", b"\x01" * 40])),
+    ))
+    # lying lengths: the IHL, the total length and the TCP data offset
+    if draw(_SOMETIMES):
+        frame[14] = 0x40 | draw(st.integers(0, 15))
+    if draw(_SOMETIMES):
+        frame[16:18] = draw(st.integers(0, 140)).to_bytes(2, "big")
+    if draw(_SOMETIMES):
+        frame[14 + 20 + len(ip_options) + 12] = draw(st.integers(0, 15)) << 4
+    # flags and fragment offset: don't fragment, more fragments, an offset, the reserved bit
+    if draw(_SOMETIMES):
+        flags = draw(st.sampled_from([0x4000, 0x2000, 0x0001, 0x1FFF, 0x8000]))
+        frame[20:22] = flags.to_bytes(2, "big")
+    edits = st.lists(st.tuples(st.integers(12, 60), st.integers(0, 255)), max_size=2)
+    for pos, byte in draw(edits):
+        if pos < len(frame):
+            frame[pos] = byte
+    cut = draw(st.integers(0, len(frame))) if draw(_SOMETIMES) else None
+    return bytes(frame[:cut])
+
+
+@settings(max_examples=400)
+@given(frame=_edited_frames(), big_endian=st.booleans(),
+       ts=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_read_pcap_decodes_as_the_reference(tmp_path_factory, frame, big_endian, ts):
+    path = tmp_path_factory.getbasetemp() / "reference.pcap"
+    path.write_bytes(pcap_bytes([frame], big_endian=big_endian, ts=ts))
+    summary = IngestSummary()
+    records = list(read_pcap(path, _FILTERED, summary))
+    decoded = reference_decode(frame)
+    if isinstance(decoded, str):
+        outcome, want = decoded, []
+    elif _FILTERED.matches(decoded[0], decoded[1]):
+        outcome, want = "yielded", [(0, decoded[0], decoded[2], None, ts[0] * 1_000_000 + ts[1])]
+    else:
+        outcome, want = "filtered_out", []
+    assert [(r.id, r.dst_port, r.payload, r.label, r.ts) for r in records] == want
+    counters = {"frames": 1, "truncated": 0, "non_ipv4_tcp": 0, "filtered_out": 0, "yielded": 0}
+    counters[outcome] += 1
+    assert dataclasses.asdict(summary) == counters
 
 
 def test_traffic_filter_requires_ports():
