@@ -21,7 +21,7 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CorpusError
@@ -147,17 +147,26 @@ class TrafficFilter:
 
     ports: frozenset[int]
     dst_prefix: ipaddress.IPv4Network | None = None
+    # dst_prefix as 32-bit integers, so that a frame costs one mask and compare
+    _netmask: int = field(init=False, repr=False, compare=False, default=0)
+    _network: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if not self.ports:
             raise ValueError("filter needs at least one port")
         for port in self.ports:
             check_port(port)
+        if self.dst_prefix is not None:
+            object.__setattr__(self, "_netmask", int(self.dst_prefix.netmask))
+            object.__setattr__(self, "_network", int(self.dst_prefix.network_address))
 
     def matches(self, dst_port: int, dst_addr: bytes) -> bool:
+        """Whether a segment to dst_port at the 4-byte dst_addr is of interest."""
         if dst_port not in self.ports:
             return False
-        return self.dst_prefix is None or ipaddress.IPv4Address(dst_addr) in self.dst_prefix
+        if self.dst_prefix is None:
+            return True
+        return int.from_bytes(dst_addr, "big") & self._netmask == self._network
 
 
 @dataclass

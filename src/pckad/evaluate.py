@@ -21,7 +21,6 @@ from .errors import EvaluationError
 from .model import (
     DEFAULT_ALPHA,
     DEFAULT_TH_S,
-    PayloadMemo,
     check_model_settings,
     train,
 )
@@ -98,45 +97,62 @@ class EvalReport:
     unclassifiable: int
 
 
-def _outcomes(
-    scorer: Scorer, records: Iterable[PacketRecord], labels: LabelSet
-) -> list[tuple[str | None, Outcome]]:
-    """(attack instance or None for legit, outcome) of every on-port record, in order.
+def _groups(
+    records: Iterable[PacketRecord], labels: LabelSet, port: int
+) -> list[tuple[str | None, bytes, int]]:
+    """(instance, payload, packets) of each distinct on-port pair, in first-seen order.
 
-    Each distinct payload is judged once, through a PayloadMemo.
+    instance is the attack instance, or None for legit, and packets counts
+    the group's records. An on-port record without a label is an error.
     """
-    memo = PayloadMemo()
-    judged = memo.entries.get
-    out = []
+    by_id = labels.by_id
+    # a label names one instance, so grouping by label groups by instance
+    packets: dict[tuple[str, bytes], int] = {}
     for rec in records:
-        if rec.dst_port != scorer.port:
+        if rec.dst_port != port:
             continue
-        label = labels.by_id.get(rec.id)
+        label = by_id.get(rec.id)
         if label is None:
-            raise EvaluationError(f"record {rec.id} on port {scorer.port} has no label")
-        outcome = judged(rec.payload)
+            raise EvaluationError(f"record {rec.id} on port {port} has no label")
+        key = (label, rec.payload)
+        packets[key] = packets.get(key, 0) + 1
+    return [(attack_instance_of(label), payload, count)
+            for (label, payload), count in packets.items()]
+
+
+def _outcomes(
+    scorer: Scorer, groups: list[tuple[str | None, bytes, int]]
+) -> list[tuple[str | None, Outcome, int]]:
+    """(attack instance, outcome, packets) of each group; each distinct payload is judged once."""
+    judged: dict[bytes, Outcome] = {}
+    out = []
+    for instance, payload, packets in groups:
+        outcome = judged.get(payload)
         if outcome is None:
-            outcome = judge(scorer, rec.payload)
-            memo.put(rec.payload, outcome)
-        out.append((attack_instance_of(label), outcome))
+            outcome = judged[payload] = judge(scorer, payload)
+        out.append((instance, outcome, packets))
     return out
 
 
-def _fold(outcomes: list[tuple[str | None, Outcome]], cfg: DetectorConfig) -> EvalReport:
-    """DR/FPR of the outcomes under one score threshold and chunk mode."""
+def _fold(outcomes: list[tuple[str | None, Outcome, int]], cfg: DetectorConfig) -> EvalReport:
+    """DR/FPR of the outcomes under one score threshold and chunk mode.
+
+    An instance is detected when any of its groups alerts; each legit group
+    counts as many packets, and false alerts, as it holds.
+    """
     detected: dict[str, bool] = {}
     legit_packets = 0
     false_alerts = 0
     unclassifiable = 0
-    for instance, outcome in outcomes:
+    for instance, outcome, packets in outcomes:
         alert = outcome.is_alert(cfg)
         if instance is not None:
             detected[instance] = detected.get(instance, False) or alert
         elif outcome.kind == UNCLASSIFIABLE:
-            unclassifiable += 1
+            unclassifiable += packets
         else:
-            legit_packets += 1
-            false_alerts += alert
+            legit_packets += packets
+            false_alerts += alert * packets
     instances_total = len(detected)
     instances_detected = sum(detected.values())
     dr = instances_detected / instances_total * 100.0 if instances_total else None
@@ -160,9 +176,12 @@ def evaluate(
 ) -> EvalReport:
     """Score every on-port record and fold verdicts into DR/FPR.
 
-    This is the one-cell case of `sweep`: the same outcomes, the same fold.
+    This is the one-cell case of `sweep`: the records are grouped into
+    distinct (attack instance, payload) pairs, each distinct payload is
+    judged once, and the fold weights each group by its packets. Each
+    distinct group is held until it returns.
     """
-    return _fold(_outcomes(scorer, records, labels), cfg)
+    return _fold(_outcomes(scorer, _groups(records, labels, scorer.port)), cfg)
 
 
 @dataclass(frozen=True)
@@ -221,14 +240,18 @@ def sweep(
 ) -> list[SweepRow]:
     """Train one model per (n, chunk_len) and evaluate every grid cell.
 
-    Each distinct training payload is featurized once per model, and each
-    distinct test payload is judged once per (n, chunk_len); the score
-    thresholds and chunk modes are folds over those outcomes. Invalid
-    cells (n > chunk_len) produce a row without a report and a warning on
-    stderr. Rows come out in deterministic grid order.
+    Each distinct training payload is featurized once per model. The test
+    records are grouped into distinct on-port (attack instance, payload)
+    pairs once, at the first cell that judges, so a grid of only invalid
+    cells reads no label. Each distinct test payload is then judged once per
+    (n, chunk_len), and each score threshold and chunk mode is one fold over
+    the groups, weighted by their packets. Invalid cells (n > chunk_len)
+    produce a row without a report and a warning on stderr. Rows come out in
+    deterministic grid order.
     """
     check_model_settings(port, alpha, th_s)
     rows: list[SweepRow] = []
+    groups = None
     for n in grid.ns:
         for chunk_len in grid.chunk_lens:
             if n > chunk_len:
@@ -243,7 +266,10 @@ def sweep(
                     alpha=alpha,
                     th_s=th_s,
                 )
-                outcomes = _outcomes(Scorer(model), test_records, labels)
+                scorer = Scorer(model)
+                if groups is None:
+                    groups = _groups(test_records, labels, scorer.port)
+                outcomes = _outcomes(scorer, groups)
             for threshold in grid.score_thresholds:
                 for chunks_enabled in grid.chunk_modes:
                     report = None if outcomes is None else _fold(

@@ -139,12 +139,13 @@ MEMO_ENTRY_BYTES = 256
 class PayloadMemo:
     """One call's value for each distinct payload, within MEMO_BYTES.
 
-    Training stores repeat counts, and the detector and the sweep store
-    judgements. The memo is keyed by payload alone, so callers check the
-    record's port first. When the next entry would pass MEMO_BYTES, the memo
-    empties first; an entry that would pass it alone is never kept, and `put`
-    lets it go at once, after the entries emptied. entries is emptied in
-    place, so a caller may hold `entries.get` for a whole call.
+    Training stores repeat counts, and the detector stores judgements;
+    evaluate and the sweep group their records instead (`evaluate._groups`).
+    The memo is keyed by payload alone, so callers check the record's port
+    first. When the next entry would pass MEMO_BYTES, the memo empties
+    first; an entry that would pass it alone is never kept, and `put` lets
+    it go at once, after the entries emptied. entries is emptied in place,
+    so a caller may hold `entries.get` for a whole call.
     """
 
     entries: dict[bytes, object] = field(default_factory=dict)

@@ -1,5 +1,5 @@
-"""Synthetic pcap fixtures and a reference frame decoder, small FTP models, a call spy and plain
-reference counters."""
+"""Synthetic pcap fixtures and a reference frame decoder, small FTP models, a call spy, plain
+reference counters and a per-record DR/FPR fold."""
 
 import struct
 
@@ -110,6 +110,44 @@ def ftp_model(payloads, n=2, **settings):
 
     return train(iter(ftp_records(payloads)), protocol=Protocol.FTP,
                  chunking=ChunkingConfig(n, 15), **settings)
+
+
+def fold_verdicts(verdicts_and_labels):
+    """DR/FPR of (score_packet verdict, label) pairs, one per packet, per the README's semantics.
+
+    A plain per-record fold, as `EvalReport`'s fields: each attack label is
+    one instance, detected when any of its packets alerts, and every legit
+    packet counts on its own.
+    """
+    from pckad import ALERT_KINDS
+
+    detected, legit, false_alerts, unclassifiable = {}, 0, 0, 0
+    for verdict, label in verdicts_and_labels:
+        if label.startswith("attack:"):
+            detected[label] = detected.get(label, False) or verdict.kind in ALERT_KINDS
+        elif verdict.kind == "unclassifiable":
+            unclassifiable += 1
+        else:
+            legit += 1
+            false_alerts += verdict.kind in ALERT_KINDS
+    return {
+        "dr": sum(detected.values()) / len(detected) * 100.0 if detected else None,
+        "fpr": false_alerts / legit * 100.0 if legit else None,
+        "instances_total": len(detected),
+        "instances_detected": sum(detected.values()),
+        "legit_packets": legit,
+        "false_alerts": false_alerts,
+        "unclassifiable": unclassifiable,
+    }
+
+
+def reference_report(scorer, records, cfg):
+    """The EvalReport of scoring each on-port record with score_packet and folding it on its own."""
+    from pckad import EvalReport, score_packet
+
+    return EvalReport(**fold_verdicts(
+        (score_packet(scorer, rec, cfg), rec.label) for rec in records if rec.dst_port == scorer.port
+    ))
 
 
 def counting(monkeypatch, module, name):

@@ -105,6 +105,10 @@ MUTANTS = [
      "detected[len(detected)] = alert"),
     ("unclassifiable packets in the FPR", EVALUATE,
      "elif outcome.kind == UNCLASSIFIABLE:", "elif False:"),
+    # evaluate and sweep fold each distinct (instance, payload) group, weighted by its packets
+    ("fold counts a group once", EVALUATE, "legit_packets += packets", "legit_packets += 1"),
+    ("false alerts unweighted", EVALUATE,
+     "false_alerts += alert * packets", "false_alerts += alert"),
     ("chunks-off reading a_on", DETECTOR,
      "return self.a_on if cfg.chunks_enabled else self.a_off", "return self.a_on"),
     ("no_model not alerting", DETECTOR,

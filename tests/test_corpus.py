@@ -279,11 +279,12 @@ class TestReadPcap:
             assert rec.payload == b"PASV\r\n"
 
     def test_ethernet_padding_not_payload(self, tmp_path):
-        # 6-byte payload, frame padded to the 60-byte ethernet minimum
+        # 4-byte payload, frame padded to the 60-byte Ethernet minimum
+        assert len(tcp_frame(b"PWD\n", 21)) < 60
         path = tmp_path / "c.pcap"
-        path.write_bytes(pcap_bytes([tcp_frame(b"QUIT\r\n", 21, pad_to=60)]))
+        path.write_bytes(pcap_bytes([tcp_frame(b"PWD\n", 21, pad_to=60)]))
         (rec,) = read_pcap(path, filt(21))
-        assert rec.payload == b"QUIT\r\n"
+        assert rec.payload == b"PWD\n"
 
     def test_truncated_trailing_frame_counted(self, tmp_path):
         import struct
@@ -615,6 +616,38 @@ def test_read_pcap_decodes_as_the_reference(tmp_path_factory, frame, big_endian,
     counters = {"frames": 1, "truncated": 0, "non_ipv4_tcp": 0, "filtered_out": 0, "yielded": 0}
     counters[outcome] += 1
     assert dataclasses.asdict(summary) == counters
+
+
+_ADDRESSES = st.binary(min_size=4, max_size=4)
+
+
+@settings(max_examples=300)
+@given(prefix_len=st.sampled_from([0, 8, 24, 32]), prefix_addr=_ADDRESSES, addr=_ADDRESSES,
+       inside=st.booleans())
+def test_traffic_filter_prefix_agrees_with_ipaddress(prefix_len, prefix_addr, addr, inside):
+    # the prefix keeps its host bits (strict=False), as `--pcap-filter prefix=` builds it
+    prefix = ipaddress.IPv4Network((prefix_addr, prefix_len), strict=False)
+    if inside:
+        # keep the prefix's network bits, so that the longer prefixes match too
+        netmask = int(prefix.netmask)
+        addr = (int(prefix.network_address) | int.from_bytes(addr, "big") & ~netmask
+                & 0xFFFFFFFF).to_bytes(4, "big")
+    flt = TrafficFilter(ports=frozenset({21}), dst_prefix=prefix)
+    want = ipaddress.IPv4Address(addr) in prefix
+    assert want or not inside
+    assert flt.matches(21, addr) is want
+    assert flt.matches(80, addr) is False
+
+
+def test_traffic_filter_compares_by_ports_and_prefix():
+    # the prefix's integer form is derived, so it is neither shown nor compared
+    prefix = ipaddress.IPv4Network("172.16.0.0/16")
+    flt = TrafficFilter(ports=frozenset({21}), dst_prefix=prefix)
+    assert flt == TrafficFilter(ports=frozenset({21}), dst_prefix=prefix)
+    assert hash(flt) == hash(TrafficFilter(ports=frozenset({21}), dst_prefix=prefix))
+    assert flt != TrafficFilter(ports=frozenset({21}))
+    assert repr(flt) == ("TrafficFilter(ports=frozenset({21}), "
+                         "dst_prefix=IPv4Network('172.16.0.0/16'))")
 
 
 def test_traffic_filter_requires_ports():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import math
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pckad import (
-    ALERT_KINDS,
     ChunkingConfig,
     DetectorConfig,
+    EvalReport,
     EvaluationError,
     GenSpec,
     GridSpec,
@@ -27,9 +28,11 @@ from pckad import (
 )
 from pckad.synth import AnomalyKind
 
-from helpers import ftp_model
+from helpers import counting, fold_verdicts, ftp_model, reference_report
 
 CFG = DetectorConfig(score_threshold=40.0)
+# the package's `evaluate` attribute is the function of that name
+evaluate_module = importlib.import_module("pckad.evaluate")
 
 
 def labeled(recs_and_labels, start_id=0):
@@ -123,6 +126,108 @@ class TestEvaluate:
         ]
         report = evaluate(Scorer(model), corpus, LabelSet.from_records(corpus), CFG)
         assert report.legit_packets == 1
+
+
+def judged_by_cell(judged):
+    """(n, chunk_len) -> the payloads judged for it, in order, from a spy's (scorer, payload) calls."""
+    cells = {}
+    for scorer, payload in judged:
+        cells.setdefault((scorer.chunking.n, scorer.chunking.chunk_len), []).append(payload)
+    return cells
+
+
+# the hypothesis corpus's pool: usual, unseen, empty (unclassifiable), short and no-model payloads
+_PAYLOADS = [b"USER alice\r\n", b"\xde\xad\xbe\xef\xde\xad", b"", b"x",
+             b"RETR " + b"z" * 40 + b"\r\n"]
+_LABELS = ["legit", "attack:a1", "attack:a2"]
+_SCORER = Scorer(ftp_model([b"USER alice\r\n", b"USER bob\r\n"] * 2))
+
+
+class TestGroups:
+    """evaluate and sweep judge each distinct (instance, payload) group once and weight it by
+    its packets; every report equals the per-record fold."""
+
+    def test_groups_are_weighted_by_their_packets(self):
+        model = ftp_model([b"USER alice\r\n"] * 4)
+        usual, unseen = b"USER alice\r\n", b"\xde\xad\xbe\xef\xde\xad"
+        corpus = labeled(
+            [(usual, "legit")] * 5 + [(unseen, "legit")] * 3
+            + [(b"", "legit")] * 4 + [(b"x", "legit")] * 2
+            # one of a1's five packets alerts, and it repeats; none of a2's does
+            + [(usual, "attack:a1"), (usual, "attack:a1"), (unseen, "attack:a1"),
+               (usual, "attack:a1"), (unseen, "attack:a1")]
+            + [(usual, "attack:a2")] * 3
+            + [(usual, "legit")] * 2
+        )
+        scorer = Scorer(model)
+        report = evaluate(scorer, corpus, LabelSet.from_records(corpus), CFG)
+        assert report == reference_report(scorer, corpus, CFG)
+        assert report == EvalReport(dr=50.0, fpr=30.0, instances_total=2, instances_detected=1,
+                                    legit_packets=10, false_alerts=3, unclassifiable=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(_LABELS), st.booleans()),
+                          max_size=40),
+           threshold=st.sampled_from([0.0, 40.0, 100.0]), chunks_enabled=st.booleans())
+    def test_evaluate_equals_the_per_record_fold(self, picks, threshold, chunks_enabled):
+        # any mix of repeats, labels and off-port records, in any order
+        corpus = [PacketRecord(id=i, dst_port=21 if on_port else 80, payload=_PAYLOADS[p],
+                               label=label)
+                  for i, (p, label, on_port) in enumerate(picks)]
+        cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
+        report = evaluate(_SCORER, corpus, LabelSet.from_records(corpus), cfg)
+        assert report == reference_report(_SCORER, corpus, cfg)
+
+    def test_sweep_without_on_port_records(self, sweep_setup):
+        train_records, _, _ = sweep_setup
+        test_records = [PacketRecord(id=0, dst_port=80, payload=b"GET / HTTP/1.0\r\n")]
+        grid = GridSpec(ns=(3,), chunk_lens=(15,), score_thresholds=(40.0,))
+        rows = sweep(train_records, test_records, LabelSet({}), grid, protocol=Protocol.FTP)
+        assert [row.report for row in rows] == [EvalReport(None, None, 0, 0, 0, 0, 0)] * 2
+
+    def test_evaluate_judges_each_distinct_payload_once(self, sweep_setup, monkeypatch):
+        train_records, test_records, labels = sweep_setup
+        scorer = Scorer(train(iter(train_records), protocol=Protocol.FTP,
+                              chunking=ChunkingConfig(3, 15)))
+        judged = counting(monkeypatch, evaluate_module, "judge")
+        # records may come from a one-pass iterator, as a capture's do
+        report = evaluate(scorer, iter(test_records), labels, CFG)
+
+        on_port = [rec.payload for rec in test_records if rec.dst_port == scorer.port]
+        assert len(set(on_port)) < len(on_port)
+        # in first-seen order, so no set order reaches the judging
+        assert judged_by_cell(judged) == {(3, 15): list(dict.fromkeys(on_port))}
+        assert report == reference_report(scorer, test_records, CFG)
+
+    def test_sweep_judges_each_distinct_payload_once_per_cell(self, sweep_setup, monkeypatch):
+        train_records, test_records, labels = sweep_setup
+        # n=8 > chunk_len=7 is skipped: it trains and judges nothing
+        grid = GridSpec(ns=(2, 8), chunk_lens=(7, 15), score_thresholds=(30.0, 40.0))
+        judged = counting(monkeypatch, evaluate_module, "judge")
+        rows = sweep(train_records, test_records, labels, grid, protocol=Protocol.FTP)
+
+        distinct = list(dict.fromkeys(rec.payload for rec in test_records if rec.dst_port == 21))
+        assert judged_by_cell(judged) == {cell: distinct for cell in [(2, 7), (2, 15), (8, 15)]}
+        assert len(rows) == 4 * 2 * 2
+        assert sum(row.report is None for row in rows) == 2 * 2
+
+    # with n=8 first, the label is read at the second (n, chunk_len), the first that judges
+    @pytest.mark.parametrize("ns", [(3,), (8, 3)])
+    def test_sweep_missing_label_is_fatal(self, sweep_setup, ns):
+        train_records, test_records, labels = sweep_setup
+        unlabeled = PacketRecord(id=len(test_records), dst_port=21, payload=b"NOOP\r\n")
+        grid = GridSpec(ns=ns, chunk_lens=(7,), score_thresholds=(40.0,))
+        with pytest.raises(EvaluationError,
+                           match=rf"^record {unlabeled.id} on port 21 has no label$"):
+            sweep(train_records, [*test_records, unlabeled], labels, grid, protocol=Protocol.FTP)
+
+    def test_grid_of_skipped_cells_reads_no_label(self, sweep_setup, capsys):
+        train_records, test_records, _ = sweep_setup
+        grid = GridSpec(ns=(8,), chunk_lens=(7,), score_thresholds=(40.0,))
+        # no record has a label, and no cell judges, so none is asked for
+        rows = sweep(train_records, test_records, LabelSet({}), grid, protocol=Protocol.FTP)
+        assert [row.report for row in rows] == [None, None]
+        assert "invalid cell n=8 chunk_len=7" in capsys.readouterr().err
 
 
 class TestLabelSetCsv:
@@ -332,28 +437,6 @@ def golden_setup():
         for i, (port, payload, label) in enumerate(extras)
     ]
     return train_records, test_records, LabelSet.from_records(test_records)
-
-
-def fold_verdicts(verdicts_and_labels):
-    """Test-local DR/FPR fold of score_packet verdicts, per the README's semantics."""
-    detected, legit, false_alerts, unclassifiable = {}, 0, 0, 0
-    for verdict, label in verdicts_and_labels:
-        if label.startswith("attack:"):
-            detected[label] = detected.get(label, False) or verdict.kind in ALERT_KINDS
-        elif verdict.kind == "unclassifiable":
-            unclassifiable += 1
-        else:
-            legit += 1
-            false_alerts += verdict.kind in ALERT_KINDS
-    return {
-        "dr": sum(detected.values()) / len(detected) * 100.0 if detected else None,
-        "fpr": false_alerts / legit * 100.0 if legit else None,
-        "instances_total": len(detected),
-        "instances_detected": sum(detected.values()),
-        "legit_packets": legit,
-        "false_alerts": false_alerts,
-        "unclassifiable": unclassifiable,
-    }
 
 
 class TestSweepGolden:

@@ -1,15 +1,16 @@
 """Each distinct payload is counted and judged once per call, with the same results.
 
-One memo, `model.PayloadMemo`, serves every call: `train` keeps each on-port
-payload's repeats in it and counts them as one weighted sample, and
-`detect_stream`, `evaluate` and `sweep` keep each distinct on-port payload's
-judgement in it. The memo is keyed by the payload alone, holds at most
-`model.MEMO_BYTES`, and never holds a record for another port: those are
-counted as skipped before the memo sees them. Every output must equal the
-record-by-record one: the model with its entry order and file bytes, the
-training summary, every verdict and tally, every report and sweep row. The
-budget is also squeezed until the memo keeps one entry or none, and until a
-repeated payload no longer fits it.
+One memo, `model.PayloadMemo`, serves training and detection: `train` keeps
+each on-port payload's repeats in it and counts them as one weighted sample,
+and `detect_stream` keeps each distinct on-port payload's judgement in it.
+The memo is keyed by the payload alone, holds at most `model.MEMO_BYTES`, and
+never holds a record for another port: those are counted as skipped before
+the memo sees them. `evaluate` and `sweep` hold no memo: they group the test
+records into distinct (instance, payload) pairs and judge each distinct
+payload once. Every output must equal the record-by-record one: the model
+with its entry order and file bytes, the training summary, every verdict and
+tally, every report and sweep row. The memo's budget is also squeezed until
+it keeps one entry or none, and until a repeated payload no longer fits it.
 """
 
 import importlib
@@ -42,12 +43,9 @@ from pckad import (
     train,
 )
 from pckad import detector, model as model_module
-from pckad.corpus import attack_instance_of
-from pckad.detector import judge
-from pckad.evaluate import _fold, _outcomes
 from pckad.model import MEMO_ENTRY_BYTES, PayloadMemo, featurize
 
-from helpers import counting, ftp_records, unpruned_model
+from helpers import counting, ftp_records, reference_report, unpruned_model
 
 PROTOCOLS = [Protocol.FTP, Protocol.HTTP]
 CHUNKING = ChunkingConfig(3, 15)
@@ -189,30 +187,24 @@ class TestJudgementMemo:
         elif which == "none":
             assert max(budget.held) == 0
 
-    @pytest.mark.parametrize("which", BUDGETS)
     @pytest.mark.parametrize("chunks_enabled", [True, False])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_evaluate_equals_per_record_judging(self, protocol, chunks_enabled, which,
-                                                budget, monkeypatch):
+    def test_evaluate_equals_per_record_judging(self, protocol, chunks_enabled, monkeypatch):
         training, test = corpora(protocol)
         model = trained(protocol, training)
         scorer = Scorer(model)
         labels = LabelSet.from_records(test)
         cfg = DetectorConfig.for_model(model, chunks_enabled=chunks_enabled)
         on_port = [r for r in test if r.dst_port == model.port]
-        want = [(attack_instance_of(r.label), judge(scorer, r.payload)) for r in on_port]
-        apply(budget, which)
+        want = reference_report(scorer, on_port, cfg)
         judged = counting(monkeypatch, evaluate_module, "judge")
 
-        assert _outcomes(scorer, test, labels) == want
-        assert evaluate(scorer, test, labels, cfg) == _fold(want, cfg)
-        if which == "default":
-            # one judgement per distinct payload in each of the two calls
-            assert len(judged) == 2 * len({r.payload for r in on_port})
+        assert evaluate(scorer, test, labels, cfg) == want
+        # one judgement per distinct on-port payload, in first-seen order
+        assert [args[1] for args in judged] == list(dict.fromkeys(r.payload for r in on_port))
 
-    @pytest.mark.parametrize("which", BUDGETS)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_sweep_equals_per_record_folds(self, protocol, which, budget):
+    def test_sweep_equals_per_record_folds(self, protocol):
         training, test = corpora(protocol)
         labels = LabelSet.from_records(test)
         grid = GridSpec((2, 3), (7, 15), (30.0, 40.0), (True, False))
@@ -220,13 +212,12 @@ class TestJudgementMemo:
         for n in grid.ns:
             for chunk_len in grid.chunk_lens:
                 scorer = Scorer(trained(protocol, training, ChunkingConfig(n, chunk_len)))
-                outcomes = [(attack_instance_of(r.label), judge(scorer, r.payload))
-                            for r in test if r.dst_port == scorer.port]
+                on_port = [r for r in test if r.dst_port == scorer.port]
                 for threshold in grid.score_thresholds:
                     for chunks_enabled in grid.chunk_modes:
                         cfg = DetectorConfig(threshold, chunks_enabled=chunks_enabled)
-                        want.append((n, chunk_len, threshold, chunks_enabled, _fold(outcomes, cfg)))
-        apply(budget, which)
+                        want.append((n, chunk_len, threshold, chunks_enabled,
+                                     reference_report(scorer, on_port, cfg)))
 
         rows = sweep(training, test, labels, grid, protocol=protocol)
         assert [(r.n, r.chunk_len, r.score_threshold, r.chunks_enabled, r.report)
