@@ -84,9 +84,18 @@ def attack_instance_of(label: str | None) -> str | None:
     return label[len("attack:"):]
 
 
-def _check_record_values(dst_port: int, label: str | None, ts: int | None) -> None:
-    """The value checks of a record's port, label and ts. Raises ValueError."""
+# the most payload one TCP segment in IPv4 carries: a 65,535-byte total length less the
+# 20-byte minimum IP and TCP headers. It bounds what any record costs to train or judge
+MAX_PAYLOAD = 65_495
+
+
+def _check_record_values(
+    dst_port: int, payload_len: int, label: str | None, ts: int | None
+) -> None:
+    """The value checks of a record's port, payload length, label and ts. Raises ValueError."""
     check_port(dst_port)
+    if payload_len > MAX_PAYLOAD:
+        raise ValueError(f"payload longer than {MAX_PAYLOAD} bytes")
     if label is not None:
         validate_label(label)
     # write_jsonl would write a bool or a float that no reader takes
@@ -100,8 +109,9 @@ class PacketRecord:
 
     The constructor checks every value (`_check_record_values`). The readers
     build their records after their own checks, with `_unchecked_record`,
-    which skips `__post_init__`: a capture's port is bound by its 16 bits and
-    it has no label, and `_record_from_line` calls `_check_record_values`.
+    which skips `__post_init__`: a capture's port is bound by its 16 bits,
+    its payload by the IPv4 total length, and it has no label, and
+    `_record_from_line` calls `_check_record_values`.
     """
 
     id: int
@@ -111,7 +121,7 @@ class PacketRecord:
     ts: int | None = None
 
     def __post_init__(self):
-        _check_record_values(self.dst_port, self.label, self.ts)
+        _check_record_values(self.dst_port, len(self.payload), self.label, self.ts)
 
     @property
     def is_attack(self) -> bool:
@@ -127,6 +137,9 @@ _set = object.__setattr__
 def _unchecked_record(rec_id: int, dst_port: int, payload: bytes, label: str | None,
                       ts: int | None) -> PacketRecord:
     """A PacketRecord of values its reader has checked, built without `__post_init__`.
+
+    `read_pcap` needs no check of the payload's length: the IPv4 total length,
+    16 bits, leaves at most MAX_PAYLOAD bytes after the IP and TCP headers.
 
     Each field is set as the frozen dataclass's `__init__` sets it, in field
     order, so records share their instance dicts' keys: updating `__dict__`
@@ -180,10 +193,6 @@ class IngestSummary:
     yielded: int = 0
 
 
-class _TruncatedFrame(Exception):
-    pass
-
-
 # from the IPv4 header at byte 14: version/IHL, total length, flags/fragment offset,
 # protocol and destination address
 _IPV4_HEADER = struct.Struct(">BxH2xHxB6x4s")
@@ -191,43 +200,44 @@ _IPV4_HEADER = struct.Struct(">BxH2xHxB6x4s")
 _TCP_HEADER = struct.Struct(">2xH8xB")
 
 
-def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | None:
-    """Decapsulate Ethernet/IPv4/TCP; (dst_port, dst_addr, payload) or None.
+def _decode_tcp_frame(data: bytes) -> tuple[int, bytes, bytes] | str:
+    """Decapsulate Ethernet/IPv4/TCP; (dst_port, dst_addr, payload), or why not.
 
-    Returns None for frames of other protocols (non-IPv4 ethertype, non-TCP)
-    and for IP fragments. Raises _TruncatedFrame when a header is cut off.
+    A frame with no payload to yield gives the IngestSummary counter that
+    counts it: "non_ipv4_tcp" for frames of other protocols (non-IPv4
+    ethertype, non-TCP) and for IP fragments, "truncated" when a header is cut off.
     The frame is read in place: each header's fields by one `unpack_from`
     at its offset, and the payload by one slice. 16 bits bound the port, so
     `read_pcap` builds its record without the constructor's re-check.
     """
     if len(data) < 14:
-        raise _TruncatedFrame
+        return "truncated"
     if data[12:14] != b"\x08\x00":
-        return None
+        return "non_ipv4_tcp"
     if len(data) < 34:
-        raise _TruncatedFrame
+        return "truncated"
     version_ihl, total_len, fragment, protocol, dst_addr = _IPV4_HEADER.unpack_from(data, 14)
     if version_ihl >> 4 != 4:
-        return None
+        return "non_ipv4_tcp"
     ihl = (version_ihl & 0x0F) * 4
     if ihl < 20 or len(data) < 14 + ihl:
-        raise _TruncatedFrame
+        return "truncated"
     if protocol != 6:
-        return None
+        return "non_ipv4_tcp"
     if fragment & 0x3FFF:
         # a fragment (MF set or a nonzero offset) holds part of a segment at most,
         # and as with a snaplen-cut datagram below, a partial payload would skew counts
-        return None
+        return "non_ipv4_tcp"
     if total_len < ihl + 20:
-        raise _TruncatedFrame
+        return "truncated"
     if len(data) < 14 + total_len:
         # snaplen cut the datagram short; a partial payload would skew counts
-        raise _TruncatedFrame
+        return "truncated"
     # the TCP header's 20 bytes lie within the datagram, by the total length check
     dst_port, offset_byte = _TCP_HEADER.unpack_from(data, 14 + ihl)
     data_off = (offset_byte >> 4) * 4
     if data_off < 20 or ihl + data_off > total_len:
-        raise _TruncatedFrame
+        return "truncated"
     # trailing link-layer padding (minimum frame size) is not payload
     return dst_port, dst_addr, data[14 + ihl + data_off:14 + total_len]
 
@@ -290,13 +300,9 @@ def read_pcap(
             if len(data) < incl_len:
                 summary.truncated += 1
                 break
-            try:
-                decoded = _decode_tcp_frame(data)
-            except _TruncatedFrame:
-                summary.truncated += 1
-                continue
-            if decoded is None:
-                summary.non_ipv4_tcp += 1
+            decoded = _decode_tcp_frame(data)
+            if isinstance(decoded, str):
+                setattr(summary, decoded, getattr(summary, decoded) + 1)
                 continue
             dst_port, dst_addr, payload = decoded
             if not flt.matches(dst_port, dst_addr):
@@ -331,7 +337,8 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     """Parse one JSONL line; a ValueError says what is wrong with it.
 
     The JSON types are checked here, their values and ts's type by
-    `_check_record_values`, as PacketRecord's constructor checks them.
+    `_check_record_values`, as PacketRecord's constructor checks them, before
+    payload_hex is decoded: a payload past MAX_PAYLOAD is never decoded.
     """
     line = line.rstrip("\r\n")
     # a lone surrogate is not ASCII, so an ASCII line needs no scan
@@ -353,6 +360,11 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
     payload_hex = obj.get("payload_hex")
     if not isinstance(payload_hex, str):
         raise ValueError("missing or invalid 'payload_hex'")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("label must be a string")
+    ts = obj.get("ts")
+    _check_record_values(port, len(payload_hex) // 2, label, ts)
     try:
         payload = bytes.fromhex(payload_hex)
     except ValueError:
@@ -362,11 +374,6 @@ def _record_from_line(line: str, rec_id: int) -> PacketRecord:
         if len(payload_hex) % 2 != 0:
             raise ValueError("odd-length payload_hex")
         raise ValueError("payload_hex is not hexadecimal")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ValueError("label must be a string")
-    ts = obj.get("ts")
-    _check_record_values(port, label, ts)
     return _unchecked_record(rec_id, port, payload, label, ts)
 
 

@@ -143,11 +143,11 @@ class Scorer:
     rule 2 flags at any count, so a lower th_s is sound; a higher one is
     refused (ValueError), as is one out of range.
 
-    classes maps each class key to (stats, usual, usual_in_chunk, rest), the
-    n-grams whose single occurrence no rule marks: usual those that `deviates`
-    clears at x = 1, usual_in_chunk[j] those that rule 3 also leaves alone in
-    chunk j, for each j where one of them has an entry, and rest those in any
-    other chunk, where they all read as ABSENT_CHUNK: usual, or none. Only
+    classes maps each class's chunk count to (stats, usual, usual_in_chunk,
+    rest), the n-grams whose single occurrence no rule marks: usual those that
+    `deviates` clears at x = 1, usual_in_chunk[j] those that rule 3 also leaves
+    alone in chunk j, for each j where one of them has an entry, and rest those
+    in any other chunk, where they all read as ABSENT_CHUNK: usual, or none. Only
     existing chunk entries are visited: a model file's chunk count is not trusted.
     """
 
@@ -181,14 +181,14 @@ class Scorer:
                         here.discard(gram)
                     else:
                         here.add(gram)
-            self.classes[key] = cls.stats, usual, per_chunk, rest
+            self.classes[key.chunk_count] = cls.stats, usual, per_chunk, rest
 
 
 def judge(scorer: Scorer, payload: bytes) -> Outcome:
     """Featurize one on-port payload and apply the per-gram rules once, at scorer.th_s.
 
-    The class is looked up from the relevant length before any window is
-    cut, so a payload whose class has no model costs no `slice_windows`.
+    The class, a chunk count, is looked up from the relevant length before any
+    window is cut, so a payload whose class has no model costs no `slice_windows`.
     The outcome serves both chunk modes: it is the `Outcome` that
     `anomalous_occurrences` summed over the payload's n-grams gives. Both
     sums start at every window and lose the occurrences no rule marks.
@@ -204,11 +204,11 @@ def judge(scorer: Scorer, payload: bytes) -> Outcome:
     Each chunk's windows come from `chunking.chunk_windows`, as in training.
     A caller that wants each n-gram's share asks `anomalous_occurrences`.
     """
-    features = featurize(payload, scorer.protocol, scorer.port, scorer.chunking)
+    features = featurize(payload, scorer.protocol, scorer.chunking)
     if isinstance(features, str):
         return Outcome(MALFORMED if features == "malformed" else UNCLASSIFIABLE)
-    key, part = features
-    entry = scorer.classes.get(key)
+    chunk_count, part = features
+    entry = scorer.classes.get(chunk_count)
     if entry is None:
         return Outcome(NO_MODEL)
     grams = slice_windows(part, scorer.chunking)

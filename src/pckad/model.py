@@ -1,10 +1,10 @@
 """Semi-supervised traffic model: training and persistence.
 
-Training packets are grouped into classes by (destination port, chunk
-count). For every n-gram observed in a class, the mean and population
-standard deviation of its occurrence count are recorded, both for the whole
-relevant payload and per chunk position; samples where the n-gram is absent
-contribute a count of zero. An n-gram so rare that a single occurrence
+A model is for one destination port, and its training packets are grouped
+into classes by chunk count. For every n-gram observed in a class, the mean
+and population standard deviation of its occurrence count are recorded, both
+for the whole relevant payload and per chunk position; samples where the
+n-gram is absent contribute a count of zero. An n-gram so rare that a single occurrence
 already deviates beyond th_s gets no entry: the detector marks it exactly as
 it marks an n-gram never seen (see `_ClassAccumulator.finalize`).
 
@@ -30,6 +30,9 @@ FORMAT_VERSION = 1
 
 
 class ClassKey(NamedTuple):
+    """A `TrafficModel.classes` key. port is always the model's, and elsewhere the package keys
+    a class by chunk count alone; the key keeps port while `bench/reference.py` reads it."""
+
     port: int
     chunk_count: int
 
@@ -57,23 +60,17 @@ class ClassModel:
     pruned: int = 0  # n-grams observed in training but left out of stats
 
 
-class Features(NamedTuple):
-    """Class key and relevant bytes of one classifiable payload."""
-
-    key: ClassKey
-    part: bytes  # the relevant bytes, which `slice_windows` cuts into windows
-
-
 def featurize(
-    payload: bytes, protocol: Protocol, port: int, chunking: ChunkingConfig
-) -> Features | str:
-    """The one path from an on-port payload to its class key and relevant bytes.
+    payload: bytes, protocol: Protocol, chunking: ChunkingConfig
+) -> tuple[int, bytes] | str:
+    """The one path from an on-port payload to its class and relevant bytes.
 
     Training, scoring and the sweep all featurize through here, once each
-    has set aside the records for other ports. The class key reads the
-    relevant length alone, ceil(len / chunk_len) chunks: no window is cut
-    here. A payload with no window gives its cause instead: "empty",
-    "malformed" or "short", naming the TrainingSummary counter `skipped_<cause>`.
+    has set aside the records for other ports, so the class is the chunk
+    count alone: (ceil(len / chunk_len), part), read from the relevant
+    length, with no window cut; `slice_windows` cuts part later. A payload
+    with no window gives its cause instead: "empty", "malformed" or
+    "short", naming the TrainingSummary counter `skipped_<cause>`.
     """
     if not payload:
         return "empty"
@@ -83,7 +80,7 @@ def featurize(
     (part,) = relevant.components
     if len(part) < chunking.n:
         return "short"
-    return Features(ClassKey(port, -(-len(part) // chunking.chunk_len)), part)
+    return -(-len(part) // chunking.chunk_len), part
 
 
 @dataclass
@@ -191,7 +188,7 @@ def _mean_std(s1: int, s2: int, k: int) -> tuple[float, float]:
 
 
 class _ClassAccumulator:
-    """Running sums sufficient for exact mean/population-std per n-gram.
+    """One class's running sums (`train` keys them by chunk count), for exact mean/std.
 
     sums holds one (s1, extra) pair of dicts per window list: sums[0] over
     the whole payload, and sums[1 + j] over chunk j's `chunk_windows`. An
@@ -284,19 +281,19 @@ def train(
         port = protocol.default_port
     check_model_settings(port, alpha, th_s)
     summary = TrainingSummary()
-    accumulators: dict[ClassKey, _ClassAccumulator] = {}
+    accumulators: dict[int, _ClassAccumulator] = {}  # by chunk count
 
     def count(repeats: dict[bytes, int]) -> None:
         for payload, w in repeats.items():
-            features = featurize(payload, protocol, port, chunking)
+            features = featurize(payload, protocol, chunking)
             if isinstance(features, str):
                 counter = "skipped_" + features
                 setattr(summary, counter, getattr(summary, counter) + w)
                 continue
-            key, part = features
-            if key not in accumulators:
-                accumulators[key] = _ClassAccumulator(key.chunk_count)
-            accumulators[key].add(slice_windows(part, chunking), chunking.chunk_len, w)
+            chunk_count, part = features
+            if chunk_count not in accumulators:
+                accumulators[chunk_count] = _ClassAccumulator(chunk_count)
+            accumulators[chunk_count].add(slice_windows(part, chunking), chunking.chunk_len, w)
             summary.trained += w
 
     memo = PayloadMemo()
@@ -328,7 +325,8 @@ def train(
         chunking=chunking,
         alpha=alpha,
         th_s=th_s,
-        classes={key: acc.finalize(alpha, th_s) for key, acc in accumulators.items()},
+        classes={ClassKey(port, chunk_count): acc.finalize(alpha, th_s)
+                 for chunk_count, acc in accumulators.items()},
         summary=summary,
     )
 

@@ -53,8 +53,8 @@ def _ge(text: str) -> str:
 MUTANTS = [
     # featurize is the one statement of the class rule, read from the relevant length
     ("floor chunk count", MODEL,
-     "ClassKey(port, -(-len(part) // chunking.chunk_len))",
-     "ClassKey(port, len(part) // chunking.chunk_len)"),
+     "return -(-len(part) // chunking.chunk_len), part",
+     "return len(part) // chunking.chunk_len, part"),
     # chunk_windows is the one attribution: training and judge's sets and counts move together
     ("last-byte attribution", CHUNKING,
      "return [grams[start:start + chunk_len] for start in range(0, len(grams), chunk_len)]",
@@ -119,10 +119,11 @@ MUTANTS = [
     ("short at one window", MODEL, "if len(part) < chunking.n:", "if len(part) <= chunking.n:"),
     # judge looks the class up before it cuts a window: a no-model payload costs none
     ("windows cut before the class lookup", DETECTOR,
-     "    entry = scorer.classes.get(key)\n    if entry is None:\n        return Outcome(NO_MODEL)\n"
-     "    grams = slice_windows(part, scorer.chunking)\n",
-     "    grams = slice_windows(part, scorer.chunking)\n    entry = scorer.classes.get(key)\n"
-     "    if entry is None:\n        return Outcome(NO_MODEL)\n"),
+     "    entry = scorer.classes.get(chunk_count)\n    if entry is None:\n"
+     "        return Outcome(NO_MODEL)\n    grams = slice_windows(part, scorer.chunking)\n",
+     "    grams = slice_windows(part, scorer.chunking)\n"
+     "    entry = scorer.classes.get(chunk_count)\n    if entry is None:\n"
+     "        return Outcome(NO_MODEL)\n"),
     ("pruning guard dropped", MODEL,
      "if mean <= 1 and deviates(mean, std, 1, alpha, th_s):",
      "if deviates(mean, std, 1, alpha, th_s):"),

@@ -84,11 +84,11 @@ def test_criterion_1_oracle_equivalence(criterion):
                 (payload[start:start + n], start // cfg.chunk_len)
                 for start in range(len(payload) - n + 1)
             )
-            features = featurize(payload, Protocol.FTP, 21, cfg)
+            features = featurize(payload, Protocol.FTP, cfg)
             if len(payload) < n:
                 assert features == "short"
             else:
-                assert features.key.chunk_count == -(-len(payload) // cfg.chunk_len)
+                assert features[0] == -(-len(payload) // cfg.chunk_len)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -98,7 +98,7 @@ def test_criterion_2_layout_properties(criterion):
                         "worked 50-byte split"):
         # chunks of 15: "GET /people/sva", "lente/gif/poker", ".dogs.jpg HTTP/", "1.0\r\n"
         pairs = chunk_pairs(GET_LINE, ChunkingConfig(3, 15))
-        assert featurize(GET_LINE, Protocol.HTTP, 80, ChunkingConfig(3, 15)).key.chunk_count == 4
+        assert featurize(GET_LINE, Protocol.HTTP, ChunkingConfig(3, 15))[0] == 4
         # "val" starts at byte 13 and straddles the first border: it counts in chunk 0
         assert {j: x for (gram, j), x in pairs.items() if gram == b"val"} == {0: 1}
         assert pairs[b"0\r\n", 3] == 1
@@ -108,11 +108,11 @@ def test_criterion_2_layout_properties(criterion):
             chunk_len = rng.randrange(1, 40)
             n = rng.randrange(1, chunk_len + 1)
             cfg = ChunkingConfig(n, chunk_len)
-            features = featurize(payload, Protocol.FTP, 21, cfg)
+            features = featurize(payload, Protocol.FTP, cfg)
             if len(payload) < n:
                 assert features == "short"
             else:
-                assert features.key.chunk_count == -(-len(payload) // chunk_len)
+                assert features[0] == -(-len(payload) // chunk_len)
             assert chunk_pairs(payload, cfg) == Counter(
                 (payload[start:start + n], start // chunk_len)
                 for start in range(len(payload) - n + 1)

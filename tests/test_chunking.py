@@ -84,7 +84,7 @@ class TestChunkWindows:
     def test_no_chunk_for_a_tail_no_window_starts_in(self):
         # 16 bytes hold two chunks of 15, but the 14 windows all start in the first
         cfg = ChunkingConfig(3, 15)
-        assert featurize(b"x" * 16, Protocol.FTP, 21, cfg).key.chunk_count == 2
+        assert featurize(b"x" * 16, Protocol.FTP, cfg)[0] == 2
         grams = slice_windows(b"x" * 16, cfg)
         assert chunk_windows(grams, 15) == [grams]
 

@@ -42,7 +42,9 @@ class TestPacketRecord:
         (dict(dst_port=True), r"port must be within \[0, 65535\]"),
         (dict(ts=True), "ts must be an integer"),
         (dict(ts=1.5), "ts must be an integer"),
-    ], ids=["port-bool", "ts-bool", "ts-float"])
+        # one byte past the most one TCP segment in IPv4 carries; read_pcap yields no more
+        (dict(payload=b"x" * 65_496), "payload longer than 65495 bytes"),
+    ], ids=["port-bool", "ts-bool", "ts-float", "payload-65496-bytes"])
     def test_field_that_would_not_read_back_refused(self, fields, message):
         # write_jsonl would write it, and read_jsonl would refuse the line
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -201,6 +203,22 @@ class TestJsonl:
         with pytest.raises(CorpusError, match=f"line 2: {message}"):
             list(read_jsonl(path))
 
+    @pytest.mark.parametrize("payload_hex, message", [
+        ("78" * 65_495, None),
+        ("78" * 65_496, "payload longer than 65495 bytes"),
+        # the length is checked before the digits are decoded
+        ("zz" * 65_496, "payload longer than 65495 bytes"),
+    ], ids=["65495-bytes", "65496-bytes", "65496-bytes-not-hex"])
+    def test_payload_length_bound_names_line(self, tmp_path, payload_hex, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"port":21,"payload_hex":"00"}\n'
+                        '{"port":21,"payload_hex":"' + payload_hex + '"}\n')
+        if message is None:
+            assert list(read_jsonl(path))[1].payload == bytes.fromhex(payload_hex)
+        else:
+            with pytest.raises(CorpusError, match=f"line 2: {message}$"):
+                list(read_jsonl(path))
+
     def test_port_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"port":21,"payload_hex":"00"}\n{"port":70000,"payload_hex":"00"}\n')
@@ -285,6 +303,18 @@ class TestReadPcap:
         path.write_bytes(pcap_bytes([tcp_frame(b"PWD\n", 21, pad_to=60)]))
         (rec,) = read_pcap(path, filt(21))
         assert rec.payload == b"PWD\n"
+
+    def test_largest_segment_is_within_the_payload_bound(self, tmp_path):
+        # a 65,535-byte total length less the 20-byte IP and TCP headers, which the
+        # PacketRecord constructor accepts; under a snapshot length that holds the frame
+        frame = tcp_frame(b"x" * corpus.MAX_PAYLOAD, 21)
+        data = bytearray(pcap_bytes([frame]))
+        data[16:20] = struct.pack("<I", len(frame))
+        path = tmp_path / "c.pcap"
+        path.write_bytes(data)
+        (rec,) = read_pcap(path, filt(21))
+        assert len(rec.payload) == corpus.MAX_PAYLOAD == 65_495
+        assert rec == PacketRecord(rec.id, rec.dst_port, rec.payload, rec.label, rec.ts)
 
     def test_truncated_trailing_frame_counted(self, tmp_path):
         import struct

@@ -165,8 +165,7 @@ class TestScorePacket:
     def test_unknown_class_is_no_model_alert(self):
         model = ftp_model([b"USER alice\r\n"])  # one chunk
         long_payload = b"A" * 40  # three chunks at chunk_len=15
-        features = featurize(long_payload, Protocol.FTP, 21, model.chunking)
-        assert features.key == ClassKey(21, 3)
+        assert featurize(long_payload, Protocol.FTP, model.chunking)[0] == 3
         assert ClassKey(21, 3) not in model.classes
         verdict = score_packet(Scorer(model), ftp_record(long_payload), DetectorConfig(40))
         assert verdict.kind == "no_model"
@@ -339,7 +338,7 @@ class TestScorer:
         assert scorer.th_s == (model.th_s if th_s is None else th_s)
         assert (scorer.protocol, scorer.port, scorer.chunking, scorer.alpha) == \
             (model.protocol, model.port, model.chunking, model.alpha)
-        assert scorer.classes.keys() == model.classes.keys()
+        assert list(scorer.classes) == [key.chunk_count for key in model.classes]
 
     def test_lower_th_s_judges_as_the_reference(self):
         """The sets and the repeated n-grams are both judged at the Scorer's th_s."""
@@ -360,10 +359,10 @@ class TestScorer:
             return [judge(scorer, rec.payload) for rec in test]
 
         def repeats_no_window(payload):
-            features = featurize(payload, model.protocol, model.port, model.chunking)
+            features = featurize(payload, model.protocol, model.chunking)
             if isinstance(features, str):
                 return False
-            grams = slice_windows(features.part, model.chunking)
+            grams = slice_windows(features[1], model.chunking)
             return len(set(grams)) == len(grams)
 
         # the lower th_s judges otherwise some payloads that the sets alone decide

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -300,14 +301,27 @@ def test_label_csv_bytes_raise_only_evaluation_error(tmp_path_factory, pieces, h
     assert all(isinstance(k, int) and isinstance(v, str) for k, v in labels.by_id.items())
 
 
+def with_off_port_records(records):
+    """records with a port-2121 copy after every 7th one, and first a legit port-2121 payload
+    that no other record has; renumbered in order, each copy keeping its label."""
+    mixed = [PacketRecord(0, 2121, b"SITE off-port only\r\n", "legit")]
+    for i, rec in enumerate(records):
+        mixed.append(rec)
+        if i % 7 == 0:
+            mixed.append(dataclasses.replace(rec, dst_port=2121))
+    return [dataclasses.replace(rec, id=i) for i, rec in enumerate(mixed)]
+
+
 @pytest.fixture(scope="module")
 def sweep_setup():
+    """FTP train and test corpora, with off-port records that sweep and evaluate must set aside."""
     train_records = gen_legit(GenSpec(Protocol.FTP, 800, seed=100))
     test_records = gen_legit(GenSpec(Protocol.FTP, 400, seed=101))
     for i, kind in enumerate(AnomalyKind):
         test_records = inject_corpus(test_records, kind, 20, seed=102 + i)
+    test_records = with_off_port_records(test_records)
     labels = LabelSet.from_records(test_records)
-    return train_records, test_records, labels
+    return with_off_port_records(train_records), test_records, labels
 
 
 class TestSweep:
@@ -320,6 +334,16 @@ class TestSweep:
             (2, 7, 30.0, True), (2, 7, 30.0, False), (2, 7, 40.0, True), (2, 7, 40.0, False),
         ]
         assert all(r.report is not None for r in rows)
+
+    def test_off_port_records_change_no_row(self, sweep_setup):
+        train_records, test_records, labels = sweep_setup
+        on_port = [[rec for rec in records if rec.dst_port == 21]
+                   for records in (train_records, test_records)]
+        assert all(len(kept) < len(records)
+                   for kept, records in zip(on_port, (train_records, test_records)))
+        grid = GridSpec(ns=(2, 3), chunk_lens=(7, 15), score_thresholds=(30.0, 40.0))
+        assert sweep(train_records, test_records, labels, grid, protocol=Protocol.FTP) == \
+            sweep(*on_port, labels, grid, protocol=Protocol.FTP)
 
     def test_threshold_monotonicity(self, sweep_setup):
         train_records, test_records, labels = sweep_setup

@@ -245,7 +245,7 @@ def per_record_summary(records, protocol, chunking):
         if rec.dst_port != protocol.default_port:
             summary.skipped_other_port += 1
             continue
-        features = featurize(rec.payload, protocol, protocol.default_port, chunking)
+        features = featurize(rec.payload, protocol, chunking)
         if isinstance(features, str):
             counter = "skipped_" + features
             setattr(summary, counter, getattr(summary, counter) + 1)

@@ -139,9 +139,9 @@ class TestTrainSkips:
         chunking = ChunkingConfig(20, 20)
         port = protocol.default_port
         if cause is None:
-            assert featurize(payload, protocol, port, chunking) == (ClassKey(port, 1), payload)
+            assert featurize(payload, protocol, chunking) == (1, payload)
         elif dst_port == port:
-            assert featurize(payload, protocol, port, chunking) == cause
+            assert featurize(payload, protocol, chunking) == cause
         # train sets an off-port record aside before featurize; each record is
         # skipped for exactly its cause, next to one trainable record
         trainable = {

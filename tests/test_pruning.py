@@ -129,9 +129,8 @@ class TestAgainstUnprunedModel:
             gram for key, cls in model.classes.items()
             for gram in full.classes[key].stats.keys() - cls.stats.keys()
         }
-        features = [featurize(rec.payload, protocol, model.port, model.chunking)
-                    for rec in scored]
-        hits = sum(not left_out.isdisjoint(slice_windows(f.part, model.chunking))
+        features = [featurize(rec.payload, protocol, model.chunking) for rec in scored]
+        hits = sum(not left_out.isdisjoint(slice_windows(f[1], model.chunking))
                    for f in features if not isinstance(f, str))
         assert hits >= 10, corpus
 
